@@ -33,6 +33,7 @@ from bkm import (
     solve_boundary_only,
     solve_mixed_linear,
 )
+from bkm.cli import rel_err_pct
 
 TABLE_RUNS = (
     (laplace_benchmark, 5),
@@ -44,11 +45,6 @@ SWEEPS = (
     ("laplace", laplace_benchmark, (3, 5, 7, 9)),
     ("helmholtz", helmholtz_benchmark, (5, 7)),
 )
-
-
-def rel_err_pct(computed: float, exact: float) -> float:
-    scale = abs(exact) if abs(exact) > 1e-12 else 1.0
-    return 100.0 * (computed - exact) / scale
 
 
 def write_csv(csv_dir: Path | None, name: str, header: str, rows: list[str]) -> None:

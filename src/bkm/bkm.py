@@ -25,12 +25,20 @@ from .drm import (
     DrmExpansion,
     bordered_interp_matrix,
     interp_matrix,
+    normal_matrix,
     particular_matrix,
     solve_alpha,
     u_p_at,
 )
-from .geometry import BoundaryKnot, Point, dist, ellipse_knots
-from .kernels import RadialKernel, helmholtz2d, mq_pair, normal_derivative
+from .geometry import (
+    BoundaryKnot,
+    Point,
+    as_xy,
+    coincident_pair,
+    distance_matrix,
+    ellipse_knots,
+)
+from .kernels import RadialKernel, helmholtz2d, mq_pair
 from .linalg import cond_estimate_1norm, lu_solve
 from .problems import ProblemSpec
 
@@ -50,6 +58,10 @@ _BC_KINDS = ("dirichlet", "neumann")
 # Linear rho kinds expressible as a scalar multiple of u; these are the
 # only ones a coupled (mixed/interior) solve can fold into the matrix.
 _LINEAR_RHO_SCALE = {"zero": 0.0, "identity": 1.0, "scaled_identity": None}
+
+# Evaluation points per block in ``evaluate``: its kernel matrices have
+# this many rows whatever the number of points, so memory stays flat.
+_EVAL_BLOCK = 256
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -112,18 +124,15 @@ def assemble_bkm_matrix(
         raise ValueError("at least one boundary knot is required")
     if len(bc) != n:
         raise ValueError(f"expected {n} boundary conditions, got {len(bc)}")
-    positions = [k.position for k in knots]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist(positions[i], positions[j]) < 1e-12:
-                raise ValueError(f"duplicate boundary knots at indices {i} and {j}")
-    a = np.empty((n, n))
-    for i, (knot, cond) in enumerate(zip(knots, bc)):
-        for k, source in enumerate(positions):
-            if cond.kind == "dirichlet":
-                a[i, k] = kernel.eval(dist(knot.position, source))
-            else:
-                a[i, k] = normal_derivative(kernel, source, knot.position, knot.normal)
+    positions = as_xy([k.position for k in knots])
+    distances = distance_matrix(positions, positions)
+    pair = coincident_pair(distances, 1e-12)
+    if pair is not None:
+        raise ValueError(f"duplicate boundary knots at indices {pair[0]} and {pair[1]}")
+    a = kernel.eval(distances)
+    neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
+    if neumann:
+        a[neumann] = normal_matrix([knots[i] for i in neumann], positions, kernel)
     return a
 
 
@@ -140,7 +149,7 @@ def _dirichlet_path(
     """
     knots = tuple(knots)
     positions = [k.position for k in knots]
-    pair = mq_pair(problem.mq_shape_c)
+    pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
     f = np.array([problem.forcing(p) for p in positions], dtype=float)
     linear_tail = problem.rho.kind in _LINEAR_RHO_SCALE
@@ -229,23 +238,23 @@ def solve_mixed_linear(
     n_int = len(interior)
     positions = [k.position for k in knots]
     all_points = positions + list(interior)
-    pair = mq_pair(problem.mq_shape_c)
+    all_xy = as_xy(all_points)
+    pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
 
     rho_scale = _LINEAR_RHO_SCALE[problem.rho.kind]
     if rho_scale is None:
         rho_scale = problem.rho.scale
 
-    # u over all points is affine in the unknown vector w: u = d + P w.
+    # u over all points is affine in the unknown vector w: u = d + P w,
+    # with w the u values at the Neumann knots, then at the interior knots.
+    values = np.array([cond.value for cond in bc], dtype=float)
+    unknown_points = unknown_idx + list(range(n, n + n_int))
     d = np.zeros(n + n_int)
-    for i, cond in enumerate(bc):
-        if cond.kind == "dirichlet":
-            d[i] = cond.value
+    d[:n] = values
+    d[unknown_idx] = 0.0
     p_map = np.zeros((n + n_int, n_unknown + n_int))
-    for col, i in enumerate(unknown_idx):
-        p_map[i, col] = 1.0
-    for l in range(n_int):
-        p_map[n + l, n_unknown + l] = 1.0
+    p_map[unknown_points, np.arange(n_unknown + n_int)] = 1.0
 
     # alpha = A_phi^-1 (f + rho_scale u) = alpha0 + K w, solved in one pass.
     a_phi = interp_matrix(all_points, pair)
@@ -255,56 +264,29 @@ def solve_mixed_linear(
     alpha0 = solved[:, 0]
     alpha_of_w = solved[:, 1:]
 
-    # Collocation rows of the kernel and u_p at every point; flux rows at knots.
-    j_rows = np.empty((n + n_int, n))
-    for i, point in enumerate(all_points):
-        for k, source in enumerate(positions):
-            j_rows[i, k] = kernel.eval(dist(point, source))
-    phi_rows = particular_matrix(all_points, all_points, pair)
+    # v and u_p at every point, as affine functions of (lambda, w).
+    j_rows = kernel.eval(distance_matrix(all_xy, all_xy[:n]))
+    phi_rows = particular_matrix(all_xy, all_xy, pair)
+    u_p_of_w = phi_rows @ alpha_of_w
+    u_p0 = phi_rows @ alpha0
 
-    def flux_rows(i: int) -> tuple[np.ndarray, np.ndarray]:
-        knot = knots[i]
-        dj = np.array(
-            [normal_derivative(kernel, source, knot.position, knot.normal) for source in positions]
-        )
-        dphi = np.array(
-            [
-                normal_derivative(pair.phi_hat, source, knot.position, knot.normal)
-                for source in all_points
-            ]
-        )
-        return dj, dphi
-
-    size = n + n_unknown + n_int
-    system = np.zeros((size, size))
-    rhs = np.zeros(size)
-    row = 0
-    for i, cond in enumerate(bc):
-        if cond.kind == "dirichlet":
-            system[row, :n] = j_rows[i]
-            system[row, n:] = phi_rows[i] @ alpha_of_w
-            rhs[row] = cond.value - phi_rows[i] @ alpha0
-        else:
-            dj, dphi = flux_rows(i)
-            system[row, :n] = dj
-            system[row, n:] = dphi @ alpha_of_w
-            rhs[row] = cond.value - dphi @ alpha0
-        row += 1
+    # One row per boundary knot, in knot order: a value row at a Dirichlet
+    # knot, a flux row at a Neumann knot.
+    bc_lam = j_rows[:n].copy()
+    bc_w = u_p_of_w[:n].copy()
+    bc_rhs = values - u_p0[:n]
+    if unknown_idx:
+        neumann_knots = [knots[i] for i in unknown_idx]
+        dphi = normal_matrix(neumann_knots, all_xy, pair.phi_hat)
+        bc_lam[unknown_idx] = normal_matrix(neumann_knots, all_xy[:n], kernel)
+        bc_w[unknown_idx] = dphi @ alpha_of_w
+        bc_rhs[unknown_idx] = values[unknown_idx] - dphi @ alpha0
     # Representation consistency closes the system: u at each unknown point
     # must equal v + u_p there.
-    for col, i in enumerate(unknown_idx):
-        system[row, :n] = j_rows[i]
-        system[row, n:] = phi_rows[i] @ alpha_of_w
-        system[row, n + col] -= 1.0
-        rhs[row] = -(phi_rows[i] @ alpha0)
-        row += 1
-    for l in range(n_int):
-        i = n + l
-        system[row, :n] = j_rows[i]
-        system[row, n:] = phi_rows[i] @ alpha_of_w
-        system[row, n + n_unknown + l] -= 1.0
-        rhs[row] = -(phi_rows[i] @ alpha0)
-        row += 1
+    rep_w = u_p_of_w[unknown_points]
+    rep_w -= np.eye(n_unknown + n_int)
+    system = np.block([[bc_lam, bc_w], [j_rows[unknown_points], rep_w]])
+    rhs = np.concatenate([bc_rhs, -u_p0[unknown_points]])
 
     solution = lu_solve(system, rhs)
     lam = solution[:n]
@@ -320,11 +302,18 @@ def solve_mixed_linear(
     return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
 
 
-def evaluate(sol: BkmSolution, points: Sequence[Point]) -> np.ndarray:
-    """Evaluate u = v + u_p = sum_k lambda_k kernel(||x - x_k||) + u_p(x)."""
-    points = list(points)
-    v = np.empty((len(points), len(sol.knots)))
-    for i, p in enumerate(points):
-        for k, knot in enumerate(sol.knots):
-            v[i, k] = sol.kernel.eval(dist(p, knot.position))
-    return v @ sol.lam + u_p_at(sol.expansion, points)
+def evaluate(sol: BkmSolution, points) -> np.ndarray:
+    """Evaluate u = v + u_p = sum_k lambda_k kernel(||x - x_k||) + u_p(x).
+
+    ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array.
+    The points are taken in blocks of ``_EVAL_BLOCK`` rows, so the kernel
+    matrices stay the same size however many points there are.
+    """
+    xy = as_xy(points)
+    sources = as_xy([knot.position for knot in sol.knots])
+    out = np.empty(len(xy))
+    for start in range(0, len(xy), _EVAL_BLOCK):
+        block = xy[start : start + _EVAL_BLOCK]
+        v = sol.kernel.eval(distance_matrix(block, sources)) @ sol.lam
+        out[start : start + len(block)] = v + u_p_at(sol.expansion, block)
+    return out

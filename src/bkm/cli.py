@@ -34,7 +34,7 @@ from .kernels import (
 from .linalg import SingularMatrixError
 from .problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "main", "rel_err_pct"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -140,7 +140,7 @@ class _Output:
                 handle.write(text)
 
 
-def _rel_err_pct(computed: float, exact: float) -> float:
+def rel_err_pct(computed: float, exact: float) -> float:
     """Error in percent, relative to exact; absolute when exact vanishes."""
     scale = abs(exact) if abs(exact) > 1e-12 else 1.0
     return 100.0 * (computed - exact) / scale
@@ -196,7 +196,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if config.format == "csv":
         out.add("x,y,exact,computed,rel_err_pct")
         for p, ex, co in zip(points, exact, computed):
-            err = _rel_err_pct(co, ex)
+            err = rel_err_pct(co, ex)
             out.add(f"{p.x:.12g},{p.y:.12g},{ex:.12g},{co:.12g},{err:.12g}")
         for line in footer:
             print(line, file=sys.stderr)
@@ -205,7 +205,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         out.add(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({config.n_boundary})':>10} {'err%':>8}")
         for p, ex, co in zip(points, exact, computed):
-            err = _rel_err_pct(co, ex)
+            err = rel_err_pct(co, ex)
             out.add(f"{p.x:8.3f} {p.y:8.3f} {ex:10.3f} {co:10.3f} {err:8.2f}")
         for line in footer:
             out.add(line)
@@ -284,10 +284,11 @@ def _operator_residual(name: str, kernel, lam: float, r: float) -> float:
 
 
 def _convection_residual(kernel: DisplacementKernel, delta: tuple[float, float]) -> float:
-    """FD residual of D lap(phi) + v . grad(phi) + (k + |v|^2/(4D) + ... ) phi.
+    """FD residual of D lap(phi) + v . grad(phi) + (k + |v|^2/(2D)) phi.
 
-    The kernel annihilates the operator with effective reaction
-    k_eff = k + |v|^2 / (2D); at v = 0 this is the plain reaction k.
+    The kernel exp(-v . delta / (2D)) J0(mu r), mu^2 = |v|^2/(4D^2) + k/D,
+    annihilates that operator: its effective reaction is
+    k_eff = k + |v|^2 / (2D), the plain reaction k at v = 0.
     """
     D = kernel.params["D"]
     vx, vy = kernel.params["vx"], kernel.params["vy"]

@@ -12,9 +12,12 @@ The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
 definite of order 2, so its interpolant is well posed only with a linear
 tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0.
-``solve_alpha(..., linear_tail=True)`` solves that bordered system.  A
-linear p is its own particular solution under (lap + 1), so p enters u_p
-unchanged.
+``solve_alpha(..., linear_tail=True)`` solves that bordered system.  For
+linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
+enters u_p.
+
+Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
+every matrix is one kernel call on one broadcast distance matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, dist
+from .geometry import Point, as_xy, coincident_pair, distance_matrix
 from .kernels import KernelPair, RadialKernel, normal_derivative
 from .linalg import lu_solve
 
@@ -39,6 +42,7 @@ __all__ = [
     "solve_alpha",
     "u_p_at",
     "u_p_normal_at",
+    "normal_matrix",
     "rbf_interpolate",
 ]
 
@@ -88,7 +92,9 @@ class DrmExpansion:
     """Coefficients alpha over a knot set, summing phi_hat into u_p.
 
     ``tail`` holds the coefficients (beta_0, beta_x, beta_y) of the linear
-    term beta_0 + beta_x x + beta_y y added to u_p, or None for no tail.
+    term beta_0 + beta_x x + beta_y y added to u_p, or None for no tail;
+    these are the interpolant's tail coefficients divided by the pair's
+    wavenumber squared.
     """
 
     knots: tuple[Point, ...]
@@ -97,25 +103,17 @@ class DrmExpansion:
     tail: np.ndarray | None = None
 
 
-def _check_distinct(points: Sequence[Point]) -> None:
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist(points[i], points[j]) < _DUPLICATE_TOL:
-                raise ValueError(
-                    f"duplicate knots at indices {i} and {j}: radial interpolation "
-                    f"matrix would be rank-deficient"
-                )
+def _check_distinct(distances: np.ndarray) -> None:
+    pair = coincident_pair(distances, _DUPLICATE_TOL)
+    if pair is not None:
+        raise ValueError(
+            f"duplicate knots at indices {pair[0]} and {pair[1]}: radial interpolation "
+            f"matrix would be rank-deficient"
+        )
 
 
-def _kernel_matrix(
-    rows: Sequence[Point], cols: Sequence[Point], kernel: RadialKernel
-) -> np.ndarray:
-    out = np.empty((len(rows), len(cols)))
-    for i, p in enumerate(rows):
-        for j, q in enumerate(cols):
-            out[i, j] = kernel.eval(dist(p, q))
-    return out
+def _kernel_matrix(rows, cols, kernel: RadialKernel) -> np.ndarray:
+    return kernel.eval(distance_matrix(as_xy(rows), as_xy(cols)))
 
 
 def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
@@ -128,13 +126,16 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
-    _check_distinct(knots)
-    return _kernel_matrix(knots, knots, pair.phi)
+    xy = as_xy(knots)
+    distances = distance_matrix(xy, xy)
+    _check_distinct(distances)
+    return pair.phi.eval(distances)
 
 
-def _linear_block(points: Sequence[Point]) -> np.ndarray:
+def _linear_block(points) -> np.ndarray:
     """Rows (1, x, y) of the linear polynomials at the points."""
-    return np.array([[1.0, p.x, p.y] for p in points])
+    xy = as_xy(points)
+    return np.column_stack([np.ones(len(xy)), xy])
 
 
 def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
@@ -150,24 +151,15 @@ def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarr
     return np.block([[a_phi, p], [p.T, np.zeros((3, 3))]])
 
 
-def particular_matrix(
-    eval_points: Sequence[Point], knots: Sequence[Point], pair: KernelPair
-) -> np.ndarray:
+def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
     """Evaluation matrix with entries phi_hat(||x - x_j||), rows = eval points."""
     return _kernel_matrix(eval_points, knots, pair.phi_hat)
 
 
 def _x_derivative_matrix(knots: Sequence[Point], kernel: RadialKernel) -> np.ndarray:
     """Entries d/dx_i kernel(||x_i - x_j||) = kernel'(r) (x_i - x_j)_x / r, diagonal 0."""
-    n = len(knots)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r = dist(knots[i], knots[j])
-            out[i, j] = kernel.deriv(r) * (knots[i].x - knots[j].x) / r
-    return out
+    xy = as_xy(knots)
+    return normal_derivative(kernel, xy[None, :], xy[:, None], (1.0, 0.0))
 
 
 def rho_matrix(
@@ -230,15 +222,24 @@ def solve_alpha(
         return DrmExpansion(knots, pair, alpha)
     n = len(knots)
     solution = lu_solve(bordered_interp_matrix(knots, pair), np.concatenate([rhs, np.zeros(3)]))
-    return DrmExpansion(knots, pair, solution[:n], solution[n:])
+    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
 
 
-def u_p_at(expansion: DrmExpansion, points: Sequence[Point]) -> np.ndarray:
+def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     """Particular solution u_p = sum_j alpha_j phi_hat(||x - x_j||) + tail at the points."""
-    u_p = particular_matrix(points, expansion.knots, expansion.pair) @ expansion.alpha
+    xy = as_xy(points)
+    u_p = particular_matrix(xy, expansion.knots, expansion.pair) @ expansion.alpha
     if expansion.tail is None:
         return u_p
-    return u_p + _linear_block(points) @ expansion.tail
+    return u_p + _linear_block(xy) @ expansion.tail
+
+
+def normal_matrix(boundary_knots, sources, kernel: RadialKernel) -> np.ndarray:
+    """Entries d/dn_i kernel(||x - s_j||) at each boundary knot x = x_i along its
+    outward normal n_i, for sources s_j (0-limit at r = 0)."""
+    positions = as_xy([knot.position for knot in boundary_knots])
+    normals = as_xy([knot.normal for knot in boundary_knots])
+    return normal_derivative(kernel, as_xy(sources)[None, :], positions[:, None], normals[:, None])
 
 
 def u_p_normal_at(expansion: DrmExpansion, boundary_knots) -> np.ndarray:
@@ -247,16 +248,10 @@ def u_p_normal_at(expansion: DrmExpansion, boundary_knots) -> np.ndarray:
     A linear tail adds its constant gradient (beta_x, beta_y) dotted with
     each knot's normal.
     """
-    phi_hat = expansion.pair.phi_hat
-    out = np.empty(len(boundary_knots))
-    for i, knot in enumerate(boundary_knots):
-        total = 0.0
-        for alpha_j, source in zip(expansion.alpha, expansion.knots):
-            total += alpha_j * normal_derivative(phi_hat, source, knot.position, knot.normal)
-        if expansion.tail is not None:
-            total += expansion.tail[1] * knot.normal[0] + expansion.tail[2] * knot.normal[1]
-        out[i] = total
-    return out
+    out = normal_matrix(boundary_knots, expansion.knots, expansion.pair.phi_hat) @ expansion.alpha
+    if expansion.tail is None:
+        return out
+    return out + as_xy([knot.normal for knot in boundary_knots]) @ expansion.tail[1:]
 
 
 @dataclass(frozen=True)
@@ -273,7 +268,7 @@ class RbfInterpolant:
     beta: np.ndarray
     offset: float
 
-    def at(self, eval_points: Sequence[Point]) -> np.ndarray:
+    def at(self, eval_points) -> np.ndarray:
         values = _kernel_matrix(eval_points, self.points, self.kernel) @ self.beta
         return values + self.offset
 
@@ -300,8 +295,10 @@ def rbf_interpolate(
     vals = np.asarray(values, dtype=float)
     if vals.shape != (len(points),):
         raise ValueError(f"expected {len(points)} values, got shape {vals.shape}")
-    _check_distinct(points)
-    a = _kernel_matrix(points, points, kernel)
+    xy = as_xy(points)
+    distances = distance_matrix(xy, xy)
+    _check_distinct(distances)
+    a = kernel.eval(distances)
     if not side_condition:
         beta = lu_solve(a, vals)
         return RbfInterpolant(points, kernel, beta, 0.0)

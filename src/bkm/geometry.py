@@ -3,13 +3,19 @@
 Boundary knots are placed uniformly in the parametric angle t starting at
 t = 0; this is the simplest reproducible placement and every consumer of
 the knots treats the choice as opaque.
+
+Kernel matrices are built from point sets as (n, 2) coordinate arrays
+(``as_xy``) and one broadcast distance matrix (``distance_matrix``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "Point",
@@ -18,6 +24,9 @@ __all__ = [
     "ellipse_knots",
     "interior_grid",
     "dist",
+    "as_xy",
+    "distance_matrix",
+    "coincident_pair",
 ]
 
 # Lattice points this close to the boundary (in level-function units) are
@@ -125,3 +134,31 @@ def interior_grid(e: Ellipse, spacing: float) -> list[Point]:
 def dist(p: Point, q: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+    """Coordinates of the points as an (n, 2) float array; row i is (x_i, y_i).
+
+    An ndarray is taken to hold such rows already and is returned as is.
+    """
+    if isinstance(points, np.ndarray):
+        return points
+    n = len(points)
+    flat = np.fromiter(itertools.chain.from_iterable(points), dtype=float, count=2 * n)
+    return flat.reshape(n, 2)
+
+
+def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the distance between rows[i] and cols[j], both (n, 2) arrays."""
+    return np.hypot(rows[:, 0, None] - cols[None, :, 0], rows[:, 1, None] - cols[None, :, 1])
+
+
+def coincident_pair(distances: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """First index pair i < j (row-major order) of a point set's own distance
+    matrix whose distance is below ``tol``, or None when there is none."""
+    close = distances < tol
+    # The zero diagonal is always close; anything beyond it is a pair.
+    if np.count_nonzero(close) == len(distances):
+        return None
+    i, j = np.argwhere(np.triu(close, 1))[0]
+    return int(i), int(j)

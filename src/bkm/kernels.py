@@ -7,6 +7,14 @@ dual-reciprocity particular solutions, the general-solution RBF factory
 with its pre-wavelet variant, and the singular log pair used in
 completeness studies.
 
+Every radial kernel's ``eval`` and ``deriv`` work elementwise: a float
+radius gives a float, an ndarray of radii (typically a whole distance
+matrix) gives an array of the same shape, and an element's value does not
+depend on the rest of its array.  Collocation matrices are therefore one
+kernel call on one distance matrix.  The convection-diffusion kernel, a
+function of the displacement rather than the distance, takes one
+displacement per call.
+
 Every radial kernel carries its analytic radial derivative so collocation
 rows never fall back to numerical differentiation; the lone exception is
 the factory's modes whose derivative would need second derivatives of the
@@ -19,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .geometry import Point, dist
+import numpy as np
+
 from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
 
 __all__ = [
@@ -49,17 +58,17 @@ class RadialKernel:
     Attributes
     ----------
     eval : callable
-        Kernel value at radius r >= 0.
+        Kernel value at radius r >= 0, elementwise on arrays of radii.
     deriv : callable
-        d(eval)/dr at radius r >= 0.
+        d(eval)/dr at radius r >= 0, elementwise on arrays of radii.
     label : str
         Short identifier used in diagnostics and CLI output.
     params : mapping
         Named parameters (wavenumber, shape, exponent) for reporting.
     """
 
-    eval: Callable[[float], float]
-    deriv: Callable[[float], float]
+    eval: Callable
+    deriv: Callable
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
 
@@ -77,14 +86,15 @@ class DisplacementKernel:
 class KernelPair:
     """Approximate particular solution ``phi_hat`` and its operator image ``phi``.
 
-    ``phi`` is (lap + 1){phi_hat}; right-hand sides are interpolated with
-    ``phi`` while particular solutions are summed with ``phi_hat``, so that
-    applying the operator to the particular solution reproduces the
-    interpolant exactly.
+    ``phi`` is (lap + wavenumber^2){phi_hat}; right-hand sides are
+    interpolated with ``phi`` while particular solutions are summed with
+    ``phi_hat``, so that applying the operator to the particular solution
+    reproduces the interpolant exactly.
     """
 
     phi_hat: RadialKernel
     phi: RadialKernel
+    wavenumber: float = 1.0
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -98,10 +108,10 @@ def helmholtz2d(lam: float) -> RadialKernel:
     """Non-singular general solution J0(lam*r) of the 2D operator lap + lam^2."""
     lam = _require_positive(lam, "wavenumber")
 
-    def ev(r: float) -> float:
+    def ev(r):
         return bessel_j0(lam * r)
 
-    def dv(r: float) -> float:
+    def dv(r):
         return -lam * bessel_j1(lam * r)
 
     return RadialKernel(ev, dv, "j0", {"lambda": lam})
@@ -111,55 +121,74 @@ def modified_helmholtz2d(lam: float) -> RadialKernel:
     """Non-singular general solution I0(lam*r) of the 2D operator lap - lam^2."""
     lam = _require_positive(lam, "wavenumber")
 
-    def ev(r: float) -> float:
+    def ev(r):
         return bessel_i0(lam * r)
 
-    def dv(r: float) -> float:
+    def dv(r):
         return lam * bessel_i1(lam * r)
 
     return RadialKernel(ev, dv, "i0", {"lambda": lam})
 
 
-def _sinc(s: float) -> float:
+def _near_zero(s, threshold: float, series, closed):
+    """``series(s)`` where s < threshold, ``closed(s)`` elsewhere, elementwise.
+
+    The closed form is evaluated with 1 in place of the small arguments, so
+    it never sees its removable singularity at 0.
+    """
+    s = np.asarray(s, dtype=float)
+    small = s < threshold
+    return np.where(small, series(s), closed(np.where(small, 1.0, s)))[()]
+
+
+def _sinc(s):
     """sin(s)/s with the removable singularity filled in."""
-    if s < 1e-4:
+
+    def series(s):
         s2 = s * s
         return 1.0 - s2 / 6.0 + s2 * s2 / 120.0
-    return math.sin(s) / s
+
+    return _near_zero(s, 1e-4, series, lambda s: np.sin(s) / s)
 
 
-def _dsinc(s: float) -> float:
+def _dsinc(s):
     """d/ds of sin(s)/s; series near 0 avoids cancellation."""
-    if s < 2e-2:
+
+    def series(s):
         s2 = s * s
         return s * (-1.0 / 3.0 + s2 / 30.0 - s2 * s2 / 840.0)
-    return (s * math.cos(s) - math.sin(s)) / (s * s)
+
+    return _near_zero(s, 2e-2, series, lambda s: (s * np.cos(s) - np.sin(s)) / (s * s))
 
 
-def _sinhc(s: float) -> float:
+def _sinhc(s):
     """sinh(s)/s with the removable singularity filled in."""
-    if s < 1e-4:
+
+    def series(s):
         s2 = s * s
         return 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-    return math.sinh(s) / s
+
+    return _near_zero(s, 1e-4, series, lambda s: np.sinh(s) / s)
 
 
-def _dsinhc(s: float) -> float:
+def _dsinhc(s):
     """d/ds of sinh(s)/s; series near 0 avoids cancellation."""
-    if s < 2e-2:
+
+    def series(s):
         s2 = s * s
         return s * (1.0 / 3.0 + s2 / 30.0 + s2 * s2 / 840.0)
-    return (s * math.cosh(s) - math.sinh(s)) / (s * s)
+
+    return _near_zero(s, 2e-2, series, lambda s: (s * np.cosh(s) - np.sinh(s)) / (s * s))
 
 
 def helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sin(lam*r)/(lam*r) of the 3D operator lap + lam^2."""
     lam = _require_positive(lam, "wavenumber")
 
-    def ev(r: float) -> float:
+    def ev(r):
         return _sinc(lam * r)
 
-    def dv(r: float) -> float:
+    def dv(r):
         return lam * _dsinc(lam * r)
 
     return RadialKernel(ev, dv, "sinc3d", {"lambda": lam})
@@ -169,10 +198,10 @@ def modified_helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2."""
     lam = _require_positive(lam, "wavenumber")
 
-    def ev(r: float) -> float:
+    def ev(r):
         return _sinhc(lam * r)
 
-    def dv(r: float) -> float:
+    def dv(r):
         return lam * _dsinhc(lam * r)
 
     return RadialKernel(ev, dv, "sinh3d", {"lambda": lam})
@@ -201,7 +230,7 @@ def convection_diffusion2d(
 
     eval(delta) = exp(-(v . delta) / (2D)) * J0(mu * ||delta||) with
     mu = sqrt((|v|/2D)^2 + k/D), where ``delta`` is the displacement
-    response - source.
+    response - source.  It annihilates D lap + v . grad + (k + |v|^2/(2D)).
 
     Raises
     ------
@@ -226,45 +255,50 @@ def convection_diffusion2d(
     )
 
 
-def mq_pair(c: float) -> KernelPair:
-    """Multiquadric pair: phi_hat = (r^2+c^2)^(3/2) and phi = (lap + 1){phi_hat}.
+def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
+    """Multiquadric pair: phi_hat = (r^2+c^2)^(3/2) and phi = (lap + k^2){phi_hat}.
 
-    The 2D radial Laplacian of phi_hat is 6*sqrt(r^2+c^2) + 3r^2/sqrt(r^2+c^2),
-    so phi(r) = 6*sqrt(r^2+c^2) + 3r^2/sqrt(r^2+c^2) + (r^2+c^2)^(3/2).
+    With s = sqrt(r^2+c^2), the 2D radial Laplacian of phi_hat is
+    6s + 3r^2/s, so phi(r) = 6s + 3r^2/s + k^2 s^3 for the split
+    wavenumber k = ``wavenumber``.
 
     Raises
     ------
     ValueError
-        If the shape parameter ``c`` <= 0.
+        If the shape parameter ``c`` or the wavenumber is <= 0.
     """
     c = _require_positive(c, "shape parameter")
+    k = _require_positive(wavenumber, "wavenumber")
+    k_sq = k * k
     c_sq = c * c
 
-    def hat(r: float) -> float:
-        return (r * r + c_sq) ** 1.5
+    # Powers go through np.power, whose scalar and array results agree;
+    # the ** operator of a numpy scalar can differ from it in the last bit.
+    def hat(r):
+        return np.power(r * r + c_sq, 1.5)
 
-    def hat_d(r: float) -> float:
-        return 3.0 * r * math.sqrt(r * r + c_sq)
+    def hat_d(r):
+        return 3.0 * r * np.sqrt(r * r + c_sq)
 
-    def phi(r: float) -> float:
-        s = math.sqrt(r * r + c_sq)
-        return 6.0 * s + 3.0 * r * r / s + s * s * s
+    def phi(r):
+        s = np.sqrt(r * r + c_sq)
+        return 6.0 * s + 3.0 * r * r / s + k_sq * s * s * s
 
-    def phi_d(r: float) -> float:
-        s = math.sqrt(r * r + c_sq)
-        return 12.0 * r / s - 3.0 * r**3 / s**3 + 3.0 * r * s
+    def phi_d(r):
+        s = np.sqrt(r * r + c_sq)
+        return 12.0 * r / s - 3.0 * np.power(r, 3) / np.power(s, 3) + 3.0 * k_sq * r * s
 
     return KernelPair(
         RadialKernel(hat, hat_d, "mq_phi_hat", {"c": c}),
         RadialKernel(phi, phi_d, "mq_phi", {"c": c}),
+        k,
     )
 
 
-def _fd_radial_deriv(f: Callable[[float], float], r: float) -> float:
+def _fd_radial_deriv(f: Callable, r):
     """Fourth-order central derivative of f at r, clamped away from r < 0."""
-    h = 1e-5 * max(1.0, abs(r))
-    if r < 2.0 * h:
-        h = max(r / 4.0, 1e-12)
+    h = 1e-5 * np.maximum(1.0, np.abs(r))
+    h = np.where(r < 2.0 * h, np.maximum(r / 4.0, 1e-12), h)
     return (f(r - 2 * h) - 8.0 * f(r - h) + 8.0 * f(r + h) - f(r + 2 * h)) / (12.0 * h)
 
 
@@ -274,7 +308,7 @@ def gsr_kernel(
     mode: str = "plain",
     *,
     value: float = 1.0,
-    rho: Callable[[float], float] | None = None,
+    rho: Callable | None = None,
     prewavelet_c: float | None = None,
 ) -> RadialKernel:
     """Build an RBF from a general solution ``g`` of the target operator.
@@ -295,7 +329,7 @@ def gsr_kernel(
         ``value`` is the source-location factor (forcing term, Dirichlet
         datum, or Neumann datum evaluated at the source point); ``rho`` is
         the optional remaining-operator image of g, included only when
-        supplied.
+        supplied; like ``g`` it is called on arrays of radii.
     prewavelet_c : float, optional
         When set, every occurrence of r is replaced by sqrt(r^2 + c^2),
         turning the kernel into its pre-wavelet variant.
@@ -318,43 +352,54 @@ def gsr_kernel(
         return g
 
     pc_sq = None if prewavelet_c is None else float(prewavelet_c) ** 2
+    # Without the pre-wavelet shift, m >= 1 defines eval and deriv as 0 at
+    # r = 0; those radii are replaced by 1 before g sees them.
+    crushed = pc_sq is None and m >= 1
 
-    def radius(r: float) -> float:
+    def radius(r):
         if pc_sq is None:
             return r
-        return math.sqrt(r * r + pc_sq)
+        return np.sqrt(r * r + pc_sq)
 
-    def base(s: float) -> float:
+    def base(s):
         if mode == "dirichlet":
             core = g.deriv(s)
         else:
             core = g.eval(s)
         if mode == "forcing":
-            core *= value + (rho(s) if rho is not None else 0.0)
+            core = core * (value + (rho(s) if rho is not None else 0.0))
         elif mode in ("dirichlet", "neumann"):
-            core *= value
-        return s ** (2 * m) * core
+            core = core * value
+        return np.power(s, 2 * m) * core
 
-    def ev(r: float) -> float:
-        if pc_sq is None and r == 0.0 and m >= 1:
-            return 0.0
-        return base(radius(r))
+    def with_zero_limit(f, r):
+        r = np.asarray(r, dtype=float)
+        if not crushed:
+            return f(r)
+        at_zero = r == 0.0
+        return np.where(at_zero, 0.0, f(np.where(at_zero, 1.0, r)))[()]
+
+    def ev(r):
+        return with_zero_limit(lambda r: base(radius(r)), r)
 
     # Analytic derivative needs only g and g'; modes that would require g''
     # (dirichlet) or the derivative of a caller-supplied rho fall back to a
     # high-order finite-difference stencil on their own eval.
     analytic = mode in ("plain", "neumann") or (mode == "forcing" and rho is None)
+    scale = value if mode in ("neumann", "forcing") else 1.0
 
-    def dv(r: float) -> float:
-        if pc_sq is None and r == 0.0 and m >= 1:
-            return 0.0
-        if not analytic:
-            return _fd_radial_deriv(ev, r)
+    def analytic_dv(r):
         s = radius(r)
-        scale = value if mode in ("neumann", "forcing") else 1.0
-        inner = 2 * m * s ** (2 * m - 1) * g.eval(s) + s ** (2 * m) * g.deriv(s)
+        inner = np.power(s, 2 * m) * g.deriv(s)
+        if m >= 1:
+            inner = 2 * m * np.power(s, 2 * m - 1) * g.eval(s) + inner
         chain = 1.0 if pc_sq is None else r / s
         return scale * inner * chain
+
+    def dv(r):
+        if not analytic:
+            return with_zero_limit(lambda r: _fd_radial_deriv(ev, r), r)
+        return with_zero_limit(analytic_dv, r)
 
     suffix = ",prewavelet" if prewavelet_c is not None else ""
     params = {"m": float(m), "value": float(value)}
@@ -368,27 +413,28 @@ def biharmonic_mfs_pair() -> tuple[RadialKernel, RadialKernel]:
     """Singular log pair {ln(r)+1, r^2(ln(r)+1)} for completeness studies.
 
     Intended for distinct source/response points only; both kernels raise
-    at r <= 0 because of the logarithmic singularity.
+    if any r <= 0 because of the logarithmic singularity.
     """
 
-    def _check(r: float) -> float:
-        if r <= 0.0:
-            raise ValueError(f"kernel singular at r = 0, got r={r}")
+    def _check(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0):
+            raise ValueError(f"kernel singular at r = 0, got r={float(r.min())}")
         return r
 
-    def ln1(r: float) -> float:
-        return math.log(_check(r)) + 1.0
+    def ln1(r):
+        return np.log(_check(r)) + 1.0
 
-    def ln1_d(r: float) -> float:
+    def ln1_d(r):
         return 1.0 / _check(r)
 
-    def r2ln1(r: float) -> float:
+    def r2ln1(r):
         r = _check(r)
-        return r * r * (math.log(r) + 1.0)
+        return r * r * (np.log(r) + 1.0)
 
-    def r2ln1_d(r: float) -> float:
+    def r2ln1_d(r):
         r = _check(r)
-        return r * (2.0 * math.log(r) + 3.0)
+        return r * (2.0 * np.log(r) + 3.0)
 
     return (
         RadialKernel(ln1, ln1_d, "mfs_ln", {}),
@@ -396,20 +442,26 @@ def biharmonic_mfs_pair() -> tuple[RadialKernel, RadialKernel]:
     )
 
 
-def normal_derivative(
-    kernel: RadialKernel,
-    source: Point,
-    response: Point,
-    normal: tuple[float, float],
-) -> float:
+def normal_derivative(kernel: RadialKernel, source, response, normal):
     """Directional derivative of kernel(||x - source||) at x = response along ``normal``.
 
     Equal to kernel.deriv(r) * ((response - source) . normal) / r with
     r the source-response distance; the r -> 0 limit is 0 for every kernel
-    whose deriv(r)/r stays bounded, so coincident points return 0.
+    whose deriv(r)/r stays bounded, so coincident points give 0.
+
+    ``source``, ``response`` and ``normal`` are points or arrays whose last
+    axis holds (x, y); they broadcast against each other, so one call with
+    ``sources[None, :]``, ``responses[:, None]`` and ``normals[:, None]``
+    builds a whole matrix of normal derivatives.  Single points give a
+    scalar.
     """
-    r = dist(source, response)
-    if r == 0.0:
-        return 0.0
-    proj = (response.x - source.x) * normal[0] + (response.y - source.y) * normal[1]
-    return kernel.deriv(r) * proj / r
+    source = np.asarray(source, dtype=float)
+    response = np.asarray(response, dtype=float)
+    normal = np.asarray(normal, dtype=float)
+    dx = response[..., 0] - source[..., 0]
+    dy = response[..., 1] - source[..., 1]
+    r = np.hypot(dx, dy)
+    proj = dx * normal[..., 0] + dy * normal[..., 1]
+    coincident = r == 0.0
+    safe_r = np.where(coincident, 1.0, r)
+    return np.where(coincident, 0.0, kernel.deriv(safe_r) * proj / safe_r)[()]

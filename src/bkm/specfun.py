@@ -1,16 +1,20 @@
 """Bessel functions of the first kind (J0, J1) and modified first kind (I0, I1).
 
-Scalar, dependency-free implementations sized for collocation kernels:
+Each function takes a float or an ndarray and works elementwise: an array
+argument gives an array of the same shape, a scalar gives a float, and an
+element's value does not depend on the other elements of its array.  The
+implementations need only numpy and are sized for collocation kernels:
 absolute error below 1e-12 for |x| <= 50 on the J functions, relative
-error below 1e-12 for |x| <= 100 on the I functions.  Small arguments
-are summed by Taylor series; beyond |x| = 5 the J functions switch to
-the Hankel asymptotic form with the rational coefficient tables from
-the Cephes math library (S. L. Moshier, release 2.1, 1989).
+error below 1e-12 for |x| <= 100 on the I functions.  For |x| <= 5 the J
+functions are a fixed-length Taylor sum in q = x^2/4; beyond, they
+switch to the Hankel asymptotic form with the rational coefficient tables
+from the Cephes math library (S. L. Moshier, release 2.1, 1989).  The I
+functions are summed by their Taylor series.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = ["bessel_j0", "bessel_j1", "bessel_i0", "bessel_i1"]
 
@@ -18,10 +22,15 @@ __all__ = ["bessel_j0", "bessel_j1", "bessel_i0", "bessel_i1"]
 # better served by an explicit error than by a silent loss of meaning.
 _I_RANGE_MAX = 100.0
 
-# Taylor terms are added until they drop below these floors; both series
-# terminate in well under 200 terms on the guarded argument ranges.
-_J_TERM_FLOOR = 1e-19
+# The I series adds terms until every element's term drops below this
+# fraction of its running sum; it ends in well under 200 terms for |x| <= 100.
 _I_TERM_FLOOR = 1e-17
+
+# Up to this |x| the J functions are summed by their Taylor series over a
+# fixed number of terms: at |x| = 5 the last term of J0 is 1.4e-21 and the
+# next one 2.0e-23, below the 1e-19 that an adaptive sum would stop at.
+_J_SERIES_MAX = 5.0
+_J_TERMS = 20
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1  # pi/4
@@ -107,7 +116,12 @@ _QQ1 = (  # leading coefficient 1.0 handled by _p1evl
 )
 
 
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
+# The series and polynomials below are written with arithmetic operators
+# only, so that they run on numpy scalars (a 0-d argument, at scalar speed)
+# and on arrays alike; ``x *= y`` is in place on arrays and rebinds scalars.
+
+
+def _polevl(x, coef: tuple[float, ...]):
     """Evaluate coef[0]*x^N + ... + coef[N] by Horner's rule."""
     ans = coef[0]
     for c in coef[1:]:
@@ -115,7 +129,7 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+def _p1evl(x, coef: tuple[float, ...]):
     """Evaluate x^N + coef[0]*x^(N-1) + ... + coef[N-1] (implicit leading 1)."""
     ans = x + coef[0]
     for c in coef[1:]:
@@ -123,153 +137,186 @@ def _p1evl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _require_finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"Bessel argument must be finite, got {x!r}")
-    return x
+def _finite_array(x) -> np.ndarray:
+    """``x`` as a float array; ValueError names the first non-finite element."""
+    arr = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"Bessel argument must be finite, got {float(arr[bad][0])!r}")
+    return arr
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.
+def _check_i_range(arr: np.ndarray, name: str) -> None:
+    too_big = np.abs(arr) > _I_RANGE_MAX
+    if too_big.any():
+        raise OverflowError(
+            f"{name} argument out of range: |{float(arr[too_big][0])!r}| > {_I_RANGE_MAX}"
+        )
 
-    Parameters
-    ----------
-    x : float
-        Finite argument; negative values use the evenness J0(-x) = J0(x).
 
-    Returns
-    -------
-    float
-        J0(x), absolute error <= 1e-12 for |x| <= 50.
+def _result(values: np.ndarray, arg: np.ndarray):
+    """A float for a 0-d argument, the array otherwise."""
+    return float(values) if arg.ndim == 0 else values
 
-    Raises
-    ------
-    ValueError
-        If ``x`` is NaN or infinite.
-    """
-    x = _require_finite(x)
-    ax = abs(x)
-    if ax <= 5.0:
-        q = 0.25 * ax * ax
-        term = 1.0
-        total = 1.0
-        k = 1
-        while abs(term) > _J_TERM_FLOOR:
-            term *= -q / (k * k)
-            total += term
-            k += 1
-        return total
+
+def _hankel(ax, pp, pq, qp, qq, phase: float):
+    """Cephes asymptotic form for ax > 5: sqrt(2/(pi ax)) (P cos(xn) - (5/ax) Q sin(xn))."""
     w = 5.0 / ax
     z = 25.0 / (ax * ax)
-    p = _polevl(z, _PP) / _polevl(z, _PQ)
-    q = _polevl(z, _QP) / _p1evl(z, _QQ)
-    xn = ax - _PIO4
-    return _SQ2OPI * (p * math.cos(xn) - w * q * math.sin(xn)) / math.sqrt(ax)
+    p = _polevl(z, pp) / _polevl(z, pq)
+    q = _polevl(z, qp) / _p1evl(z, qq)
+    xn = ax - phase
+    return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(ax)
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order one.
+def _j_series(ax, order: int):
+    """Taylor sum of J_order(x) / (x/2)^order for |x| = ``ax`` <= 5.
+
+    Term k is term k-1 times -q / (k (k + order)), q = x^2/4, and terms
+    k = 0 ... ``_J_TERMS`` are added in order of k for every element, so an
+    element's value does not depend on the rest of its array.
+    """
+    minus_q = -0.25 * ax * ax
+    term = total = 1.0
+    for k in range(1, _J_TERMS + 1):
+        term *= minus_q / (k * (k + order))
+        total += term
+    return total
+
+
+def _j_function(arr: np.ndarray, order: int, hankel: tuple):
+    """J0 or J1 of a finite array, by ``order``.
+
+    The Taylor sum serves |x| <= 5 and the Hankel form, with the tables and
+    phase in ``hankel``, serves the rest.  When every element falls on one
+    side, that form runs on the whole argument with no masks.
+    """
+    ax = np.abs(arr)  # a numpy scalar for a 0-d argument
+    big = ax > _J_SERIES_MAX
+    if not big.any():
+        return _result(_j_near(arr, ax, order), arr)
+    if big.all():
+        return _result(_j_far(arr, ax, order, hankel), arr)
+    small = ~big
+    out = np.empty_like(ax)
+    out[small] = _j_near(arr[small], ax[small], order)
+    out[big] = _j_far(arr[big], ax[big], order, hankel)
+    return _result(out, arr)
+
+
+def _j_near(x, ax, order: int):
+    series = _j_series(ax, order)
+    return 0.5 * x * series if order else series
+
+
+def _j_far(x, ax, order: int, hankel: tuple):
+    far = _hankel(ax, *hankel)
+    return np.where(x < 0.0, -far, far) if order else far
+
+
+def bessel_j0(x):
+    """Bessel function of the first kind, order zero, elementwise.
 
     Parameters
     ----------
-    x : float
-        Finite argument; negative values use the oddness J1(-x) = -J1(x).
+    x : float or ndarray
+        Finite argument(s); negative values use the evenness J0(-x) = J0(x).
 
     Returns
     -------
-    float
-        J1(x), absolute error <= 1e-12 for |x| <= 50.
+    float or ndarray
+        J0(x), absolute error <= 1e-12 for |x| <= 50; a float for a
+        scalar argument.
 
     Raises
     ------
     ValueError
-        If ``x`` is NaN or infinite.
+        If any element of ``x`` is NaN or infinite.
     """
-    x = _require_finite(x)
-    ax = abs(x)
-    if ax <= 5.0:
-        q = 0.25 * ax * ax
-        term = 1.0
-        total = 1.0
-        k = 1
-        while abs(term) > _J_TERM_FLOOR:
-            term *= -q / (k * (k + 1))
-            total += term
-            k += 1
-        return 0.5 * x * total
-    w = 5.0 / ax
-    z = 25.0 / (ax * ax)
-    p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-    q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
-    xn = ax - _THPIO4
-    ans = _SQ2OPI * (p * math.cos(xn) - w * q * math.sin(xn)) / math.sqrt(ax)
-    return -ans if x < 0.0 else ans
+    return _j_function(_finite_array(x), 0, (_PP, _PQ, _QP, _QQ, _PIO4))
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
+def bessel_j1(x):
+    """Bessel function of the first kind, order one, elementwise.
 
     Parameters
     ----------
-    x : float
-        Finite argument with |x| <= 100; even in x.
+    x : float or ndarray
+        Finite argument(s); negative values use the oddness J1(-x) = -J1(x).
 
     Returns
     -------
-    float
-        I0(x), relative error <= 1e-12.
+    float or ndarray
+        J1(x), absolute error <= 1e-12 for |x| <= 50; a float for a
+        scalar argument.
 
     Raises
     ------
     ValueError
-        If ``x`` is NaN or infinite.
-    OverflowError
-        If |x| > 100 (value would exceed the guarded range).
+        If any element of ``x`` is NaN or infinite.
     """
-    x = _require_finite(x)
-    if abs(x) > _I_RANGE_MAX:
-        raise OverflowError(f"bessel_i0 argument out of range: |{x!r}| > {_I_RANGE_MAX}")
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
+    return _j_function(_finite_array(x), 1, (_PP1, _PQ1, _QP1, _QQ1, _THPIO4))
+
+
+def _i_series(arr: np.ndarray, order: int):
+    """Taylor sum of I_order(x) / (x/2)^order, stopped once every element's
+    term is below ``_I_TERM_FLOOR`` of its sum; the terms after that are
+    below half an ulp of the sum and would not change it."""
+    q = 0.25 * arr * arr
+    term = total = np.float64(1.0)
     k = 1
-    while term > _I_TERM_FLOOR * total:
-        term *= q / (k * k)
+    while (term > _I_TERM_FLOOR * total).any():
+        term *= q / (k * (k + order))
         total += term
         k += 1
     return total
 
 
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order one.
+def bessel_i0(x):
+    """Modified Bessel function of the first kind, order zero, elementwise.
 
     Parameters
     ----------
-    x : float
-        Finite argument with |x| <= 100; odd in x.
+    x : float or ndarray
+        Finite argument(s) with |x| <= 100; even in x.
 
     Returns
     -------
-    float
-        I1(x), relative error <= 1e-12.
+    float or ndarray
+        I0(x), relative error <= 1e-12; a float for a scalar argument.
 
     Raises
     ------
     ValueError
-        If ``x`` is NaN or infinite.
+        If any element of ``x`` is NaN or infinite.
     OverflowError
-        If |x| > 100 (value would exceed the guarded range).
+        If any |x| > 100 (value would exceed the guarded range).
     """
-    x = _require_finite(x)
-    if abs(x) > _I_RANGE_MAX:
-        raise OverflowError(f"bessel_i1 argument out of range: |{x!r}| > {_I_RANGE_MAX}")
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 1
-    while term > _I_TERM_FLOOR * total:
-        term *= q / (k * (k + 1))
-        total += term
-        k += 1
-    return 0.5 * x * total
+    arr = _finite_array(x)
+    _check_i_range(arr, "bessel_i0")
+    return _result(_i_series(arr, 0), arr)
+
+
+def bessel_i1(x):
+    """Modified Bessel function of the first kind, order one, elementwise.
+
+    Parameters
+    ----------
+    x : float or ndarray
+        Finite argument(s) with |x| <= 100; odd in x.
+
+    Returns
+    -------
+    float or ndarray
+        I1(x), relative error <= 1e-12; a float for a scalar argument.
+
+    Raises
+    ------
+    ValueError
+        If any element of ``x`` is NaN or infinite.
+    OverflowError
+        If any |x| > 100 (value would exceed the guarded range).
+    """
+    arr = _finite_array(x)
+    _check_i_range(arr, "bessel_i1")
+    return _result(0.5 * arr * _i_series(arr, 1), arr)

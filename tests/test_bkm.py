@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkm.bkm import (
+    _EVAL_BLOCK,
     BkmSolution,
     BoundaryCondition,
     Diagnostics,
@@ -19,7 +20,7 @@ from bkm.bkm import (
 )
 from bkm.drm import DrmExpansion, RhoSpec
 from bkm.geometry import Ellipse, Point, ellipse_knots, interior_grid
-from bkm.kernels import helmholtz2d, mq_pair
+from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
 from bkm.problems import (
     burger_benchmark,
     helmholtz_benchmark,
@@ -69,6 +70,27 @@ class TestAssembleBkmMatrix:
         k = ellipse_knots(ELLIPSE, 1)[0]
         with pytest.raises(ValueError):
             assemble_bkm_matrix([k, k], helmholtz2d(1.0), dirichlet_bcs([k, k]))
+
+    def test_duplicate_message_names_first_pair(self):
+        k = ellipse_knots(ELLIPSE, 5)
+        knots = [k[0], k[1], k[2], k[1], k[2]]
+        with pytest.raises(ValueError, match=r"^duplicate boundary knots at indices 1 and 3$"):
+            assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
+
+    def test_neumann_rows_are_normal_derivatives(self):
+        knots = ellipse_knots(ELLIPSE, 6)
+        kernel = helmholtz2d(1.0)
+        bc = [BoundaryCondition("neumann" if i % 3 == 1 else "dirichlet", 0.0) for i in range(6)]
+        a = assemble_bkm_matrix(knots, kernel, bc)
+        for i, cond in enumerate(bc):
+            for j, source in enumerate(knots):
+                if cond.kind == "dirichlet":
+                    want = bessel_j0(math.dist(knots[i].position, source.position))
+                else:
+                    want = normal_derivative(
+                        kernel, source.position, knots[i].position, knots[i].normal
+                    )
+                assert a[i, j] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_bc_count_must_match(self):
         knots = ellipse_knots(ELLIPSE, 3)
@@ -165,6 +187,23 @@ class TestSolveBoundaryOnly:
             sol, _ = solve_boundary_only(problem, n)
             errors.append(float(np.abs(evaluate(sol, problem.table_points) - exact).max()))
         assert all(b < a for a, b in zip(errors, errors[1:])), errors
+
+    @pytest.mark.parametrize("n", [7, 9, 11])
+    def test_split_wavenumber_below_one(self, n):
+        """u = e^{x/3} cos(y/2) split as (lap + 1/4)u = f: the multiquadric
+        pair and the linear tail follow the split wavenumber.  Max error
+        over interior_grid(ellipse, 0.5): 5.9e-3, 6.2e-3, 6.1e-3 at
+        n = 7, 9, 11; with a (lap + 1) pair it was 3.1e-2, 3.9e-2, 6.4e-2."""
+
+        def exact(p: Point) -> float:
+            return math.exp(p.x / 3.0) * math.cos(p.y / 2.0)
+
+        problem = manufactured(exact, split_wavenumber=0.5, mq_shape_c=3.0)
+        probes = interior_grid(problem.ellipse, 0.5)
+        sol, _ = solve_boundary_only(problem, n)
+        assert sol.expansion.pair.wavenumber == 0.5
+        err = np.abs(evaluate(sol, probes) - np.array([exact(p) for p in probes])).max()
+        assert err <= 1e-2
 
     def test_manufactured_error_holds_from_seven_to_nine_knots(self):
         """For u = e^{x/3} cos(y/2) at c = 3 the max error over
@@ -279,6 +318,41 @@ class TestEvaluate:
         for k in sol.knots:
             got = float(evaluate(sol, [k.position])[0])
             assert got == pytest.approx(problem.dirichlet(k.position), abs=1e-8)
+
+    @pytest.mark.parametrize("factory", [helmholtz_benchmark, burger_benchmark])
+    def test_blocked_evaluation_equals_pointwise_sum(self, factory):
+        """2 blocks and 37 points: sum_k lam_k J0(||x - x_k||) + u_p, the
+        tail included when the expansion has one (Helmholtz; Burger has
+        none), summed point by point with scalar kernel calls."""
+        problem = factory()
+        sol, _ = solve_boundary_only(problem, 7)
+        rng = np.random.RandomState(11)
+        cx = problem.ellipse.center.x
+        pts = []
+        while len(pts) < 2 * _EVAL_BLOCK + 37:
+            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+            if (x / 2.0) ** 2 + y * y < 1.0:
+                pts.append(Point(cx + x, y))
+        exp = sol.expansion
+        assert (exp.tail is not None) == (factory is helmholtz_benchmark)
+        want = []
+        for p in pts:
+            v = sum(
+                lam * bessel_j0(math.dist(p, knot.position))
+                for lam, knot in zip(sol.lam, sol.knots)
+            )
+            u_p = sum(
+                alpha * exp.pair.phi_hat.eval(math.dist(p, q))
+                for alpha, q in zip(exp.alpha, exp.knots)
+            )
+            if exp.tail is not None:
+                u_p += exp.tail[0] + exp.tail[1] * p.x + exp.tail[2] * p.y
+            want.append(v + u_p)
+        want = np.array(want)
+        got = evaluate(sol, pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # An (n, 2) coordinate array is evaluated exactly like the points.
+        assert np.array_equal(evaluate(sol, np.array(pts)), got)
 
     @given(st.integers(min_value=3, max_value=12))
     @settings(max_examples=10, deadline=None)

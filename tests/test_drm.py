@@ -73,6 +73,21 @@ class TestInterpMatrix:
         with pytest.raises(ValueError):
             interp_matrix([Point(0.0, 0.0), Point(1e-13, 0.0)], mq_pair(1.0))
 
+    def test_duplicate_message_names_first_pair(self):
+        pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]
+        with pytest.raises(ValueError, match=r"^duplicate knots at indices 0 and 2: "):
+            interp_matrix(pts, mq_pair(1.0))
+        with pytest.raises(ValueError, match=r"^duplicate knots at indices 0 and 2: "):
+            rbf_interpolate(pts, [0.0, 1.0, 2.0, 3.0], mq_pair(1.0).phi)
+
+    def test_entries_match_scalar_kernel_calls(self):
+        pts = ring(6)
+        pair = mq_pair(3.0)
+        a = interp_matrix(pts, pair)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert a[i, j] == pair.phi.eval(math.dist(p, q))
+
 
 class TestParticularMatrix:
     def test_entry_at_coincident_point_is_c_cubed(self):
@@ -284,6 +299,24 @@ class TestLinearTail:
         assert np.array_equal(bordered[:5, 5:], self.linear_rows(pts))
         assert np.array_equal(bordered[5:, :5], self.linear_rows(pts).T)
         assert np.array_equal(bordered[5:, 5:], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_tail_is_divided_by_split_wavenumber_squared(self, k):
+        """A linear right-hand side is interpolated by the tail alone, and
+        (lap + k^2){p / k^2} = p puts p / k^2 into u_p."""
+        pts = ring(8)
+        pair = mq_pair(3.0, k)
+        f = np.array([1.0 + 2.0 * p.x - p.y for p in pts])
+        exp = solve_alpha(pts, pair, f, RhoSpec.zero(), linear_tail=True)
+        assert np.abs(exp.alpha).max() <= 1e-10
+        assert exp.tail == pytest.approx(np.array([1.0, 2.0, -1.0]) / (k * k), rel=1e-9)
+
+        def u_p(x: float, y: float) -> float:
+            return float(u_p_at(exp, [Point(x, y)])[0])
+
+        for probe in (Point(0.3, -0.2), Point(-1.0, 0.4)):
+            lhs = fd_laplacian_2d(u_p, probe.x, probe.y, h=1e-3) + k * k * u_p(probe.x, probe.y)
+            assert lhs == pytest.approx(1.0 + 2.0 * probe.x - probe.y, abs=1e-6)
 
     def test_tail_enters_particular_solution_unchanged(self):
         pts = ring(6)

@@ -2,11 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkm.geometry import BoundaryKnot, Ellipse, Point, dist, ellipse_knots, interior_grid
+from bkm.geometry import (
+    BoundaryKnot,
+    Ellipse,
+    Point,
+    as_xy,
+    coincident_pair,
+    dist,
+    distance_matrix,
+    ellipse_knots,
+    interior_grid,
+)
 
 from oracles import count_lattice_in_ellipse
 
@@ -121,3 +132,29 @@ class TestDist:
     def test_symmetric_and_nonnegative(self, ax, ay, bx, by):
         p, q = Point(ax, ay), Point(bx, by)
         assert dist(p, q) == dist(q, p) >= 0.0
+
+
+class TestArrayHelpers:
+    def test_as_xy_rows_are_coordinates(self):
+        pts = [Point(0.5, -1.0), Point(2.0, 3.5), Point(-0.25, 0.0)]
+        xy = as_xy(pts)
+        assert xy.shape == (3, 2) and xy.dtype == float
+        assert np.array_equal(xy, np.array([[0.5, -1.0], [2.0, 3.5], [-0.25, 0.0]]))
+        assert as_xy(xy) is xy
+        assert as_xy([]).shape == (0, 2)
+
+    def test_distance_matrix_matches_dist(self):
+        rows = [Point(0.1 * i, 0.3 - 0.2 * i) for i in range(4)]
+        cols = [Point(-0.5, 0.25), Point(1.0, 1.0), Point(0.0, 0.0)]
+        d = distance_matrix(as_xy(rows), as_xy(cols))
+        assert d.shape == (4, 3)
+        for i, p in enumerate(rows):
+            for j, q in enumerate(cols):
+                assert d[i, j] == pytest.approx(dist(p, q), rel=1e-15)
+
+    def test_coincident_pair_first_in_row_major_order(self):
+        pts = as_xy([Point(x, 0.0) for x in (0.0, 1.0, 2.0, 1.0, 0.0)])
+        d = distance_matrix(pts, pts)
+        assert coincident_pair(d, 1e-12) == (0, 4)
+        assert coincident_pair(d[1:, 1:], 1e-12) == (0, 2)
+        assert coincident_pair(d[:3, :3], 1e-12) is None

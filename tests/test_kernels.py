@@ -367,3 +367,117 @@ class TestNormalDerivative:
         ) / (2.0 * h)
         got = normal_derivative(k, source, response, n)
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def _catalog() -> dict:
+    """Every RadialKernel the catalog builds, keyed by a readable id."""
+    lam = 1.3
+    ln1, r2ln1 = biharmonic_mfs_pair()
+    g = helmholtz2d(lam)
+    pair = mq_pair(3.0)
+    split = mq_pair(3.0, 0.5)
+    return {
+        "helmholtz2d": g,
+        "modified_helmholtz2d": modified_helmholtz2d(lam),
+        "helmholtz3d": helmholtz3d(lam),
+        "modified_helmholtz3d": modified_helmholtz3d(lam),
+        "mq_phi_hat": pair.phi_hat,
+        "mq_phi": pair.phi,
+        "mq_phi_split": split.phi,
+        "gsr_plain_m1": gsr_kernel(g, m=1),
+        "gsr_forcing_fd": gsr_kernel(g, m=1, mode="forcing", value=1.5, rho=lambda r: 0.25 * r),
+        "gsr_forcing": gsr_kernel(g, m=0, mode="forcing", value=1.5),
+        "gsr_dirichlet_fd": gsr_kernel(g, m=1, mode="dirichlet", value=2.0),
+        "gsr_neumann": gsr_kernel(g, m=0, mode="neumann", value=3.0),
+        "gsr_prewavelet": gsr_kernel(g, m=1, prewavelet_c=0.8),
+        "mtps": gsr_kernel(ln1, m=1),
+        "mtps_prewavelet": gsr_kernel(ln1, m=1, prewavelet_c=0.8),
+        "mfs_ln": ln1,
+        "mfs_r2ln": r2ln1,
+    }
+
+
+CATALOG = _catalog()
+# Radii where J0(1.3 r) crosses the |x| = 5 switch of the Bessel functions.
+_SWITCH = 5.0 / 1.3
+RADIUS_LISTS = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=8.0, allow_subnormal=False),
+        st.sampled_from([0.0, 1e-9, _SWITCH, np.nextafter(_SWITCH, 0.0), np.nextafter(_SWITCH, 9.0)]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestArrayContract:
+    """eval/deriv are elementwise: an array call equals the calls on its elements."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @given(radii=RADIUS_LISTS)
+    @settings(max_examples=25, deadline=None)
+    def test_array_call_equals_elementwise_calls(self, name, radii):
+        kern = CATALOG[name]
+        if name.startswith("mfs"):
+            # The singular pair is defined for r > 0 only.
+            radii = [r for r in radii if r > 0.0] or [1.0]
+        r = np.array(radii).reshape(-1, 1)
+        for fn in (kern.eval, kern.deriv):
+            got = fn(r)
+            assert got.shape == r.shape
+            want = np.array([fn(float(x)) for x in radii])
+            assert np.array_equal(got[:, 0], want)
+
+    def test_zero_limits_on_arrays(self):
+        r = np.array([0.0, 0.5, 0.0])
+        for name in ("gsr_plain_m1", "mtps", "gsr_dirichlet_fd", "gsr_forcing_fd"):
+            for fn in (CATALOG[name].eval, CATALOG[name].deriv):
+                assert fn(r)[0] == 0.0 and fn(r)[2] == 0.0
+        assert np.array_equal(CATALOG["helmholtz3d"].eval(r)[[0, 2]], [1.0, 1.0])
+
+    def test_singular_pair_rejects_any_zero_radius(self):
+        for kern in biharmonic_mfs_pair():
+            with pytest.raises(ValueError):
+                kern.eval(np.array([0.5, 0.0]))
+            with pytest.raises(ValueError):
+                kern.deriv(np.array([1.0, -0.1]))
+
+    def test_normal_derivative_matrix_equals_pairwise_calls(self):
+        k = helmholtz2d(1.0)
+        rng = np.random.RandomState(3)
+        sources = rng.uniform(-1.0, 1.0, (5, 2))
+        responses = np.vstack([rng.uniform(-1.0, 1.0, (3, 2)), sources[1]])
+        angles = rng.uniform(0.0, 2 * math.pi, 4)
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        got = normal_derivative(k, sources[None, :], responses[:, None], normals[:, None])
+        assert got.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                want = normal_derivative(
+                    k, Point(*sources[j]), Point(*responses[i]), tuple(normals[i])
+                )
+                assert got[i, j] == want
+        # The coincident pair (response 3 is source 1) takes the 0 limit.
+        assert got[3, 1] == 0.0
+
+
+class TestMqPairWavenumber:
+    def test_unit_wavenumber_is_the_default(self):
+        r = np.linspace(0.0, 6.0, 25)
+        default, unit = mq_pair(3.0), mq_pair(3.0, 1.0)
+        assert np.array_equal(default.phi.eval(r), unit.phi.eval(r))
+        assert np.array_equal(default.phi.deriv(r), unit.phi.deriv(r))
+        assert default.wavenumber == 1.0
+
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_phi_is_image_under_split_operator(self, k):
+        pair = mq_pair(3.0, k)
+        for r in np.linspace(0.05, 6.0, 30):
+            r = float(r)
+            lap = fd_radial_laplacian_rich(pair.phi_hat.eval, r)
+            resid = abs(lap + k * k * pair.phi_hat.eval(r) - pair.phi.eval(r))
+            assert resid <= 1e-6 * abs(pair.phi.eval(r))
+
+    def test_wavenumber_must_be_positive(self):
+        with pytest.raises(ValueError):
+            mq_pair(3.0, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +137,53 @@ class TestErrors:
             fn(101.0)
         with pytest.raises(OverflowError):
             fn(-101.0)
+
+
+class TestArrays:
+    """Array arguments: elementwise values, shapes, and error reporting."""
+
+    # Both sides of the |x| = 5 switch between the Taylor sum and the
+    # Hankel form of the J functions, with negative arguments and zero.
+    J_ARGS = np.concatenate(
+        [np.linspace(-50.0, 50.0, 401), [0.0, 4.999999, 5.0, 5.000001, -5.000001]]
+    )
+    I_ARGS = np.concatenate([np.linspace(-100.0, 100.0, 401), [0.0, 1e-8, -1e-8]])
+
+    @pytest.mark.parametrize(
+        "mine,ref,args",
+        [
+            (bessel_j0, j0_ref, J_ARGS),
+            (bessel_j1, j1_ref, J_ARGS),
+            (bessel_i0, i0_ref, I_ARGS),
+            (bessel_i1, i1_ref, I_ARGS),
+        ],
+        ids=["j0", "j1", "i0", "i1"],
+    )
+    def test_array_matches_reference(self, mine, ref, args):
+        got = mine(args.reshape(-1, 1))
+        assert got.shape == (args.size, 1)
+        want = np.array([ref(float(x)) for x in args])
+        assert np.all(np.abs(got[:, 0] - want) / np.maximum(1.0, np.abs(want)) <= 1e-12)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    def test_array_equals_elementwise_calls(self, fn):
+        args = np.array([[0.0, 0.3, -4.9], [5.0, -5.5, 37.0]])
+        got = fn(args)
+        for index, x in np.ndenumerate(args):
+            assert got[index] == fn(float(x))
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    def test_scalar_gives_float_and_empty_gives_empty(self, fn):
+        assert type(fn(1.5)) is float
+        assert type(fn(np.float64(7.5))) is float
+        assert fn(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_i0, bessel_i1])
+    def test_one_non_finite_element_rejects_the_array(self, fn):
+        with pytest.raises(ValueError, match="nan"):
+            fn(np.array([0.5, math.nan, 1.0]))
+
+    @pytest.mark.parametrize("fn", [bessel_i0, bessel_i1], ids=["i0", "i1"])
+    def test_one_element_out_of_range_rejects_the_array(self, fn):
+        with pytest.raises(OverflowError, match="-101"):
+            fn(np.array([0.5, -101.0, 1.0]))
