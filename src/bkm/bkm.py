@@ -95,10 +95,10 @@ class BkmSolution:
 class Diagnostics:
     """Conditioning and residual of the two dense solves.
 
-    ``cond_interp`` is the estimated 1-norm condition number of the DRM
-    interpolation matrix that was solved: the bordered matrix with the
-    linear tail for the boundary-only solve of a linear rho kind, and the
-    bare A_phi otherwise.
+    ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers.
+    ``cond_interp`` is that of the DRM interpolation matrix that was
+    solved: the bordered matrix with the linear tail for the boundary-only
+    solve of a linear rho kind, and the bare A_phi otherwise.
     """
 
     cond_interp: float

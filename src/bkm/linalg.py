@@ -1,13 +1,16 @@
-"""Dense real linear algebra: LU solve with partial pivoting and a 1-norm
-condition estimate.
+"""Dense real linear algebra: LAPACK-backed solves and the exact 1-norm
+condition number.
 
-Matrices are 2D float ndarrays in row-major semantics.  The systems this
-package assembles stay small (tens of rows), so the factorization favors
-determinism and diagnosability over blocking: partial pivoting with an
-explicit zero-pivot floor, one step of iterative refinement to pin the
-residual near machine level even for badly conditioned interpolation
-matrices, and a power-style estimate of the inverse's 1-norm for
-diagnostics.
+Matrices are 2D float ndarrays in row-major semantics.  Solves go through
+``numpy.linalg.solve`` (LAPACK getrf/getrs) with one step of iterative
+refinement, which pins the residual near machine level even for badly
+conditioned interpolation matrices.  The condition number is exact,
+kappa_1 = ||A||_1 ||A^-1||_1 from one ``numpy.linalg.inv``.
+
+``lu_factor`` is the one hand-written elimination.  It runs only when
+LAPACK reports a singular matrix or returns a non-finite result, to name
+the failing pivot in ``SingularMatrixError``; pivots at or below an
+explicit zero floor count as exact zeros.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ __all__ = ["SingularMatrixError", "lu_factor", "lu_solve", "cond_estimate_1norm"
 
 # Pivots at or below this magnitude are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
-
-# Power-iteration sweeps for the condition estimate; convergence is almost
-# always reached in two.
-_COND_ITERATIONS = 5
 
 
 class SingularMatrixError(ValueError):
@@ -73,78 +72,69 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
     return lu, perm
 
 
-def _solve_factored(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with an existing factorization; b may be a vector or a matrix."""
-    x = np.array(b, dtype=float)[perm]
-    n = lu.shape[0]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    return x
+def _singular(a: np.ndarray) -> SingularMatrixError:
+    """The error for a matrix LAPACK could not solve with finite results.
+
+    The hand elimination raises at a pivot on the zero floor.  If every
+    pivot clears the floor, the solve overflowed instead, and the smallest
+    pivot is named.
+    """
+    lu, _ = lu_factor(a)
+    return SingularMatrixError(int(np.argmin(np.abs(np.diag(lu)))))
 
 
 def lu_solve(a, b, refine: int = 1) -> np.ndarray:
-    """Solve A X = B by partial-pivoted LU.
+    """Solve A X = B by partial-pivoted LU (LAPACK getrf/getrs).
 
     Parameters
     ----------
     a : (n, n) array_like
         Square coefficient matrix.
     b : (n,) or (n, k) array_like
-        One or more right-hand sides.
+        One or more right-hand sides, all solved in one call.
     refine : int
         Iterative-refinement sweeps after the direct solve (default 1).
-        Each sweep reuses the factorization, so cost is negligible and the
+        Each sweep solves for the correction of the residual, so the
         residual lands near machine level even when A is ill-conditioned.
 
     Raises
     ------
     SingularMatrixError
-        If A is exactly singular (pivot below the zero floor).
+        If A is singular (a pivot at or below the zero floor) or the solve
+        comes out non-finite.
     ValueError
         If shapes do not conform or entries are non-finite.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs rows {b.shape[0]} do not match matrix order {a.shape[0]}")
-    lu, perm = lu_factor(a)
-    x = _solve_factored(lu, perm, b)
-    for _ in range(refine):
-        x = x + _solve_factored(lu, perm, b - a @ x)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
+    try:
+        with np.errstate(all="ignore"):
+            x = np.linalg.solve(a, b)
+            for _ in range(refine):
+                x = x + np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
+        raise _singular(a)
     return x
 
 
 def cond_estimate_1norm(a) -> float:
-    """Estimate the 1-norm condition number kappa_1(A) = ||A||_1 ||A^-1||_1.
+    """The 1-norm condition number kappa_1(A) = ||A||_1 ||A^-1||_1.
 
-    Uses the Hager power estimate on A^-1 (solving with A and with A^T from
-    two factorizations); the result is within a modest factor of the true
-    kappa_1.  Singular input returns ``math.inf``.
+    Exact, from one explicit inverse; never below 1.  Singular input, or
+    an inverse that comes out non-finite, returns ``math.inf``.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return 1.0
     try:
-        lu, perm = lu_factor(a)
-        lut, permt = lu_factor(a.T.copy())
-    except SingularMatrixError:
+        with np.errstate(all="ignore"):
+            norm_inv = float(np.abs(np.linalg.inv(a)).sum(axis=0).max())
+    except np.linalg.LinAlgError:
         return math.inf
-    norm_a = float(np.abs(a).sum(axis=0).max())
-    x = np.full(n, 1.0 / n)
-    estimate = 0.0
-    for _ in range(_COND_ITERATIONS):
-        z = _solve_factored(lu, perm, x)
-        current = float(np.abs(z).sum())
-        estimate = max(estimate, current)
-        xi = np.where(z >= 0.0, 1.0, -1.0)
-        w = _solve_factored(lut, permt, xi)
-        j = int(np.argmax(np.abs(w)))
-        if abs(w[j]) <= float(w @ x):
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return max(1.0, norm_a * estimate)
+    if not math.isfinite(norm_inv):
+        return math.inf
+    return max(1.0, float(np.abs(a).sum(axis=0).max()) * norm_inv)

@@ -29,7 +29,7 @@ from bkm.problems import (
 )
 from bkm.specfun import bessel_j0
 
-from oracles import fd_laplacian_2d
+from oracles import cond_1norm_explicit, fd_laplacian_2d
 
 ELLIPSE = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
 
@@ -132,6 +132,13 @@ class TestSolveBoundaryOnly:
         assert diag.cond_interp >= 1.0
         assert diag.cond_bkm >= 1.0
         assert 0.0 <= diag.residual_inf <= 1e-10
+
+    def test_diagnostics_report_exact_bkm_condition_number(self):
+        problem = laplace_benchmark()
+        sol, diag = solve_boundary_only(problem, 5)
+        bc = [BoundaryCondition("dirichlet", 0.0)] * len(sol.knots)
+        a = assemble_bkm_matrix(sol.knots, sol.kernel, bc)
+        assert diag.cond_bkm == pytest.approx(cond_1norm_explicit(a), rel=1e-12)
 
     def test_deterministic_bit_for_bit(self):
         a, _ = solve_boundary_only(helmholtz_benchmark(), 7)

@@ -1,4 +1,4 @@
-"""LU solve and condition-number estimate against LAPACK-backed references."""
+"""LU solve and 1-norm condition number against LAPACK-backed references."""
 
 import math
 
@@ -73,6 +73,33 @@ class TestLuSolve:
             lu_solve(np.zeros((3, 3)), np.ones(3))
         assert exc.value.pivot_index == 0
 
+    def test_subnormal_pivot_raises_at_that_pivot(self):
+        # LAPACK divides by the 1e-310 pivot and returns non-finite values;
+        # the zero floor of the hand elimination names the pivot instead.
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_solve([[1e-310, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        assert exc.value.pivot_index == 0
+
+    def test_overflowing_solve_names_smallest_pivot(self):
+        # Every pivot clears the floor, but x_0 = 1e200 / 1e-200 overflows.
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_solve([[1.0, 0.0], [0.0, 1e-200]], [1.0, 1e200])
+        assert exc.value.pivot_index == 1
+
+    def test_rank_two_matrix_fails_at_last_pivot(self):
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_solve([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]], np.ones(3))
+        assert exc.value.pivot_index == 2
+
+    def test_multi_column_rhs_equals_column_solves(self):
+        rng = np.random.RandomState(29)
+        a = rng.randn(12, 12) + 12.0 * np.eye(12)
+        b = rng.randn(12, 5)
+        x = lu_solve(a, b)
+        assert x.shape == (12, 5)
+        for j in range(5):
+            assert x[:, j] == pytest.approx(lu_solve(a, b[:, j]), rel=1e-13, abs=1e-15)
+
     def test_singular_error_is_a_value_error(self):
         assert issubclass(SingularMatrixError, ValueError)
 
@@ -127,12 +154,22 @@ class TestCondEstimate:
             a = rng.randn(5, 5)
             exact = cond_1norm_explicit(a)
             got = cond_estimate_1norm(a)
-            assert got <= exact * 1.0000001  # Hager estimates from below
+            assert got <= exact * 1.0000001
             assert got >= exact / 5.0
+
+    def test_equals_explicit_inverse(self):
+        rng = np.random.RandomState(31)
+        for n in (2, 5, 9, 16):
+            a = rng.randn(n, n)
+            assert cond_estimate_1norm(a) == pytest.approx(cond_1norm_explicit(a), rel=1e-12)
 
     def test_singular_returns_infinity(self):
         assert cond_estimate_1norm(np.zeros((3, 3))) == math.inf
         assert cond_estimate_1norm([[1.0, 2.0], [2.0, 4.0]]) == math.inf
+
+    def test_subnormal_pivot_returns_infinity(self):
+        # The inverse overflows; max(1.0, nan) would read 1.0.
+        assert cond_estimate_1norm([[1e-310, 0.0], [0.0, 1.0]]) == math.inf
 
     def test_never_below_one(self):
         rng = np.random.RandomState(23)
