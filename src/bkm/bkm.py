@@ -23,12 +23,10 @@ import numpy as np
 
 from .drm import (
     DrmExpansion,
-    bordered_interp_matrix,
-    interp_matrix,
+    knot_distances,
     normal_matrix,
-    particular_matrix,
-    solve_alpha,
-    u_p_at,
+    solve_alpha_from_distances,
+    u_p_from_distances,
 )
 from .geometry import (
     BoundaryKnot,
@@ -146,21 +144,28 @@ def _dirichlet_path(
     interpolant on the ellipse's knots is nearly singular (Laplace and
     Helmholtz at n = 9).  The Burger kind keeps the bare interpolant: with
     the tail its paper table error rises from 5.0e-2 to 7.2e-2.
+
+    One knot-to-knot distance matrix feeds every matrix of the solve: the
+    interpolation matrix (solved, and reported as ``cond_interp``), the
+    J0 collocation matrix and u_p at the knots.
     """
     knots = tuple(knots)
-    positions = [k.position for k in knots]
+    positions = tuple(k.position for k in knots)
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
     f = np.array([problem.forcing(p) for p in positions], dtype=float)
     linear_tail = problem.rho.kind in _LINEAR_RHO_SCALE
-    expansion = solve_alpha(positions, pair, f, problem.rho, u_bc, linear_tail=linear_tail)
-    bc = [BoundaryCondition("dirichlet", float(v)) for v in u_bc]
-    a = assemble_bkm_matrix(knots, kernel, bc)
-    rhs = u_bc - u_p_at(expansion, positions)
+    xy = as_xy(positions)
+    distances = knot_distances(xy)
+    expansion, interp = solve_alpha_from_distances(
+        positions, distances, pair, f, problem.rho, u_bc, linear_tail=linear_tail
+    )
+    # Every knot is a Dirichlet knot, so the collocation matrix is J0 alone.
+    a = kernel.eval(distances)
+    rhs = u_bc - u_p_from_distances(expansion, distances, xy)
     lam = lu_solve(a, rhs)
-    interp = bordered_interp_matrix if linear_tail else interp_matrix
     diagnostics = Diagnostics(
-        cond_interp=cond_estimate_1norm(interp(positions, pair)),
+        cond_interp=cond_estimate_1norm(interp),
         cond_bkm=cond_estimate_1norm(a),
         residual_inf=float(np.abs(a @ lam - rhs).max()),
     )
@@ -256,8 +261,10 @@ def solve_mixed_linear(
     p_map = np.zeros((n + n_int, n_unknown + n_int))
     p_map[unknown_points, np.arange(n_unknown + n_int)] = 1.0
 
+    # One all-points distance matrix feeds A_phi, the u_p rows and the J0 rows.
+    distances = knot_distances(all_xy)
     # alpha = A_phi^-1 (f + rho_scale u) = alpha0 + K w, solved in one pass.
-    a_phi = interp_matrix(all_points, pair)
+    a_phi = pair.phi.eval(distances)
     f = np.array([problem.forcing(p) for p in all_points], dtype=float)
     stacked = np.column_stack([f + rho_scale * d, rho_scale * p_map])
     solved = lu_solve(a_phi, stacked)
@@ -265,8 +272,8 @@ def solve_mixed_linear(
     alpha_of_w = solved[:, 1:]
 
     # v and u_p at every point, as affine functions of (lambda, w).
-    j_rows = kernel.eval(distance_matrix(all_xy, all_xy[:n]))
-    phi_rows = particular_matrix(all_xy, all_xy, pair)
+    j_rows = kernel.eval(distances[:, :n])
+    phi_rows = pair.phi_hat.eval(distances)
     u_p_of_w = phi_rows @ alpha_of_w
     u_p0 = phi_rows @ alpha0
 
@@ -308,12 +315,26 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array.
     The points are taken in blocks of ``_EVAL_BLOCK`` rows, so the kernel
     matrices stay the same size however many points there are.
+
+    Each block has one distance matrix, to the expansion's knots: both
+    drivers put the collocation knots first among them, so v reads its
+    first ``len(sol.knots)`` columns and u_p all of them.  A solution
+    whose expansion does not start with its collocation knots gets them
+    prepended as extra columns of the same matrix.
     """
     xy = as_xy(points)
-    sources = as_xy([knot.position for knot in sol.knots])
+    n = len(sol.knots)
+    knot_xy = as_xy([knot.position for knot in sol.knots])
+    sources = as_xy(sol.expansion.knots)
+    first_drm = 0
+    if not np.array_equal(sources[:n], knot_xy):
+        sources = np.concatenate([knot_xy, sources])
+        first_drm = n
     out = np.empty(len(xy))
     for start in range(0, len(xy), _EVAL_BLOCK):
         block = xy[start : start + _EVAL_BLOCK]
-        v = sol.kernel.eval(distance_matrix(block, sources)) @ sol.lam
-        out[start : start + len(block)] = v + u_p_at(sol.expansion, block)
+        distances = distance_matrix(block, sources)
+        v = sol.kernel.eval(distances[:, :n]) @ sol.lam
+        u_p = u_p_from_distances(sol.expansion, distances[:, first_drm:], block)
+        out[start : start + len(block)] = v + u_p
     return out

@@ -16,8 +16,13 @@ tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0.
 linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
 enters u_p.
 
-Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
-every matrix is one kernel call on one broadcast distance matrix.
+Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays.
+A knot set's distance matrix (``knot_distances``) is computed once per
+solve and every matrix over the set is one kernel call on it:
+``solve_alpha_from_distances`` evaluates A_phi from it once, and that one
+A_phi, bordered or not, serves the Burger rho term's interpolation, the
+alpha solve and the caller's condition number; ``u_p_from_distances``
+sums u_p from a distance matrix the caller already holds.
 """
 
 from __future__ import annotations
@@ -28,19 +33,22 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Point, as_xy, coincident_pair, distance_matrix
-from .kernels import KernelPair, RadialKernel, normal_derivative
+from .kernels import KernelPair, RadialKernel, directional_derivative, normal_derivative
 from .linalg import lu_solve
 
 __all__ = [
     "RhoSpec",
     "DrmExpansion",
     "RbfInterpolant",
+    "knot_distances",
     "interp_matrix",
     "bordered_interp_matrix",
     "particular_matrix",
     "rho_matrix",
     "solve_alpha",
+    "solve_alpha_from_distances",
     "u_p_at",
+    "u_p_from_distances",
     "u_p_normal_at",
     "normal_matrix",
     "rbf_interpolate",
@@ -116,8 +124,8 @@ def _kernel_matrix(rows, cols, kernel: RadialKernel) -> np.ndarray:
     return kernel.eval(distance_matrix(as_xy(rows), as_xy(cols)))
 
 
-def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
-    """Symmetric interpolation matrix A_phi with entries phi(||x_i - x_j||).
+def knot_distances(knots) -> np.ndarray:
+    """Distance matrix of a knot set with itself, entries ||x_i - x_j||.
 
     Raises
     ------
@@ -129,7 +137,18 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     xy = as_xy(knots)
     distances = distance_matrix(xy, xy)
     _check_distinct(distances)
-    return pair.phi.eval(distances)
+    return distances
+
+
+def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
+    """Symmetric interpolation matrix A_phi with entries phi(||x_i - x_j||).
+
+    Raises
+    ------
+    ValueError
+        If no knots are given or two knots (nearly) coincide.
+    """
+    return pair.phi.eval(knot_distances(knots))
 
 
 def _linear_block(points) -> np.ndarray:
@@ -146,7 +165,10 @@ def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarr
     ValueError
         If no knots are given or two knots (nearly) coincide.
     """
-    a_phi = interp_matrix(knots, pair)
+    return _bordered(interp_matrix(knots, pair), knots)
+
+
+def _bordered(a_phi: np.ndarray, knots) -> np.ndarray:
     p = _linear_block(knots)
     return np.block([[a_phi, p], [p.T, np.zeros((3, 3))]])
 
@@ -156,10 +178,29 @@ def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
     return _kernel_matrix(eval_points, knots, pair.phi_hat)
 
 
-def _x_derivative_matrix(knots: Sequence[Point], kernel: RadialKernel) -> np.ndarray:
-    """Entries d/dx_i kernel(||x_i - x_j||) = kernel'(r) (x_i - x_j)_x / r, diagonal 0."""
-    xy = as_xy(knots)
-    return normal_derivative(kernel, xy[None, :], xy[:, None], (1.0, 0.0))
+def _interpolant_x_derivative(
+    xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, phi: RadialKernel, u: np.ndarray
+) -> np.ndarray:
+    """x-derivative at the knots of the phi-interpolant of u: D_x A_phi^-1 u, with
+    D_x entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r, diagonal 0."""
+    d_x = directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
+    return d_x @ lu_solve(a_phi, u)
+
+
+def _rho_term(rho: RhoSpec, n: int, u_at_knots, burger_u_x) -> np.ndarray:
+    """The rho term at n knots; ``burger_u_x(u)`` gives u_x for the Burger kind."""
+    if rho.kind == "zero":
+        return np.zeros(n)
+    if u_at_knots is None:
+        raise ValueError(f"rho kind {rho.kind!r} needs u values at the knots")
+    u = np.asarray(u_at_knots, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"expected {n} u values, got shape {u.shape}")
+    if rho.kind == "identity":
+        return u.copy()
+    if rho.kind == "scaled_identity":
+        return rho.scale * u
+    return u - burger_u_x(u) * u
 
 
 def rho_matrix(
@@ -183,22 +224,13 @@ def rho_matrix(
     SingularMatrixError
         Propagated from a singular interpolation matrix.
     """
-    n = len(knots)
-    if rho.kind == "zero":
-        return np.zeros(n)
-    if u_at_knots is None:
-        raise ValueError(f"rho kind {rho.kind!r} needs u values at the knots")
-    u = np.asarray(u_at_knots, dtype=float)
-    if u.shape != (n,):
-        raise ValueError(f"expected {n} u values, got shape {u.shape}")
-    if rho.kind == "identity":
-        return u.copy()
-    if rho.kind == "scaled_identity":
-        return rho.scale * u
-    a_phi = interp_matrix(knots, pair)
-    beta = lu_solve(a_phi, u)
-    u_x = _x_derivative_matrix(knots, pair.phi) @ beta
-    return u - u_x * u
+
+    def burger_u_x(u: np.ndarray) -> np.ndarray:
+        xy = as_xy(knots)
+        distances = knot_distances(xy)
+        return _interpolant_x_derivative(xy, distances, pair.phi.eval(distances), pair.phi, u)
+
+    return _rho_term(rho, len(knots), u_at_knots, burger_u_x)
 
 
 def solve_alpha(
@@ -215,20 +247,54 @@ def solve_alpha(
     bordered system of ``bordered_interp_matrix`` is solved with the moment
     conditions P^T alpha = 0; the expansion then carries beta as its tail.
     """
+    expansion, _ = solve_alpha_from_distances(
+        knots, knot_distances(knots), pair, f_at_knots, rho, u_at_knots, linear_tail
+    )
+    return expansion
+
+
+def solve_alpha_from_distances(
+    knots: Sequence[Point],
+    distances: np.ndarray,
+    pair: KernelPair,
+    f_at_knots: Sequence[float],
+    rho: RhoSpec,
+    u_at_knots: Sequence[float] | None = None,
+    linear_tail: bool = False,
+) -> tuple[DrmExpansion, np.ndarray]:
+    """``solve_alpha`` on the knots' distance matrix ``distances`` (from
+    ``knot_distances``), which it does not compute again.
+
+    A_phi is evaluated once and serves both the Burger rho term and the
+    alpha solve.  Returns the expansion and the interpolation matrix that
+    was solved: A_phi, or the bordered matrix with ``linear_tail``.
+    """
     knots = tuple(knots)
-    rhs = np.asarray(f_at_knots, dtype=float) + rho_matrix(rho, knots, pair, u_at_knots)
+    xy = as_xy(knots)
+    a_phi = pair.phi.eval(distances)
+
+    def burger_u_x(u: np.ndarray) -> np.ndarray:
+        return _interpolant_x_derivative(xy, distances, a_phi, pair.phi, u)
+
+    rhs = np.asarray(f_at_knots, dtype=float) + _rho_term(rho, len(knots), u_at_knots, burger_u_x)
     if not linear_tail:
-        alpha = lu_solve(interp_matrix(knots, pair), rhs)
-        return DrmExpansion(knots, pair, alpha)
+        return DrmExpansion(knots, pair, lu_solve(a_phi, rhs)), a_phi
     n = len(knots)
-    solution = lu_solve(bordered_interp_matrix(knots, pair), np.concatenate([rhs, np.zeros(3)]))
-    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
+    system = _bordered(a_phi, xy)
+    solution = lu_solve(system, np.concatenate([rhs, np.zeros(3)]))
+    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2), system
 
 
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     """Particular solution u_p = sum_j alpha_j phi_hat(||x - x_j||) + tail at the points."""
     xy = as_xy(points)
-    u_p = particular_matrix(xy, expansion.knots, expansion.pair) @ expansion.alpha
+    return u_p_from_distances(expansion, distance_matrix(xy, as_xy(expansion.knots)), xy)
+
+
+def u_p_from_distances(expansion: DrmExpansion, distances: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """``u_p_at`` the points ``xy`` from their distance matrix to the expansion's
+    knots (one row per point, one column per knot)."""
+    u_p = expansion.pair.phi_hat.eval(distances) @ expansion.alpha
     if expansion.tail is None:
         return u_p
     return u_p + _linear_block(xy) @ expansion.tail

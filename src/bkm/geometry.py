@@ -149,8 +149,19 @@ def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the distance between rows[i] and cols[j], both (n, 2) arrays."""
-    return np.hypot(rows[:, 0, None] - cols[None, :, 0], rows[:, 1, None] - cols[None, :, 1])
+    """Entry (i, j) is the distance between rows[i] and cols[j], both (n, 2) arrays.
+
+    Computed as sqrt(dx*dx + dy*dy), which agrees with ``np.hypot`` to one
+    ulp in about half the time.  Unlike hypot it has no overflow guard:
+    the squares overflow once a coordinate difference passes ~1e154, so
+    coordinates are expected to stay far below 1e150.
+    """
+    dx = rows[:, 0, None] - cols[None, :, 0]
+    dy = rows[:, 1, None] - cols[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def coincident_pair(distances: np.ndarray, tol: float) -> tuple[int, int] | None:

@@ -46,6 +46,7 @@ __all__ = [
     "gsr_kernel",
     "biharmonic_mfs_pair",
     "normal_derivative",
+    "directional_derivative",
 ]
 
 _GSR_MODES = ("plain", "forcing", "dirichlet", "neumann")
@@ -460,8 +461,16 @@ def normal_derivative(kernel: RadialKernel, source, response, normal):
     normal = np.asarray(normal, dtype=float)
     dx = response[..., 0] - source[..., 0]
     dy = response[..., 1] - source[..., 1]
-    r = np.hypot(dx, dy)
-    proj = dx * normal[..., 0] + dy * normal[..., 1]
+    return directional_derivative(kernel, np.hypot(dx, dy), dx * normal[..., 0] + dy * normal[..., 1])
+
+
+def directional_derivative(kernel: RadialKernel, r, proj):
+    """kernel.deriv(r) * proj / r elementwise, and 0 where r = 0.
+
+    With r = ||x - s|| and proj = (x - s) . d this is the derivative of
+    kernel(||x - s||) at x along d, for callers that already hold the
+    distances (a distance matrix).
+    """
     coincident = r == 0.0
     safe_r = np.where(coincident, 1.0, r)
     return np.where(coincident, 0.0, kernel.deriv(safe_r) * proj / safe_r)[()]

@@ -261,11 +261,19 @@ def bessel_j1(x):
 def _i_series(arr: np.ndarray, order: int):
     """Taylor sum of I_order(x) / (x/2)^order, stopped once every element's
     term is below ``_I_TERM_FLOOR`` of its sum; the terms after that are
-    below half an ulp of the sum and would not change it."""
-    q = 0.25 * arr * arr
-    term = total = np.float64(1.0)
+    below half an ulp of the sum and would not change it.
+
+    A 0-d argument is summed on Python floats: they are IEEE doubles like
+    numpy's, so the sum is the same to the bit, without numpy's cost per
+    scalar operation.
+    """
+    scalar = arr.ndim == 0
+    x = float(arr) if scalar else arr
+    unfinished = bool if scalar else np.any
+    q = 0.25 * x * x
+    term = total = 1.0
     k = 1
-    while (term > _I_TERM_FLOOR * total).any():
+    while unfinished(term > _I_TERM_FLOOR * total):
         term *= q / (k * (k + order))
         total += term
         k += 1

@@ -1,6 +1,8 @@
 """Boundary-knot collocation: assembly, solving, evaluation, diagnostics."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from bkm.bkm import (
     solve_mixed_linear,
 )
 from bkm.drm import DrmExpansion, RhoSpec
-from bkm.geometry import Ellipse, Point, ellipse_knots, interior_grid
+from bkm.geometry import Ellipse, Point, distance_matrix, ellipse_knots, interior_grid
 from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
 from bkm.problems import (
     burger_benchmark,
@@ -326,13 +328,29 @@ class TestEvaluate:
             got = float(evaluate(sol, [k.position])[0])
             assert got == pytest.approx(problem.dirichlet(k.position), abs=1e-8)
 
-    @pytest.mark.parametrize("factory", [helmholtz_benchmark, burger_benchmark])
-    def test_blocked_evaluation_equals_pointwise_sum(self, factory):
+    @pytest.mark.parametrize(
+        "factory, n_interior",
+        [
+            pytest.param(helmholtz_benchmark, 0, id="helmholtz_benchmark"),
+            pytest.param(burger_benchmark, 0, id="burger_benchmark"),
+            pytest.param(helmholtz_benchmark, 5, id="helmholtz_mixed_interior"),
+        ],
+    )
+    def test_blocked_evaluation_equals_pointwise_sum(self, factory, n_interior):
         """2 blocks and 37 points: sum_k lam_k J0(||x - x_k||) + u_p, the
-        tail included when the expansion has one (Helmholtz; Burger has
-        none), summed point by point with scalar kernel calls."""
+        tail included when the expansion has one (boundary-only Helmholtz;
+        Burger and the coupled solve have none), summed point by point with
+        scalar kernel calls.  The coupled solve's expansion runs over the
+        boundary and the interior knots, a strict superset of sol.knots."""
         problem = factory()
-        sol, _ = solve_boundary_only(problem, 7)
+        if n_interior:
+            lattice = interior_grid(problem.ellipse, 0.25)
+            idx = np.linspace(0, len(lattice) - 1, n_interior).astype(int)
+            knots = ellipse_knots(problem.ellipse, 7)
+            sol, _ = solve_mixed_linear(problem, knots, [lattice[i] for i in idx])
+            assert len(sol.expansion.knots) == len(sol.knots) + n_interior
+        else:
+            sol, _ = solve_boundary_only(problem, 7)
         rng = np.random.RandomState(11)
         cx = problem.ellipse.center.x
         pts = []
@@ -341,7 +359,7 @@ class TestEvaluate:
             if (x / 2.0) ** 2 + y * y < 1.0:
                 pts.append(Point(cx + x, y))
         exp = sol.expansion
-        assert (exp.tail is not None) == (factory is helmholtz_benchmark)
+        assert (exp.tail is not None) == (factory is helmholtz_benchmark and not n_interior)
         want = []
         for p in pts:
             v = sum(
@@ -361,9 +379,80 @@ class TestEvaluate:
         # An (n, 2) coordinate array is evaluated exactly like the points.
         assert np.array_equal(evaluate(sol, np.array(pts)), got)
 
+    def test_expansion_not_led_by_collocation_knots(self):
+        """The same u_p expansion with its knots in reverse order gives the
+        same field, though its knots no longer start with sol.knots."""
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 7)
+        sol, _ = solve_mixed_linear(problem, knots, [Point(0.3, 0.1), Point(-0.5, 0.2)])
+        exp = sol.expansion
+        flipped = dataclasses.replace(
+            sol, expansion=dataclasses.replace(exp, knots=exp.knots[::-1], alpha=exp.alpha[::-1])
+        )
+        pts = interior_grid(problem.ellipse, 0.3)
+        want = evaluate(sol, pts)
+        assert evaluate(flipped, pts) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     @given(st.integers(min_value=3, max_value=12))
     @settings(max_examples=10, deadline=None)
     def test_evaluation_shape_matches_point_count(self, n):
         sol, _ = solve_boundary_only(laplace_benchmark(), 6)
         pts = [Point(0.01 * i, 0.0) for i in range(n)]
         assert evaluate(sol, pts).shape == (n,)
+
+
+class TestSharedDistanceMatrices:
+    """Each point-set pair's distance matrix is computed once and every
+    kernel matrix over the pair is evaluated from it."""
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        """Shapes of the distance matrices built through every module
+        of the package that binds ``distance_matrix``."""
+        calls = []
+
+        def counted(rows, cols):
+            calls.append((len(rows), len(cols)))
+            return distance_matrix(rows, cols)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bkm.") and getattr(module, "distance_matrix", None) is distance_matrix:
+                monkeypatch.setattr(module, "distance_matrix", counted)
+        return calls
+
+    @pytest.mark.parametrize("factory", [laplace_benchmark, helmholtz_benchmark, burger_benchmark])
+    def test_boundary_only_solve_builds_one_matrix_and_one_a_phi(
+        self, factory, distance_calls, monkeypatch
+    ):
+        phi_evals = []
+
+        def counting_mq_pair(*args):
+            pair = mq_pair(*args)
+
+            def phi_eval(r):
+                phi_evals.append(np.shape(r))
+                return pair.phi.eval(r)
+
+            return dataclasses.replace(pair, phi=dataclasses.replace(pair.phi, eval=phi_eval))
+
+        monkeypatch.setattr(sys.modules["bkm.bkm"], "mq_pair", counting_mq_pair)
+        solve_boundary_only(factory(), 7)
+        assert distance_calls == [(7, 7)]
+        assert phi_evals == [(7, 7)]
+
+    def test_coupled_solve_builds_one_matrix(self, distance_calls):
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        bc = [
+            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+            for i in range(len(knots))
+        ]
+        solve_mixed_linear(problem, knots, [Point(0.0, 0.0), Point(0.5, 0.25)], bc)
+        assert distance_calls == [(10, 10)]
+
+    def test_evaluate_builds_one_matrix_per_block(self, distance_calls):
+        problem = helmholtz_benchmark()
+        sol, _ = solve_mixed_linear(problem, ellipse_knots(problem.ellipse, 7), [Point(0.3, 0.1)])
+        distance_calls.clear()
+        evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 37)])
+        assert distance_calls == [(_EVAL_BLOCK, 8), (_EVAL_BLOCK, 8), (37, 8)]
