@@ -24,7 +24,7 @@ import numpy as np
 from .drm import (
     DrmExpansion,
     knot_distances,
-    normal_matrix,
+    normal_projections,
     solve_alpha_from_distances,
     u_p_from_distances,
 )
@@ -36,7 +36,7 @@ from .geometry import (
     distance_matrix,
     ellipse_knots,
 )
-from .kernels import RadialKernel, helmholtz2d, mq_pair
+from .kernels import RadialKernel, directional_derivative, helmholtz2d, mq_pair
 from .linalg import cond_estimate_1norm, lu_solve
 from .problems import ProblemSpec
 
@@ -130,7 +130,8 @@ def assemble_bkm_matrix(
     a = kernel.eval(distances)
     neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
     if neumann:
-        a[neumann] = normal_matrix([knots[i] for i in neumann], positions, kernel)
+        projections = normal_projections([knots[i] for i in neumann], positions)
+        a[neumann] = directional_derivative(kernel, distances[neumann], projections)
     return a
 
 
@@ -278,14 +279,15 @@ def solve_mixed_linear(
     u_p0 = phi_rows @ alpha0
 
     # One row per boundary knot, in knot order: a value row at a Dirichlet
-    # knot, a flux row at a Neumann knot.
+    # knot, a flux row at a Neumann knot, read off the same distances.
     bc_lam = j_rows[:n].copy()
     bc_w = u_p_of_w[:n].copy()
     bc_rhs = values - u_p0[:n]
     if unknown_idx:
-        neumann_knots = [knots[i] for i in unknown_idx]
-        dphi = normal_matrix(neumann_knots, all_xy, pair.phi_hat)
-        bc_lam[unknown_idx] = normal_matrix(neumann_knots, all_xy[:n], kernel)
+        rows = distances[unknown_idx]
+        projections = normal_projections([knots[i] for i in unknown_idx], all_xy)
+        dphi = directional_derivative(pair.phi_hat, rows, projections)
+        bc_lam[unknown_idx] = directional_derivative(kernel, rows[:, :n], projections[:, :n])
         bc_w[unknown_idx] = dphi @ alpha_of_w
         bc_rhs[unknown_idx] = values[unknown_idx] - dphi @ alpha0
     # Representation consistency closes the system: u at each unknown point

@@ -22,7 +22,8 @@ solve and every matrix over the set is one kernel call on it:
 ``solve_alpha_from_distances`` evaluates A_phi from it once, and that one
 A_phi, bordered or not, serves the Burger rho term's interpolation, the
 alpha solve and the caller's condition number; ``u_p_from_distances``
-sums u_p from a distance matrix the caller already holds.
+sums u_p from a distance matrix the caller already holds, and
+``normal_projections`` with rows of it gives a Neumann knot's flux row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Point, as_xy, coincident_pair, distance_matrix
-from .kernels import KernelPair, RadialKernel, directional_derivative, normal_derivative
+from .kernels import KernelPair, RadialKernel, directional_derivative
 from .linalg import lu_solve
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "u_p_from_distances",
     "u_p_normal_at",
     "normal_matrix",
+    "normal_projections",
     "rbf_interpolate",
 ]
 
@@ -297,15 +299,28 @@ def u_p_from_distances(expansion: DrmExpansion, distances: np.ndarray, xy: np.nd
     u_p = expansion.pair.phi_hat.eval(distances) @ expansion.alpha
     if expansion.tail is None:
         return u_p
-    return u_p + _linear_block(xy) @ expansion.tail
+    return u_p + expansion.tail[0] + xy @ expansion.tail[1:]
+
+
+def normal_projections(boundary_knots, sources) -> np.ndarray:
+    """Entries (x_i - s_j) . n_i for boundary knots x_i with outward normals n_i
+    and sources s_j.  With the distances ||x_i - s_j||,
+    ``kernels.directional_derivative`` turns them into normal derivatives."""
+    positions = as_xy([knot.position for knot in boundary_knots])
+    normals = as_xy([knot.normal for knot in boundary_knots])
+    sources = as_xy(sources)
+    dx = positions[:, 0, None] - sources[None, :, 0]
+    dy = positions[:, 1, None] - sources[None, :, 1]
+    return dx * normals[:, 0, None] + dy * normals[:, 1, None]
 
 
 def normal_matrix(boundary_knots, sources, kernel: RadialKernel) -> np.ndarray:
     """Entries d/dn_i kernel(||x - s_j||) at each boundary knot x = x_i along its
     outward normal n_i, for sources s_j (0-limit at r = 0)."""
     positions = as_xy([knot.position for knot in boundary_knots])
-    normals = as_xy([knot.normal for knot in boundary_knots])
-    return normal_derivative(kernel, as_xy(sources)[None, :], positions[:, None], normals[:, None])
+    sources = as_xy(sources)
+    distances = distance_matrix(positions, sources)
+    return directional_derivative(kernel, distances, normal_projections(boundary_knots, sources))
 
 
 def u_p_normal_at(expansion: DrmExpansion, boundary_knots) -> np.ndarray:

@@ -450,6 +450,34 @@ class TestSharedDistanceMatrices:
         solve_mixed_linear(problem, knots, [Point(0.0, 0.0), Point(0.5, 0.25)], bc)
         assert distance_calls == [(10, 10)]
 
+    def test_coupled_solve_reads_flux_rows_off_the_shared_matrix(
+        self, distance_calls, monkeypatch
+    ):
+        """The Neumann rows come from rows of the all-points distance matrix,
+        not from ``normal_derivative``, which computes its own distances."""
+        normal_calls = []
+
+        def counted(*args):
+            normal_calls.append(args)
+            return normal_derivative(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bkm" and (
+                getattr(module, "normal_derivative", None) is normal_derivative
+            ):
+                monkeypatch.setattr(module, "normal_derivative", counted)
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        bc = [
+            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+            for i in range(len(knots))
+        ]
+        solve_mixed_linear(problem, knots, [Point(0.0, 0.0), Point(0.5, 0.25)], bc)
+        assert normal_calls == []
+        assert distance_calls == [(10, 10)]
+        assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)
+        assert normal_calls == []
+
     def test_evaluate_builds_one_matrix_per_block(self, distance_calls):
         problem = helmholtz_benchmark()
         sol, _ = solve_mixed_linear(problem, ellipse_knots(problem.ellipse, 7), [Point(0.3, 0.1)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkm import specfun
 from bkm.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
 
 from oracles import bisect_root, i0_ref, i1_ref, j0_ref, j1_ref
@@ -187,3 +188,77 @@ class TestArrays:
     def test_one_element_out_of_range_rejects_the_array(self, fn):
         with pytest.raises(OverflowError, match="-101"):
             fn(np.array([0.5, -101.0, 1.0]))
+
+
+class TestSmallArgumentPolynomial:
+    """J0 and J1 on |x| <= 5 are a fitted polynomial in x^2; beyond, the
+    Hankel form with the Cephes tables."""
+
+    GRID = np.linspace(-5.0, 5.0, 8001)
+
+    @pytest.mark.parametrize(
+        "mine,ref", [(bessel_j0, j0_ref), (bessel_j1, j1_ref)], ids=["j0", "j1"]
+    )
+    def test_dense_grid_within_2e_15_of_mpmath(self, mine, ref):
+        want = np.array([ref(float(x)) for x in self.GRID])
+        assert np.abs(mine(self.GRID) - want).max() <= 2e-15
+
+    def test_exact_at_zero_and_odd_bit_for_bit(self):
+        assert np.array_equal(bessel_j0(np.array([0.0, -0.0])), [1.0, 1.0])
+        assert np.array_equal(bessel_j1(np.array([0.0, -0.0])), [0.0, 0.0])
+        assert np.array_equal(bessel_j1(-self.GRID), -bessel_j1(self.GRID))
+        assert np.array_equal(bessel_j0(-self.GRID), bessel_j0(self.GRID))
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1], ids=["j0", "j1"])
+    def test_forms_agree_across_the_switch(self, fn):
+        below = [5.0]
+        above = [np.nextafter(5.0, np.inf)]
+        for _ in range(4):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        for sign in (1.0, -1.0):
+            near = fn(sign * np.array(below))
+            far = fn(sign * np.array(above))
+            assert np.abs(near[:, None] - far[None, :]).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "table",
+        ["_PP", "_PQ", "_QP", "_PP1", "_PQ1", "_QP1", "_J0_SMALL", "_J1_SMALL"],
+    )
+    def test_in_place_polevl_equals_out_of_place_horner(self, table):
+        coef = getattr(specfun, table)
+        x = np.linspace(5.0, 60.0, 2001)[1:]
+        z = 25.0 / (x * x)
+
+        def horner(arg):
+            ans = coef[0]
+            for c in coef[1:]:
+                ans = ans * arg + c
+            return ans
+
+        assert np.array_equal(specfun._polevl(z, coef), horner(z))
+        assert specfun._polevl(np.float64(z[7]), coef) == horner(np.float64(z[7]))
+
+    @pytest.mark.parametrize("table", ["_QQ", "_QQ1"])
+    def test_in_place_p1evl_equals_out_of_place_horner(self, table):
+        coef = getattr(specfun, table)
+        x = np.linspace(5.0, 60.0, 2001)[1:]
+        z = 25.0 / (x * x)
+        want = z + coef[0]
+        for c in coef[1:]:
+            want = want * z + c
+        assert np.array_equal(specfun._p1evl(z, coef), want)
+
+    def test_hankel_range_values_are_unchanged(self):
+        # Recorded from an out-of-place Horner evaluation of the same tables;
+        # the in-place one must give them to the bit.
+        cases = [
+            (5.000000000000001, -0.17759677131433804, -0.3275791375914654),
+            (7.5, 0.2663396578803784, 0.13524842757970554),
+            (-12.25, 0.10093061051051493, 0.20035719875585495),
+            (33.0, 0.0972706722355092, 0.10061964911511759),
+            (59.75, -0.07707149998004106, 0.06801851517000267),
+        ]
+        for x, j0, j1 in cases:
+            assert bessel_j0(x) == j0
+            assert bessel_j1(x) == j1
