@@ -37,7 +37,7 @@ from .geometry import (
     ellipse_knots,
 )
 from .kernels import RadialKernel, directional_derivative, helmholtz2d, mq_pair
-from .linalg import cond_estimate_1norm, lu_solve
+from .linalg import cond_1norm, solve_and_invert
 from .problems import ProblemSpec
 
 __all__ = [
@@ -93,10 +93,14 @@ class BkmSolution:
 class Diagnostics:
     """Conditioning and residual of the two dense solves.
 
-    ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers.
-    ``cond_interp`` is that of the DRM interpolation matrix that was
-    solved: the bordered matrix with the linear tail for the boundary-only
-    solve of a linear rho kind, and the bare A_phi otherwise.
+    ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers,
+    ||A||_1 ||A^-1||_1 with A^-1 from the same LU factorization that
+    solved A (see ``linalg.solve_and_invert``), so no matrix is factored
+    twice.  ``cond_interp`` is that of the DRM interpolation matrix that
+    was solved: the bordered matrix with the linear tail for the
+    boundary-only solve of a linear rho kind, and the bare A_phi
+    otherwise.  ``cond_bkm`` is that of the collocation matrix: J0 alone
+    for an all-Dirichlet solve, the coupled (lambda, w) system otherwise.
     """
 
     cond_interp: float
@@ -158,16 +162,16 @@ def _dirichlet_path(
     linear_tail = problem.rho.kind in _LINEAR_RHO_SCALE
     xy = as_xy(positions)
     distances = knot_distances(xy)
-    expansion, interp = solve_alpha_from_distances(
+    expansion, cond_interp = solve_alpha_from_distances(
         positions, distances, pair, f, problem.rho, u_bc, linear_tail=linear_tail
     )
     # Every knot is a Dirichlet knot, so the collocation matrix is J0 alone.
     a = kernel.eval(distances)
     rhs = u_bc - u_p_from_distances(expansion, distances, xy)
-    lam = lu_solve(a, rhs)
+    lam, a_inv = solve_and_invert(a, rhs)
     diagnostics = Diagnostics(
-        cond_interp=cond_estimate_1norm(interp),
-        cond_bkm=cond_estimate_1norm(a),
+        cond_interp=cond_interp,
+        cond_bkm=cond_1norm(a, a_inv),
         residual_inf=float(np.abs(a @ lam - rhs).max()),
     )
     return BkmSolution(lam, expansion, kernel, knots), diagnostics
@@ -253,24 +257,22 @@ def solve_mixed_linear(
         rho_scale = problem.rho.scale
 
     # u over all points is affine in the unknown vector w: u = d + P w,
-    # with w the u values at the Neumann knots, then at the interior knots.
+    # with w the u values at the Neumann knots, then at the interior knots,
+    # and P the selection of the points ``unknown_points``.
     values = np.array([cond.value for cond in bc], dtype=float)
     unknown_points = unknown_idx + list(range(n, n + n_int))
     d = np.zeros(n + n_int)
     d[:n] = values
     d[unknown_idx] = 0.0
-    p_map = np.zeros((n + n_int, n_unknown + n_int))
-    p_map[unknown_points, np.arange(n_unknown + n_int)] = 1.0
 
     # One all-points distance matrix feeds A_phi, the u_p rows and the J0 rows.
     distances = knot_distances(all_xy)
-    # alpha = A_phi^-1 (f + rho_scale u) = alpha0 + K w, solved in one pass.
+    # alpha = A_phi^-1 (f + rho_scale u) = alpha0 + K w.  One factorization
+    # gives alpha0 and A_phi^-1; K = rho_scale A_phi^-1 P is a column gather.
     a_phi = pair.phi.eval(distances)
     f = np.array([problem.forcing(p) for p in all_points], dtype=float)
-    stacked = np.column_stack([f + rho_scale * d, rho_scale * p_map])
-    solved = lu_solve(a_phi, stacked)
-    alpha0 = solved[:, 0]
-    alpha_of_w = solved[:, 1:]
+    alpha0, a_phi_inv = solve_and_invert(a_phi, f + rho_scale * d)
+    alpha_of_w = rho_scale * a_phi_inv[:, unknown_points]
 
     # v and u_p at every point, as affine functions of (lambda, w).
     j_rows = kernel.eval(distances[:, :n])
@@ -297,15 +299,15 @@ def solve_mixed_linear(
     system = np.block([[bc_lam, bc_w], [j_rows[unknown_points], rep_w]])
     rhs = np.concatenate([bc_rhs, -u_p0[unknown_points]])
 
-    solution = lu_solve(system, rhs)
+    solution, system_inv = solve_and_invert(system, rhs)
     lam = solution[:n]
     w = solution[n:]
     alpha = alpha0 + alpha_of_w @ w
     expansion = DrmExpansion(tuple(all_points), pair, alpha)
     interior_u = w[n_unknown:].copy() if n_int else None
     diagnostics = Diagnostics(
-        cond_interp=cond_estimate_1norm(a_phi),
-        cond_bkm=cond_estimate_1norm(system),
+        cond_interp=cond_1norm(a_phi, a_phi_inv),
+        cond_bkm=cond_1norm(system, system_inv),
         residual_inf=float(np.abs(system @ solution - rhs).max()),
     )
     return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics

@@ -20,9 +20,10 @@ Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays.
 A knot set's distance matrix (``knot_distances``) is computed once per
 solve and every matrix over the set is one kernel call on it:
 ``solve_alpha_from_distances`` evaluates A_phi from it once, and that one
-A_phi, bordered or not, serves the Burger rho term's interpolation, the
-alpha solve and the caller's condition number; ``u_p_from_distances``
-sums u_p from a distance matrix the caller already holds, and
+A_phi, bordered or not, serves the Burger rho term's interpolation and
+the alpha solve, whose one factorization also gives its condition
+number; ``u_p_from_distances`` sums u_p from a distance matrix the
+caller already holds, and
 ``normal_projections`` with rows of it gives a Neumann knot's flux row.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .geometry import Point, as_xy, coincident_pair, distance_matrix
 from .kernels import KernelPair, RadialKernel, directional_derivative
-from .linalg import lu_solve
+from .linalg import cond_1norm, lu_solve, solve_and_invert
 
 __all__ = [
     "RhoSpec",
@@ -263,13 +264,15 @@ def solve_alpha_from_distances(
     rho: RhoSpec,
     u_at_knots: Sequence[float] | None = None,
     linear_tail: bool = False,
-) -> tuple[DrmExpansion, np.ndarray]:
+) -> tuple[DrmExpansion, float]:
     """``solve_alpha`` on the knots' distance matrix ``distances`` (from
     ``knot_distances``), which it does not compute again.
 
     A_phi is evaluated once and serves both the Burger rho term and the
-    alpha solve.  Returns the expansion and the interpolation matrix that
-    was solved: A_phi, or the bordered matrix with ``linear_tail``.
+    alpha solve.  Returns the expansion and the exact 1-norm condition
+    number of the interpolation matrix that was solved (A_phi, or the
+    bordered matrix with ``linear_tail``), from the inverse that the
+    solve's own factorization gives.
     """
     knots = tuple(knots)
     xy = as_xy(knots)
@@ -280,11 +283,13 @@ def solve_alpha_from_distances(
 
     rhs = np.asarray(f_at_knots, dtype=float) + _rho_term(rho, len(knots), u_at_knots, burger_u_x)
     if not linear_tail:
-        return DrmExpansion(knots, pair, lu_solve(a_phi, rhs)), a_phi
+        alpha, a_inv = solve_and_invert(a_phi, rhs)
+        return DrmExpansion(knots, pair, alpha), cond_1norm(a_phi, a_inv)
     n = len(knots)
     system = _bordered(a_phi, xy)
-    solution = lu_solve(system, np.concatenate([rhs, np.zeros(3)]))
-    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2), system
+    solution, system_inv = solve_and_invert(system, np.concatenate([rhs, np.zeros(3)]))
+    expansion = DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
+    return expansion, cond_1norm(system, system_inv)
 
 
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:

@@ -1,11 +1,20 @@
 """Dense real linear algebra: LAPACK-backed solves and the exact 1-norm
 condition number.
 
-Matrices are 2D float ndarrays in row-major semantics.  Solves go through
-``numpy.linalg.solve`` (LAPACK getrf/getrs) with one step of iterative
-refinement, which pins the residual near machine level even for badly
-conditioned interpolation matrices.  The condition number is exact,
-kappa_1 = ||A||_1 ||A^-1||_1 from one ``numpy.linalg.inv``.
+Matrices are 2D float ndarrays in row-major semantics.  Two solve paths
+share the input checks and the error for a singular matrix:
+
+- ``solve_and_invert`` serves every matrix whose condition number a
+  solver driver reports.  One ``numpy.linalg.solve`` of A [X | Y] = [B | I]
+  is one getrf: X comes from the LU factors, so the solve is backward
+  stable, and Y = A^-1 from the same factors gives the exact
+  kappa_1 = ||A||_1 ||A^-1||_1 (``cond_1norm``).  It makes no refinement
+  sweep: a correction through the computed A^-1 brings A^-1's own
+  kappa eps error back into X.
+- ``lu_solve`` adds one refinement sweep (a second getrf) by default,
+  which pins the residual near machine level.  It serves the solves with
+  no reported condition number: the Burger rho term's u_x interpolant and
+  ``rbf_interpolate``.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name
@@ -19,7 +28,14 @@ import math
 
 import numpy as np
 
-__all__ = ["SingularMatrixError", "lu_factor", "lu_solve", "cond_estimate_1norm"]
+__all__ = [
+    "SingularMatrixError",
+    "lu_factor",
+    "lu_solve",
+    "solve_and_invert",
+    "cond_1norm",
+    "cond_estimate_1norm",
+]
 
 # Pivots at or below this magnitude are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
@@ -83,6 +99,14 @@ def _singular(a: np.ndarray) -> SingularMatrixError:
     return SingularMatrixError(int(np.argmin(np.abs(np.diag(lu)))))
 
 
+def _as_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = _as_square(a)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
+    return a, b
+
+
 def lu_solve(a, b, refine: int = 1) -> np.ndarray:
     """Solve A X = B by partial-pivoted LU (LAPACK getrf/getrs).
 
@@ -105,10 +129,7 @@ def lu_solve(a, b, refine: int = 1) -> np.ndarray:
     ValueError
         If shapes do not conform or entries are non-finite.
     """
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
+    a, b = _as_system(a, b)
     try:
         with np.errstate(all="ignore"):
             x = np.linalg.solve(a, b)
@@ -121,6 +142,51 @@ def lu_solve(a, b, refine: int = 1) -> np.ndarray:
     return x
 
 
+def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = B and invert A with one LU factorization.
+
+    One ``numpy.linalg.solve`` of A [X | Y] = [B | I]; X has the shape of
+    B, and Y = A^-1 is returned as is, also when it is non-finite
+    (``cond_1norm`` then reads infinity).  There is no refinement sweep.
+
+    Raises
+    ------
+    SingularMatrixError
+        If A is singular (a pivot at or below the zero floor) or X comes
+        out non-finite.
+    ValueError
+        If shapes do not conform or entries are non-finite.
+    """
+    a, b = _as_system(a, b)
+    n = a.shape[0]
+    k = 1 if b.ndim == 1 else b.shape[1]
+    rhs = np.eye(n, k + n, k)
+    rhs[:, :k] = b.reshape(n, k)
+    try:
+        with np.errstate(all="ignore"):
+            solved = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise _singular(a) from None
+    x = solved[:, :k]
+    if not np.all(np.isfinite(x)):
+        raise _singular(a)
+    return x.reshape(b.shape).copy(), solved[:, k:]
+
+
+def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
+    """kappa_1(A) = ||A||_1 ||A^-1||_1 from A and its computed inverse.
+
+    Never below 1; a non-finite inverse returns ``math.inf``.
+    """
+    if a.shape[0] == 0:
+        return 1.0
+    with np.errstate(all="ignore"):
+        norm_inv = float(np.abs(a_inv).sum(axis=0).max())
+    if not math.isfinite(norm_inv):
+        return math.inf
+    return max(1.0, float(np.abs(a).sum(axis=0).max()) * norm_inv)
+
+
 def cond_estimate_1norm(a) -> float:
     """The 1-norm condition number kappa_1(A) = ||A||_1 ||A^-1||_1.
 
@@ -128,13 +194,9 @@ def cond_estimate_1norm(a) -> float:
     an inverse that comes out non-finite, returns ``math.inf``.
     """
     a = _as_square(a)
-    if a.shape[0] == 0:
-        return 1.0
     try:
         with np.errstate(all="ignore"):
-            norm_inv = float(np.abs(np.linalg.inv(a)).sum(axis=0).max())
+            a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return math.inf
-    if not math.isfinite(norm_inv):
-        return math.inf
-    return max(1.0, float(np.abs(a).sum(axis=0).max()) * norm_inv)
+    return cond_1norm(a, a_inv)

@@ -23,6 +23,7 @@ from bkm.bkm import (
 from bkm.drm import DrmExpansion, RhoSpec
 from bkm.geometry import Ellipse, Point, distance_matrix, ellipse_knots, interior_grid
 from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
+from bkm.linalg import cond_estimate_1norm
 from bkm.problems import (
     burger_benchmark,
     helmholtz_benchmark,
@@ -484,3 +485,47 @@ class TestSharedDistanceMatrices:
         distance_calls.clear()
         evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 37)])
         assert distance_calls == [(_EVAL_BLOCK, 8), (_EVAL_BLOCK, 8), (37, 8)]
+
+
+class TestOneFactorizationPerMatrix:
+    """Each solved matrix is factored once: the solve and the inverse behind
+    its exact condition number come from one ``numpy.linalg.solve`` call."""
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        calls = {"solve": 0, "inv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "factory, n, solves",
+        [(laplace_benchmark, 5, 2), (helmholtz_benchmark, 7, 2), (burger_benchmark, 5, 4)],
+    )
+    def test_boundary_only_solve(self, lapack_calls, factory, n, solves):
+        # Burger's two extra solves are the refined u_x interpolant of its rho term.
+        solve_boundary_only(factory(), n)
+        assert lapack_calls == {"solve": solves, "inv": 0}
+
+    def test_coupled_solve(self, lapack_calls):
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        bc = [
+            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+            for i in range(len(knots))
+        ]
+        interior = [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)]
+        solve_mixed_linear(problem, knots, interior, bc)
+        assert lapack_calls == {"solve": 2, "inv": 0}
+
+    def test_condition_number_stays_exact(self):
+        problem = helmholtz_benchmark()
+        sol, diag = solve_boundary_only(problem, 7)
+        a = assemble_bkm_matrix(sol.knots, sol.kernel, dirichlet_bcs(sol.knots))
+        assert diag.cond_bkm == pytest.approx(cond_estimate_1norm(a), rel=1e-12)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkm.linalg import SingularMatrixError, cond_estimate_1norm, lu_factor, lu_solve
+from bkm.linalg import (
+    SingularMatrixError,
+    cond_1norm,
+    cond_estimate_1norm,
+    lu_factor,
+    lu_solve,
+    solve_and_invert,
+)
 
 from oracles import cond_1norm_explicit, solve_ref
 
@@ -123,6 +130,58 @@ class TestLuSolve:
         x_true = rng.uniform(-5.0, 5.0, n)
         x = lu_solve(a, a @ x_true)
         assert x == pytest.approx(x_true, rel=1e-9, abs=1e-9)
+
+
+# Singular or overflowing systems of ``TestLuSolve``, with the pivot it names.
+SINGULAR_SYSTEMS = [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], 1),
+    (np.zeros((3, 3)), np.ones(3), 0),
+    ([[1e-310, 0.0], [0.0, 1.0]], [1.0, 1.0], 0),
+    ([[1.0, 0.0], [0.0, 1e-200]], [1.0, 1e200], 1),
+    ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]], np.ones(3), 2),
+]
+
+
+class TestSolveAndInvert:
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_matches_reference_solver_and_keeps_rhs_shape(self, columns):
+        rng = np.random.RandomState(11)
+        for n in (2, 5, 9, 16):
+            a = rng.randn(n, n) + n * np.eye(n)
+            b = rng.randn(n) if columns is None else rng.randn(n, columns)
+            x, _ = solve_and_invert(a, b)
+            assert x.shape == b.shape
+            assert x == pytest.approx(solve_ref(a, b), rel=1e-10, abs=1e-12)
+
+    def test_inverse_and_condition_number(self):
+        rng = np.random.RandomState(31)
+        for n in (2, 5, 9, 16):
+            a = rng.randn(n, n)
+            _, a_inv = solve_and_invert(a, rng.randn(n))
+            assert a_inv @ a == pytest.approx(np.eye(n), abs=1e-10 * cond_estimate_1norm(a))
+            assert cond_1norm(a, a_inv) == pytest.approx(cond_estimate_1norm(a), rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, pivot", SINGULAR_SYSTEMS)
+    def test_singular_input_names_the_pivot_lu_solve_names(self, a, b, pivot):
+        with pytest.raises(SingularMatrixError) as expected:
+            lu_solve(a, b)
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_and_invert(a, b)
+        assert exc.value.pivot_index == expected.value.pivot_index == pivot
+
+    def test_non_finite_inverse_alone_reads_infinite_condition(self):
+        # x = (1, 0) is finite, but the inverse's entry -1e200 / 1e-200 overflows.
+        a = np.array([[1.0, 1e200], [0.0, 1e-200]])
+        x, a_inv = solve_and_invert(a, [1.0, 0.0])
+        assert x == pytest.approx([1.0, 0.0])
+        assert cond_1norm(a, a_inv) == math.inf
+
+    def test_shape_checks_match_lu_solve(self):
+        for a, b in ((np.ones((2, 3)), np.ones(2)), (np.eye(3), np.ones(4))):
+            with pytest.raises(ValueError):
+                solve_and_invert(a, b)
+        with pytest.raises(ValueError):
+            solve_and_invert([[1.0, math.nan], [0.0, 1.0]], [1.0, 1.0])
 
 
 class TestLuFactor:
