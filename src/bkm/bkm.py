@@ -6,12 +6,14 @@ by every built-in problem); the dual-reciprocity particular solution u_p
 absorbs the inhomogeneous term; the full field is u = v + u_p, evaluable
 anywhere without meshes or integrals.
 
-Two drivers are provided.  ``solve_boundary_only`` needs Dirichlet data at
-every knot, which keeps even a nonlinear remaining operator explicit - one
-interpolation solve plus one collocation solve, no iteration.  For linear
-remaining operators, ``solve_mixed_linear`` couples the collocation rows
-with the particular solution's dependence on the unknown boundary/interior
-values and solves once for coefficients and unknown u values together.
+One driver serves both entry points.  ``solve_boundary_only`` needs
+Dirichlet data at every knot, which keeps even a nonlinear remaining
+operator explicit.  ``solve_mixed_linear`` takes Neumann knots and
+interior knots too, for linear remaining operators: u at those points is
+not known, so it is replaced by its representation v + u_p, which turns
+their interpolation rows into PDE collocation rows.  Either way the solve
+is one interpolation/PDE solve for the particular solution and one
+collocation solve for lambda, with no iteration.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import numpy as np
 
 from .drm import (
     DrmExpansion,
+    RhoSpec,
+    bordered_matrix,
     knot_distances,
     normal_projections,
-    solve_alpha_from_distances,
+    rho_from_distances,
     u_p_from_distances,
 )
 from .geometry import (
@@ -52,10 +56,6 @@ __all__ = [
 ]
 
 _BC_KINDS = ("dirichlet", "neumann")
-
-# Linear rho kinds expressible as a scalar multiple of u; these are the
-# only ones a coupled (mixed/interior) solve can fold into the matrix.
-_LINEAR_RHO_SCALE = {"zero": 0.0, "identity": 1.0, "scaled_identity": None}
 
 # Evaluation points per block in ``evaluate``: its kernel matrices have
 # this many rows whatever the number of points, so memory stays flat.
@@ -96,11 +96,15 @@ class Diagnostics:
     ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers,
     ||A||_1 ||A^-1||_1 with A^-1 from the same LU factorization that
     solved A (see ``linalg.solve_and_invert``), so no matrix is factored
-    twice.  ``cond_interp`` is that of the DRM interpolation matrix that
-    was solved: the bordered matrix with the linear tail for the
-    boundary-only solve of a linear rho kind, and the bare A_phi
-    otherwise.  ``cond_bkm`` is that of the collocation matrix: J0 alone
-    for an all-Dirichlet solve, the coupled (lambda, w) system otherwise.
+    twice.  ``cond_interp`` is that of the DRM matrix that was solved: the
+    interpolation matrix, bordered with the linear tail for a linear rho
+    kind and bare for Burger, whose rows at the points with unknown u
+    (Neumann and interior knots) are PDE collocation rows.  ``cond_bkm``
+    is that of the n x n collocation matrix for lambda: the value and
+    flux rows of v, plus, when u is unknown somewhere, the rows of u_p's
+    dependence on lambda.  For an all-Dirichlet solve without interior
+    knots these are the interpolation matrix itself and J0 alone.
+    ``residual_inf`` is the max-norm residual of the lambda solve.
     """
 
     cond_interp: float
@@ -139,42 +143,102 @@ def assemble_bkm_matrix(
     return a
 
 
-def _dirichlet_path(
-    problem: ProblemSpec, knots: Sequence[BoundaryKnot], u_bc: np.ndarray
+def _linear_rho_scale(rho: RhoSpec) -> float | None:
+    """s with rho{u} = s u, or None for a nonlinear rho."""
+    if rho.kind == "scaled_identity":
+        return rho.scale
+    return {"zero": 0.0, "identity": 1.0}.get(rho.kind)
+
+
+def _solve(
+    problem: ProblemSpec,
+    knots: Sequence[BoundaryKnot],
+    interior: Sequence[Point],
+    values: np.ndarray,
+    neumann: list[int],
 ) -> tuple[BkmSolution, Diagnostics]:
-    """Shared all-Dirichlet pipeline: DRM expansion, then one collocation solve.
+    """The one solve driver: u_p's coefficients c = (alpha, beta), then lambda.
 
-    For the linear rho kinds the DRM interpolant carries a linear tail
-    (see ``drm``), which keeps it well posed where the bare multiquadric
-    interpolant on the ellipse's knots is nearly singular (Laplace and
-    Helmholtz at n = 9).  The Burger kind keeps the bare interpolant: with
-    the tail its paper table error rises from 5.0e-2 to 7.2e-2.
+    ``values`` holds each knot's boundary value, a flux at the knots listed
+    in ``neumann``.
 
-    One knot-to-knot distance matrix feeds every matrix of the solve: the
-    interpolation matrix (solved, and reported as ``cond_interp``), the
-    J0 collocation matrix and u_p at the knots.
+    u_p = rep @ c sums phi_hat over the boundary and interior knots, plus
+    the tail beta . (1, x, y) / k^2 for a linear rho kind.  Burger keeps
+    the bare interpolant: with the tail its paper table error rises from
+    5.0e-2 to 7.2e-2.  Each point has a DRM row [A_phi | P] c = f + rho{u},
+    and the moment rows P^T alpha = 0 close the system.  Where u is known
+    (Dirichlet knots) rho{u} goes to the right-hand side, Burger's read
+    off the interpolant of u.  Where it is not (Neumann and interior knots),
+    u = v + u_p and rho{u} = s u turn the row into a PDE collocation row,
+    ([A_phi | P] - s rep) c = f + s J lambda.  lambda enters only those
+    right-hand sides, so one factorization gives c = c0 + gather @ lambda,
+    and the boundary rows (value or flux of v + u_p) solve for lambda.
+
+    One all-points distance matrix feeds every matrix of the solve.
     """
     knots = tuple(knots)
-    positions = tuple(k.position for k in knots)
+    n = len(knots)
+    points = tuple(k.position for k in knots) + tuple(interior)
+    m = len(points)
+    xy = as_xy(points)
+    distances = knot_distances(xy)
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
-    f = np.array([problem.forcing(p) for p in positions], dtype=float)
-    linear_tail = problem.rho.kind in _LINEAR_RHO_SCALE
-    xy = as_xy(positions)
-    distances = knot_distances(xy)
-    expansion, cond_interp = solve_alpha_from_distances(
-        positions, distances, pair, f, problem.rho, u_bc, linear_tail=linear_tail
-    )
-    # Every knot is a Dirichlet knot, so the collocation matrix is J0 alone.
-    a = kernel.eval(distances)
-    rhs = u_bc - u_p_from_distances(expansion, distances, xy)
-    lam, a_inv = solve_and_invert(a, rhs)
+    scale = _linear_rho_scale(problem.rho)
+
+    unknown = neumann + list(range(n, m))
+    known_u = np.zeros(m)
+    known_u[:n] = values
+    known_u[neumann] = 0.0
+
+    a_phi = pair.phi.eval(distances)
+    rhs = np.array([problem.forcing(p) for p in points], dtype=float)
+    rhs += rho_from_distances(problem.rho, pair, xy, distances, a_phi, known_u)
+    # At every point v = j_values @ lam and u_p = rep @ c.
+    j_values = kernel.eval(distances[:, :n])
+    rep = pair.phi_hat.eval(distances)
+    system = a_phi
+    if scale is not None:
+        system = bordered_matrix(a_phi, xy)
+        rep = np.hstack([rep, system[:m, m:] / pair.wavenumber**2])
+        rhs = np.concatenate([rhs, np.zeros(3)])
+    if unknown:
+        # Only a linear rho has unknown points: rho{u} = scale (v + u_p).
+        system[unknown] -= scale * rep[unknown]
+        coupling = scale * j_values[unknown]
+    c0, system_inv = solve_and_invert(system, rhs)
+
+    # One row per boundary knot, in knot order: u = v + u_p at a Dirichlet
+    # knot, its normal derivative at a Neumann knot.  They are built in
+    # place in rows :n of j_values and rep, which nothing reads afterwards.
+    bc_lam = j_values[:n]
+    bc_rep = rep[:n]
+    if neumann:
+        rows = distances[neumann]
+        projections = normal_projections([knots[i] for i in neumann], xy)
+        normals = as_xy([knots[i].normal for i in neumann])
+        bc_lam[neumann] = directional_derivative(kernel, rows[:, :n], projections[:, :n])
+        bc_rep[neumann, :m] = directional_derivative(pair.phi_hat, rows, projections)
+        # The tail's gradient is (beta_x, beta_y) / k^2.
+        bc_rep[neumann, m] = 0.0
+        bc_rep[neumann, m + 1 :] = normals / pair.wavenumber**2
+    bc_rhs = values - bc_rep @ c0
+    if unknown:
+        # c = c0 + gather @ lam: lam enters only the unknown rows' right-hand sides.
+        gather = system_inv[:, unknown] @ coupling
+        bc_lam += bc_rep @ gather
+    lam, bc_inv = solve_and_invert(bc_lam, bc_rhs)
+
+    c = c0 + gather @ lam if unknown else c0
+    tail = c[m:] / pair.wavenumber**2 if scale is not None else None
+    expansion = DrmExpansion(points, pair, c[:m], tail)
+    interior_u = j_values[n:] @ lam + rep[n:] @ c if m > n else None
     diagnostics = Diagnostics(
-        cond_interp=cond_interp,
-        cond_bkm=cond_1norm(a, a_inv),
-        residual_inf=float(np.abs(a @ lam - rhs).max()),
+        cond_interp=cond_1norm(system, system_inv),
+        cond_bkm=cond_1norm(bc_lam, bc_inv),
+        residual_inf=float(np.abs(bc_lam @ lam - bc_rhs).max()),
     )
-    return BkmSolution(lam, expansion, kernel, knots), diagnostics
+    return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
 
 
 def solve_boundary_only(
@@ -194,7 +258,7 @@ def solve_boundary_only(
     """
     knots = ellipse_knots(problem.ellipse, n_knots)
     u_bc = np.array([problem.dirichlet(k.position) for k in knots], dtype=float)
-    return _dirichlet_path(problem, knots, u_bc)
+    return _solve(problem, knots, (), u_bc, [])
 
 
 def solve_mixed_linear(
@@ -203,114 +267,39 @@ def solve_mixed_linear(
     interior_points: Sequence[Point] = (),
     bc: Sequence[BoundaryCondition] | None = None,
 ) -> tuple[BkmSolution, Diagnostics]:
-    """Coupled solve for mixed Dirichlet/Neumann boundaries and interior knots.
+    """Solve for mixed Dirichlet/Neumann boundaries and interior knots.
 
-    Unknowns are ordered lambda first, then u at the non-Dirichlet boundary
-    knots (in knot order), then u at interior knots, so the all-Dirichlet
-    block coincides with the boundary-only matrix.  Each Dirichlet knot
-    contributes a value row, each Neumann knot a flux row plus a
-    representation-consistency row tying its unknown u to v + u_p, and each
-    interior knot a representation row; the particular solution's linear
-    dependence on the unknown u values is folded into the matrix, so there
-    is no iteration.
+    Each Dirichlet knot contributes a value row and each Neumann knot a
+    flux row.  u at the Neumann and interior knots is not an unknown of
+    its own: it is substituted by its representation v + u_p, which the
+    linear rho term folds into the particular solution's system, so there
+    is no iteration.  ``interior_u`` of the solution holds that
+    representation at the interior knots.
 
     When ``bc`` is omitted, every knot gets a Dirichlet condition from the
     problem's boundary data.  With no Neumann knots and no interior points
-    this reduces exactly to the boundary-only pipeline.
+    this is exactly the boundary-only solve.
 
     Raises
     ------
     UnsupportedConfigurationError
         If the problem's rho is not linear (zero/identity/scaled_identity).
     SingularMatrixError
-        Propagated if the coupled system is singular.
+        Propagated if either dense system is singular.
     """
-    if problem.rho.kind not in _LINEAR_RHO_SCALE:
+    if _linear_rho_scale(problem.rho) is None:
         raise UnsupportedConfigurationError(
             f"coupled solve needs a linear rho term, got {problem.rho.kind!r}; "
             f"use solve_boundary_only with full Dirichlet data instead"
         )
     knots = tuple(boundary_knots)
-    interior = tuple(interior_points)
     if bc is None:
         bc = [BoundaryCondition("dirichlet", problem.dirichlet(k.position)) for k in knots]
-    bc = list(bc)
     if len(bc) != len(knots):
         raise ValueError(f"expected {len(knots)} boundary conditions, got {len(bc)}")
-
-    unknown_idx = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
-    if not unknown_idx and not interior:
-        u_bc = np.array([cond.value for cond in bc], dtype=float)
-        return _dirichlet_path(problem, knots, u_bc)
-
-    n = len(knots)
-    n_unknown = len(unknown_idx)
-    n_int = len(interior)
-    positions = [k.position for k in knots]
-    all_points = positions + list(interior)
-    all_xy = as_xy(all_points)
-    pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
-    kernel = helmholtz2d(problem.split_wavenumber)
-
-    rho_scale = _LINEAR_RHO_SCALE[problem.rho.kind]
-    if rho_scale is None:
-        rho_scale = problem.rho.scale
-
-    # u over all points is affine in the unknown vector w: u = d + P w,
-    # with w the u values at the Neumann knots, then at the interior knots,
-    # and P the selection of the points ``unknown_points``.
     values = np.array([cond.value for cond in bc], dtype=float)
-    unknown_points = unknown_idx + list(range(n, n + n_int))
-    d = np.zeros(n + n_int)
-    d[:n] = values
-    d[unknown_idx] = 0.0
-
-    # One all-points distance matrix feeds A_phi, the u_p rows and the J0 rows.
-    distances = knot_distances(all_xy)
-    # alpha = A_phi^-1 (f + rho_scale u) = alpha0 + K w.  One factorization
-    # gives alpha0 and A_phi^-1; K = rho_scale A_phi^-1 P is a column gather.
-    a_phi = pair.phi.eval(distances)
-    f = np.array([problem.forcing(p) for p in all_points], dtype=float)
-    alpha0, a_phi_inv = solve_and_invert(a_phi, f + rho_scale * d)
-    alpha_of_w = rho_scale * a_phi_inv[:, unknown_points]
-
-    # v and u_p at every point, as affine functions of (lambda, w).
-    j_rows = kernel.eval(distances[:, :n])
-    phi_rows = pair.phi_hat.eval(distances)
-    u_p_of_w = phi_rows @ alpha_of_w
-    u_p0 = phi_rows @ alpha0
-
-    # One row per boundary knot, in knot order: a value row at a Dirichlet
-    # knot, a flux row at a Neumann knot, read off the same distances.
-    bc_lam = j_rows[:n].copy()
-    bc_w = u_p_of_w[:n].copy()
-    bc_rhs = values - u_p0[:n]
-    if unknown_idx:
-        rows = distances[unknown_idx]
-        projections = normal_projections([knots[i] for i in unknown_idx], all_xy)
-        dphi = directional_derivative(pair.phi_hat, rows, projections)
-        bc_lam[unknown_idx] = directional_derivative(kernel, rows[:, :n], projections[:, :n])
-        bc_w[unknown_idx] = dphi @ alpha_of_w
-        bc_rhs[unknown_idx] = values[unknown_idx] - dphi @ alpha0
-    # Representation consistency closes the system: u at each unknown point
-    # must equal v + u_p there.
-    rep_w = u_p_of_w[unknown_points]
-    rep_w -= np.eye(n_unknown + n_int)
-    system = np.block([[bc_lam, bc_w], [j_rows[unknown_points], rep_w]])
-    rhs = np.concatenate([bc_rhs, -u_p0[unknown_points]])
-
-    solution, system_inv = solve_and_invert(system, rhs)
-    lam = solution[:n]
-    w = solution[n:]
-    alpha = alpha0 + alpha_of_w @ w
-    expansion = DrmExpansion(tuple(all_points), pair, alpha)
-    interior_u = w[n_unknown:].copy() if n_int else None
-    diagnostics = Diagnostics(
-        cond_interp=cond_1norm(a_phi, a_phi_inv),
-        cond_bkm=cond_1norm(system, system_inv),
-        residual_inf=float(np.abs(system @ solution - rhs).max()),
-    )
-    return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
+    neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
+    return _solve(problem, knots, interior_points, values, neumann)
 
 
 def evaluate(sol: BkmSolution, points) -> np.ndarray:
@@ -320,8 +309,8 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     The points are taken in blocks of ``_EVAL_BLOCK`` rows, so the kernel
     matrices stay the same size however many points there are.
 
-    Each block has one distance matrix, to the expansion's knots: both
-    drivers put the collocation knots first among them, so v reads its
+    Each block has one distance matrix, to the expansion's knots: the
+    solve driver puts the collocation knots first among them, so v reads its
     first ``len(sol.knots)`` columns and u_p all of them.  A solution
     whose expansion does not start with its collocation knots gets them
     prepended as extra columns of the same matrix.

@@ -19,12 +19,12 @@ enters u_p.
 Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays.
 A knot set's distance matrix (``knot_distances``) is computed once per
 solve and every matrix over the set is one kernel call on it:
-``solve_alpha_from_distances`` evaluates A_phi from it once, and that one
-A_phi, bordered or not, serves the Burger rho term's interpolation and
-the alpha solve, whose one factorization also gives its condition
-number; ``u_p_from_distances`` sums u_p from a distance matrix the
-caller already holds, and
-``normal_projections`` with rows of it gives a Neumann knot's flux row.
+``rho_from_distances`` takes it with the caller's A_phi, so the Burger
+rho term's interpolation reuses the A_phi of the alpha solve, and
+``bordered_matrix`` borders that A_phi with the linear tail;
+``u_p_from_distances`` sums u_p from a distance matrix the caller
+already holds, and ``normal_projections`` with rows of it gives a
+Neumann knot's flux row.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import Point, as_xy, coincident_pair, distance_matrix
 from .kernels import KernelPair, RadialKernel, directional_derivative
-from .linalg import cond_1norm, lu_solve, solve_and_invert
+from .linalg import lu_solve
 
 __all__ = [
     "RhoSpec",
@@ -45,10 +45,11 @@ __all__ = [
     "knot_distances",
     "interp_matrix",
     "bordered_interp_matrix",
+    "bordered_matrix",
     "particular_matrix",
     "rho_matrix",
+    "rho_from_distances",
     "solve_alpha",
-    "solve_alpha_from_distances",
     "u_p_at",
     "u_p_from_distances",
     "u_p_normal_at",
@@ -154,12 +155,6 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     return pair.phi.eval(knot_distances(knots))
 
 
-def _linear_block(points) -> np.ndarray:
-    """Rows (1, x, y) of the linear polynomials at the points."""
-    xy = as_xy(points)
-    return np.column_stack([np.ones(len(xy)), xy])
-
-
 def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     """Interpolation matrix with a linear tail, [[A_phi, P], [P^T, 0]], P = [1, x, y].
 
@@ -168,12 +163,20 @@ def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarr
     ValueError
         If no knots are given or two knots (nearly) coincide.
     """
-    return _bordered(interp_matrix(knots, pair), knots)
+    return bordered_matrix(interp_matrix(knots, pair), knots)
 
 
-def _bordered(a_phi: np.ndarray, knots) -> np.ndarray:
-    p = _linear_block(knots)
-    return np.block([[a_phi, p], [p.T, np.zeros((3, 3))]])
+def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
+    """[[A_phi, P], [P^T, 0]] with rows P = (1, x, y) at the knots, from an
+    A_phi the caller already holds."""
+    xy = as_xy(knots)
+    m = len(xy)
+    system = np.zeros((m + 3, m + 3))
+    system[:m, :m] = a_phi
+    system[:m, m] = 1.0
+    system[:m, m + 1 :] = xy
+    system[m:, :m] = system[:m, m:].T
+    return system
 
 
 def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
@@ -236,6 +239,24 @@ def rho_matrix(
     return _rho_term(rho, len(knots), u_at_knots, burger_u_x)
 
 
+def rho_from_distances(
+    rho: RhoSpec,
+    pair: KernelPair,
+    xy: np.ndarray,
+    distances: np.ndarray,
+    a_phi: np.ndarray,
+    u_at_knots: Sequence[float] | None,
+) -> np.ndarray:
+    """``rho_matrix`` at the knots ``xy`` from their distance matrix (from
+    ``knot_distances``) and A_phi = ``pair.phi`` on it, which the caller
+    already holds and which are not computed again."""
+
+    def burger_u_x(u: np.ndarray) -> np.ndarray:
+        return _interpolant_x_derivative(xy, distances, a_phi, pair.phi, u)
+
+    return _rho_term(rho, len(xy), u_at_knots, burger_u_x)
+
+
 def solve_alpha(
     knots: Sequence[Point],
     pair: KernelPair,
@@ -249,47 +270,20 @@ def solve_alpha(
     With ``linear_tail`` the interpolant gains beta . (1, x, y) and the
     bordered system of ``bordered_interp_matrix`` is solved with the moment
     conditions P^T alpha = 0; the expansion then carries beta as its tail.
-    """
-    expansion, _ = solve_alpha_from_distances(
-        knots, knot_distances(knots), pair, f_at_knots, rho, u_at_knots, linear_tail
-    )
-    return expansion
-
-
-def solve_alpha_from_distances(
-    knots: Sequence[Point],
-    distances: np.ndarray,
-    pair: KernelPair,
-    f_at_knots: Sequence[float],
-    rho: RhoSpec,
-    u_at_knots: Sequence[float] | None = None,
-    linear_tail: bool = False,
-) -> tuple[DrmExpansion, float]:
-    """``solve_alpha`` on the knots' distance matrix ``distances`` (from
-    ``knot_distances``), which it does not compute again.
-
     A_phi is evaluated once and serves both the Burger rho term and the
-    alpha solve.  Returns the expansion and the exact 1-norm condition
-    number of the interpolation matrix that was solved (A_phi, or the
-    bordered matrix with ``linear_tail``), from the inverse that the
-    solve's own factorization gives.
+    alpha solve.
     """
     knots = tuple(knots)
+    distances = knot_distances(knots)
     xy = as_xy(knots)
     a_phi = pair.phi.eval(distances)
-
-    def burger_u_x(u: np.ndarray) -> np.ndarray:
-        return _interpolant_x_derivative(xy, distances, a_phi, pair.phi, u)
-
-    rhs = np.asarray(f_at_knots, dtype=float) + _rho_term(rho, len(knots), u_at_knots, burger_u_x)
+    rhs = np.asarray(f_at_knots, dtype=float)
+    rhs = rhs + rho_from_distances(rho, pair, xy, distances, a_phi, u_at_knots)
     if not linear_tail:
-        alpha, a_inv = solve_and_invert(a_phi, rhs)
-        return DrmExpansion(knots, pair, alpha), cond_1norm(a_phi, a_inv)
+        return DrmExpansion(knots, pair, lu_solve(a_phi, rhs))
     n = len(knots)
-    system = _bordered(a_phi, xy)
-    solution, system_inv = solve_and_invert(system, np.concatenate([rhs, np.zeros(3)]))
-    expansion = DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
-    return expansion, cond_1norm(system, system_inv)
+    solution = lu_solve(bordered_matrix(a_phi, xy), np.concatenate([rhs, np.zeros(3)]))
+    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
 
 
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:

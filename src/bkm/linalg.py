@@ -13,8 +13,8 @@ share the input checks and the error for a singular matrix:
   kappa eps error back into X.
 - ``lu_solve`` adds one refinement sweep (a second getrf) by default,
   which pins the residual near machine level.  It serves the solves with
-  no reported condition number: the Burger rho term's u_x interpolant and
-  ``rbf_interpolate``.
+  no reported condition number: the Burger rho term's u_x interpolant,
+  ``drm.solve_alpha`` and ``rbf_interpolate``.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name

@@ -210,10 +210,11 @@ def test_laplace_error_non_increasing_with_knot_count():
 
 def test_mixed_boundary_conditions_recover_linear_field():
     """Half-Dirichlet/half-Neumann data for u = x + y on the ellipse is
-    recovered with max interior-probe error <= 1e-2.  Measured: 3.2e-3 at
-    n=12 knots (6.2e-3 with row-by-row assembly, 4.6e-3 with a refinement
-    sweep on each solve; at c = 25, cond_interp 7.9e13, the figure moves
-    with round-off)."""
+    recovered with max interior-probe error <= 1e-2.  Measured: 3.4e-15 at
+    n=12 knots, where u at the Neumann knots is substituted by its
+    representation and the interpolant carries the linear tail (3.2e-3
+    when those u values were separate unknowns and the interpolant had no
+    tail; at c = 25 that figure moved with round-off)."""
     problem = laplace_benchmark()
     n = 12
     knots = ellipse_knots(problem.ellipse, n)

@@ -284,6 +284,57 @@ class TestSolveMixedLinear:
         want = np.array([p.x + p.y for p in probes])
         assert np.abs(got - want).max() <= 1e-2
 
+    @pytest.mark.parametrize("case", ["laplace_c25", "manufactured_identity"])
+    def test_neumann_and_interior_knots(self, case):
+        """20 boundary knots, half of them Neumann with the exact flux, and
+        interior knots.  The Laplace benchmark (c = 25) takes 10 seeded
+        Neumann knots and 51 seeded points of the 0.25 lattice, for seeds
+        0-3; u = e^{x/3} cos(y/2) with rho = identity takes every other
+        knot Neumann and all 93 lattice points.  Max error over
+        interior_grid(e, 0.1) was 4e1-5e2 and 2.3e-1 when u at those knots
+        was a separate unknown; with u substituted by its representation it
+        is 6e-15-2e-13 and 5.8e-5."""
+        if case == "laplace_c25":
+            problem = laplace_benchmark()
+
+            def exact(p: Point) -> float:
+                return p.x + p.y
+
+            def gradient(p: Point) -> tuple[float, float]:
+                return 1.0, 1.0
+
+            lattice = interior_grid(problem.ellipse, 0.25)
+            layouts = []
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                neumann = set(rng.choice(20, 10, replace=False).tolist())
+                chosen = sorted(rng.choice(len(lattice), 51, replace=False))
+                layouts.append((neumann, [lattice[i] for i in chosen]))
+        else:
+
+            def exact(p: Point) -> float:
+                return math.exp(p.x / 3.0) * math.cos(p.y / 2.0)
+
+            def gradient(p: Point) -> tuple[float, float]:
+                scale = math.exp(p.x / 3.0)
+                return scale * math.cos(p.y / 2.0) / 3.0, -0.5 * scale * math.sin(p.y / 2.0)
+
+            problem = manufactured(exact, rho=RhoSpec.identity(), ellipse=ELLIPSE)
+            layouts = [(set(range(1, 20, 2)), interior_grid(ELLIPSE, 0.25))]
+        knots = ellipse_knots(problem.ellipse, 20)
+        probes = interior_grid(problem.ellipse, 0.1)
+        want = np.array([exact(p) for p in probes])
+        for neumann, interior in layouts:
+            bc = []
+            for i, k in enumerate(knots):
+                if i in neumann:
+                    gx, gy = gradient(k.position)
+                    bc.append(BoundaryCondition("neumann", gx * k.normal[0] + gy * k.normal[1]))
+                else:
+                    bc.append(BoundaryCondition("dirichlet", exact(k.position)))
+            sol, _ = solve_mixed_linear(problem, knots, interior, bc)
+            assert np.abs(evaluate(sol, probes) - want).max() <= 1e-3
+
     def test_scaled_identity_rho_path(self):
         def exact(p: Point) -> float:
             return p.x + p.y
@@ -339,10 +390,10 @@ class TestEvaluate:
     )
     def test_blocked_evaluation_equals_pointwise_sum(self, factory, n_interior):
         """2 blocks and 37 points: sum_k lam_k J0(||x - x_k||) + u_p, the
-        tail included when the expansion has one (boundary-only Helmholtz;
-        Burger and the coupled solve have none), summed point by point with
-        scalar kernel calls.  The coupled solve's expansion runs over the
-        boundary and the interior knots, a strict superset of sol.knots."""
+        tail included when the expansion has one (every linear rho kind;
+        Burger has none), summed point by point with scalar kernel calls.
+        The coupled solve's expansion runs over the boundary and the
+        interior knots, a strict superset of sol.knots."""
         problem = factory()
         if n_interior:
             lattice = interior_grid(problem.ellipse, 0.25)
@@ -360,7 +411,7 @@ class TestEvaluate:
             if (x / 2.0) ** 2 + y * y < 1.0:
                 pts.append(Point(cx + x, y))
         exp = sol.expansion
-        assert (exp.tail is not None) == (factory is helmholtz_benchmark and not n_interior)
+        assert (exp.tail is not None) == (problem.rho.kind != "burger")
         want = []
         for p in pts:
             v = sum(

@@ -11,6 +11,49 @@ import pytest
 from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
+# The printed table rows of `bkm solve` for the three paper tables, pinned
+# so that a change to the solve keeps the same values at printed precision.
+# The footers (condition numbers, residual) are not pinned: they move with
+# round-off.
+LAPLACE_5_ROWS = [
+    "       x        y      Exact     BKM(5)     err%",
+    "   1.500    0.000      1.500      1.500     0.00",
+    "   1.200   -0.350      0.850      0.850     0.00",
+    "   0.600   -0.450      0.150      0.150     0.00",
+    "   0.000   -0.450     -0.450     -0.450     0.00",
+    "   0.900    0.000      0.900      0.900     0.00",
+    "   0.300    0.000      0.300      0.300     0.00",
+    "   0.000    0.000      0.000      0.000     0.00",
+]
+
+HELMHOLTZ_7_ROWS = [
+    "       x        y      Exact     BKM(7)     err%",
+    "   1.500    0.000      2.497      2.499     0.07",
+    "   1.200   -0.350      2.132      2.131    -0.04",
+    "   0.600   -0.450      1.165      1.157    -0.62",
+    "   0.000    0.000      0.000     -0.005    -0.52",
+    "   0.900    0.000      1.683      1.679    -0.24",
+    "   0.300    0.000      0.596      0.589    -1.07",
+    "   0.000    0.000      0.000     -0.005    -0.52",
+]
+
+BURGER_5_ROWS = [
+    "       x        y      Exact     BKM(5)     err%",
+    "   4.500    0.000      0.444      0.479     7.86",
+    "   4.200   -0.350      0.476      0.515     8.18",
+    "   3.600   -0.450      0.556      0.586     5.44",
+    "   3.000   -0.450      0.667      0.666    -0.15",
+    "   2.400   -0.450      0.833      0.808    -3.09",
+    "   1.800   -0.350      1.111      1.089    -1.98",
+    "   1.500    0.000      1.333      1.300    -2.46",
+    "   3.900    0.000      0.513      0.563     9.73",
+    "   3.300    0.000      0.606      0.632     4.24",
+    "   3.000    0.000      0.667      0.672     0.73",
+    "   2.700    0.000      0.741      0.726    -2.04",
+    "   2.100    0.000      0.952      0.918    -3.57",
+]
+
+
 def _rows(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -77,6 +120,19 @@ class TestSolveOutput:
         assert "BKM(5)" in out
         assert "# cond_bkm" in out
         assert "# residual_inf" in out
+
+    @pytest.mark.parametrize(
+        "problem, n, want",
+        [
+            ("laplace", "5", LAPLACE_5_ROWS),
+            ("helmholtz", "7", HELMHOLTZ_7_ROWS),
+            ("burger", "5", BURGER_5_ROWS),
+        ],
+    )
+    def test_paper_table_rows_are_pinned(self, capsys, problem, n, want):
+        assert main(["solve", "--problem", problem, "--n", n]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("#")] == want
 
     def test_csv_round_trips_at_twelve_digits(self, capsys):
         assert main(["solve", "--problem", "laplace", "--n", "5", "--format", "csv"]) == EXIT_OK
