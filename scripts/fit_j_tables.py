@@ -2,7 +2,7 @@
 """Refit the polynomial tables of J0 and J1 on |x| <= 5 in ``bkm.specfun``.
 
 For |x| <= 5, ``specfun`` evaluates J_nu(x) / (x/2)^nu = 1 + t p_nu(t),
-t = x^2, nu = 0, 1, with p_nu of degree 13.  This script fits p_nu with
+t = x^2, nu = 0, 1, with p_nu of degree 11.  This script fits p_nu with
 ``mpmath.chebyfit`` at 50 digits on t in [0, 25], as a fit of
 (S_nu(t) - 1) / t with S_nu(t) = J_nu(x) / (x/2)^nu, so the constant term
 stays exactly 1.  mpmath is pure Python, so the fit gives the same
@@ -23,7 +23,7 @@ import mpmath
 
 DIGITS = 50
 T_MAX = 25  # t = x^2 on |x| <= 5
-DEGREE = 13
+DEGREE = 11
 TABLE_NAMES = {0: "_J0_SMALL", 1: "_J1_SMALL"}
 
 

@@ -39,6 +39,7 @@ from .geometry import (
     coincident_pair,
     distance_matrix,
     ellipse_knots,
+    squared_distances,
 )
 from .kernels import RadialKernel, directional_derivative, helmholtz2d, mq_pair
 from .linalg import cond_1norm, solve_and_invert
@@ -309,13 +310,17 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     The points are taken in blocks of ``_EVAL_BLOCK`` rows, so the kernel
     matrices stay the same size however many points there are.
 
-    Each block has one distance matrix, to the expansion's knots: the
+    Each block has one matrix of squared distances, to the expansion's
+    knots, on which both kernels are evaluated with no square root: the
     solve driver puts the collocation knots first among them, so v reads its
     first ``len(sol.knots)`` columns and u_p all of them.  A solution
     whose expansion does not start with its collocation knots gets them
-    prepended as extra columns of the same matrix.
+    prepended as extra columns of the same matrix.  A coordinate that is
+    not finite, or whose square would overflow, raises ValueError.
     """
     xy = as_xy(points)
+    if not (np.abs(xy) < 1e150).all():  # NaN compares False
+        raise ValueError("evaluation points need finite coordinates below 1e150 in magnitude")
     n = len(sol.knots)
     knot_xy = as_xy([knot.position for knot in sol.knots])
     sources = as_xy(sol.expansion.knots)
@@ -326,8 +331,8 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     out = np.empty(len(xy))
     for start in range(0, len(xy), _EVAL_BLOCK):
         block = xy[start : start + _EVAL_BLOCK]
-        distances = distance_matrix(block, sources)
-        v = sol.kernel.eval(distances[:, :n]) @ sol.lam
-        u_p = u_p_from_distances(sol.expansion, distances[:, first_drm:], block)
+        sq_distances = squared_distances(block, sources)
+        v = sol.kernel.eval_sq(sq_distances[:, :n]) @ sol.lam
+        u_p = u_p_from_distances(sol.expansion, sq_distances[:, first_drm:], block)
         out[start : start + len(block)] = v + u_p
     return out

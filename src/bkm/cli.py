@@ -205,8 +205,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         out.add(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({config.n_boundary})':>10} {'err%':>8}")
         for p, ex, co in zip(points, exact, computed):
-            err = rel_err_pct(co, ex)
-            out.add(f"{p.x:8.3f} {p.y:8.3f} {ex:10.3f} {co:10.3f} {err:8.2f}")
+            cells = (p.x, p.y, ex, co, rel_err_pct(co, ex))
+            # Rounded as printed; + 0.0 turns a -0.0 into 0.0, so zero prints unsigned.
+            row = [round(float(v), d) + 0.0 for v, d in zip(cells, (3, 3, 3, 3, 2))]
+            out.add("{:8.3f} {:8.3f} {:10.3f} {:10.3f} {:8.2f}".format(*row))
         for line in footer:
             out.add(line)
         if problem.notes:

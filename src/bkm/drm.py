@@ -22,8 +22,8 @@ solve and every matrix over the set is one kernel call on it:
 ``rho_from_distances`` takes it with the caller's A_phi, so the Burger
 rho term's interpolation reuses the A_phi of the alpha solve, and
 ``bordered_matrix`` borders that A_phi with the linear tail;
-``u_p_from_distances`` sums u_p from a distance matrix the caller
-already holds, and ``normal_projections`` with rows of it gives a
+``u_p_from_distances`` sums u_p from squared distances the caller already
+holds, and ``normal_projections`` with rows of a distance matrix gives a
 Neumann knot's flux row.
 """
 
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, coincident_pair, distance_matrix
+from .geometry import Point, as_xy, coincident_pair, distance_matrix, squared_distances
 from .kernels import KernelPair, RadialKernel, directional_derivative
 from .linalg import lu_solve
 
@@ -124,10 +124,6 @@ def _check_distinct(distances: np.ndarray) -> None:
         )
 
 
-def _kernel_matrix(rows, cols, kernel: RadialKernel) -> np.ndarray:
-    return kernel.eval(distance_matrix(as_xy(rows), as_xy(cols)))
-
-
 def knot_distances(knots) -> np.ndarray:
     """Distance matrix of a knot set with itself, entries ||x_i - x_j||.
 
@@ -180,8 +176,8 @@ def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
 
 
 def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
-    """Evaluation matrix with entries phi_hat(||x - x_j||), rows = eval points."""
-    return _kernel_matrix(eval_points, knots, pair.phi_hat)
+    """Evaluation matrix phi_hat(||x - x_j||) from squared distances, rows = eval points."""
+    return pair.phi_hat.eval_sq(squared_distances(as_xy(eval_points), as_xy(knots)))
 
 
 def _interpolant_x_derivative(
@@ -289,13 +285,13 @@ def solve_alpha(
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     """Particular solution u_p = sum_j alpha_j phi_hat(||x - x_j||) + tail at the points."""
     xy = as_xy(points)
-    return u_p_from_distances(expansion, distance_matrix(xy, as_xy(expansion.knots)), xy)
+    return u_p_from_distances(expansion, squared_distances(xy, as_xy(expansion.knots)), xy)
 
 
-def u_p_from_distances(expansion: DrmExpansion, distances: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """``u_p_at`` the points ``xy`` from their distance matrix to the expansion's
-    knots (one row per point, one column per knot)."""
-    u_p = expansion.pair.phi_hat.eval(distances) @ expansion.alpha
+def u_p_from_distances(expansion: DrmExpansion, sq_distances: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """``u_p_at`` the points ``xy`` from their squared distances to the
+    expansion's knots (one row per point, one column per knot)."""
+    u_p = expansion.pair.phi_hat.eval_sq(sq_distances) @ expansion.alpha
     if expansion.tail is None:
         return u_p
     return u_p + expansion.tail[0] + xy @ expansion.tail[1:]
@@ -349,7 +345,8 @@ class RbfInterpolant:
     offset: float
 
     def at(self, eval_points) -> np.ndarray:
-        values = _kernel_matrix(eval_points, self.points, self.kernel) @ self.beta
+        distances = distance_matrix(as_xy(eval_points), as_xy(self.points))
+        values = self.kernel.eval(distances) @ self.beta
         return values + self.offset
 
 

@@ -5,7 +5,8 @@ t = 0; this is the simplest reproducible placement and every consumer of
 the knots treats the choice as opaque.
 
 Kernel matrices are built from point sets as (n, 2) coordinate arrays
-(``as_xy``) and one broadcast distance matrix (``distance_matrix``).
+(``as_xy``) and one broadcast matrix of their squared distances
+(``squared_distances``) or distances (``distance_matrix``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "interior_grid",
     "dist",
     "as_xy",
+    "squared_distances",
     "distance_matrix",
     "coincident_pair",
 ]
@@ -148,20 +150,22 @@ def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     return flat.reshape(n, 2)
 
 
-def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the distance between rows[i] and cols[j], both (n, 2) arrays.
-
-    Computed as sqrt(dx*dx + dy*dy), which agrees with ``np.hypot`` to one
-    ulp in about half the time.  Unlike hypot it has no overflow guard:
-    the squares overflow once a coordinate difference passes ~1e154, so
-    coordinates are expected to stay far below 1e150.
-    """
+def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is dx*dx + dy*dy between rows[i] and cols[j], both (n, 2)
+    arrays.  No overflow guard: coordinates are expected to stay far below 1e150."""
     dx = rows[:, 0, None] - cols[None, :, 0]
     dy = rows[:, 1, None] - cols[None, :, 1]
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx, out=dx)
+    return dx
+
+
+def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the distance between rows[i] and cols[j]: the sqrt of
+    ``squared_distances``, which agrees with ``np.hypot`` to one ulp in half the time."""
+    t = squared_distances(rows, cols)
+    return np.sqrt(t, out=t)
 
 
 def coincident_pair(distances: np.ndarray, tol: float) -> tuple[int, int] | None:

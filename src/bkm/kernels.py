@@ -11,9 +11,10 @@ Every radial kernel's ``eval`` and ``deriv`` work elementwise: a float
 radius gives a float, an ndarray of radii (typically a whole distance
 matrix) gives an array of the same shape, and an element's value does not
 depend on the rest of its array.  Collocation matrices are therefore one
-kernel call on one distance matrix.  The convection-diffusion kernel, a
-function of the displacement rather than the distance, takes one
-displacement per call.
+kernel call on one distance matrix.  J0 of ``helmholtz2d`` and phi_hat
+of ``mq_pair`` also take squared distances (``eval_sq``), with no sqrt.
+The convection-diffusion kernel, a function of the displacement rather
+than the distance, takes one displacement per call.
 
 Every radial kernel carries its analytic radial derivative so collocation
 rows never fall back to numerical differentiation; the lone exception is
@@ -29,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
+from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
 
 __all__ = [
     "RadialKernel",
@@ -66,12 +67,16 @@ class RadialKernel:
         Short identifier used in diagnostics and CLI output.
     params : mapping
         Named parameters (wavenumber, shape, exponent) for reporting.
+    eval_sq : callable or None
+        Value at the squared radius t = r^2, elementwise on arrays, for the
+        kernels ``bkm.evaluate`` sums (J0 and phi_hat); None for the others.
     """
 
     eval: Callable
     deriv: Callable
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
+    eval_sq: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,10 @@ def helmholtz2d(lam: float) -> RadialKernel:
     def dv(r):
         return -lam * bessel_j1(lam * r)
 
-    return RadialKernel(ev, dv, "j0", {"lambda": lam})
+    def ev_sq(t):
+        return bessel_j0_sq(lam * lam * t)
+
+    return RadialKernel(ev, dv, "j0", {"lambda": lam}, ev_sq)
 
 
 def modified_helmholtz2d(lam: float) -> RadialKernel:
@@ -273,10 +281,15 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
     k_sq = k * k
     c_sq = c * c
 
-    # Powers go through np.power, whose scalar and array results agree;
-    # the ** operator of a numpy scalar can differ from it in the last bit.
+    # In place: an evaluation block allocates and pages in one array fewer.
+    def hat_sq(t):
+        s = t + c_sq
+        value = np.sqrt(s)
+        value *= s
+        return value
+
     def hat(r):
-        return np.power(r * r + c_sq, 1.5)
+        return hat_sq(r * r)
 
     def hat_d(r):
         return 3.0 * r * np.sqrt(r * r + c_sq)
@@ -285,12 +298,14 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
         s = np.sqrt(r * r + c_sq)
         return 6.0 * s + 3.0 * r * r / s + k_sq * s * s * s
 
+    # Powers go through np.power, whose scalar and array results agree;
+    # the ** operator of a numpy scalar can differ from it in the last bit.
     def phi_d(r):
         s = np.sqrt(r * r + c_sq)
         return 12.0 * r / s - 3.0 * np.power(r, 3) / np.power(s, 3) + 3.0 * k_sq * r * s
 
     return KernelPair(
-        RadialKernel(hat, hat_d, "mq_phi_hat", {"c": c}),
+        RadialKernel(hat, hat_d, "mq_phi_hat", {"c": c}, hat_sq),
         RadialKernel(phi, phi_d, "mq_phi", {"c": c}),
         k,
     )

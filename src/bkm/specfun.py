@@ -7,20 +7,21 @@ implementations need only numpy and are sized for collocation kernels:
 absolute error below 1e-12 for |x| <= 50 on the J functions, relative
 error below 1e-12 for |x| <= 100 on the I functions.  For |x| <= 5 the J
 functions are a polynomial in x^2: J_nu(x) / (x/2)^nu = 1 + t p_nu(t),
-t = x^2, with p_nu of degree 13 fitted on t in [0, 25] by
+t = x^2, with p_nu of degree 11 fitted on t in [0, 25] by
 ``scripts/fit_j_tables.py`` (mpmath ``chebyfit`` at 50 digits; fit error
-1.3e-22 for J0 and 8.0e-24 for J1, and an absolute error in doubles of at
-most 1.7e-15 for J0 and 1.5e-15 for J1 on |x| <= 5).  Beyond, they switch
+2.3e-18 for J0 and 1.6e-19 for J1, and an absolute error in doubles of at
+most 1.8e-15 for J0 and 1.3e-15 for J1 on |x| <= 5).  Beyond, they switch
 to the Hankel asymptotic form with the rational coefficient tables from
 the Cephes math library (S. L. Moshier, release 2.1, 1989).  The I
 functions are summed by their Taylor series.
+``bessel_j0_sq`` gives J0 from x^2, for kernels of r^2 alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bessel_j0", "bessel_j1", "bessel_i0", "bessel_i1"]
+__all__ = ["bessel_j0", "bessel_j0_sq", "bessel_j1", "bessel_i0", "bessel_i1"]
 
 # Beyond this magnitude the I-function values exceed ~1e42 and callers are
 # better served by an explicit error than by a silent loss of meaning.
@@ -37,36 +38,32 @@ _J_SERIES_MAX = 5.0
 # J_nu(x) / (x/2)^nu = 1 + t p_nu(t), t = x^2, for |x| <= 5: the coefficients
 # of t p_nu(t) + 1, highest power first, written by scripts/fit_j_tables.py.
 _J0_SMALL = (
-    4.033433499292968e-31,
-    -3.7772055840978677e-28,
-    2.594828403313344e-25,
-    -1.4962457731307756e-22,
-    7.242240289953128e-20,
-    -2.896903129651085e-17,
-    9.385966963634267e-15,
-    -2.4028075493350826e-12,
-    4.709502797058781e-10,
-    -6.781684027777493e-08,
-    6.781684027777772e-06,
-    -0.00043402777777777775,
-    0.015625,
+    2.079295701600324e-25,
+    -1.4635227324955775e-22,
+    7.230110655405706e-20,
+    -2.896616059697861e-17,
+    9.3859219337528e-15,
+    -2.402807077203055e-12,
+    4.709502764431554e-10,
+    -6.78168402634694e-08,
+    6.781684027740743e-06,
+    -0.0004340277777777282,
+    0.015624999999999974,
     -0.25,
     1.0,
 )
 _J1_SMALL = (
-    2.72217785747746e-32,
-    -2.7035670297518375e-29,
-    1.9964353293666335e-26,
-    -1.246889446674257e-23,
-    6.583859871015548e-21,
-    -2.8969032264928374e-18,
-    1.0428852194630213e-15,
-    -3.003509436786031e-13,
-    6.727861138662673e-11,
-    -1.1302806712962784e-08,
-    1.3563368055555552e-06,
-    -0.00010850694444444444,
-    0.005208333333333333,
+    1.625352834359483e-26,
+    -1.2232854863507727e-23,
+    6.575100874810793e-21,
+    -2.8966957917533314e-18,
+    1.0428819642194136e-15,
+    -3.003509095375543e-13,
+    6.727861115064068e-11,
+    -1.1302806711927936e-08,
+    1.3563368055528762e-06,
+    -0.00010850694444444086,
+    0.005208333333333331,
     -0.125,
     1.0,
 )
@@ -114,6 +111,7 @@ _QQ = (  # leading coefficient 1.0 handled by _p1evl
     2.06209331660327847417e3,
     2.42005740240291393179e2,
 )
+_J0_HANKEL = (_PP, _PQ, _QP, _QQ, _PIO4)
 
 # Hankel asymptotic tables for J1, |x| > 5 (phase x - 3*pi/4).
 _PP1 = (
@@ -212,33 +210,51 @@ def _hankel(ax, pp, pq, qp, qq, phase: float):
 
 
 def _j_function(arr: np.ndarray, order: int, hankel: tuple):
-    """J0 or J1 of a finite array, by ``order``.
-
-    The polynomial in x^2 serves |x| <= 5 and the Hankel form, with the
-    tables and phase in ``hankel``, serves the rest.  When every element
-    falls on one side, that form runs on the whole argument with no masks.
-    """
+    """J0 or J1 of a finite array, by ``order``; ``hankel`` holds the tables and phase."""
     ax = np.abs(arr)  # a numpy scalar for a 0-d argument
-    big = ax > _J_SERIES_MAX
+    values = _j_split(
+        ax > _J_SERIES_MAX,
+        lambda x, ax: _j_near(x, ax * ax, order),
+        lambda x, ax: _j_far(x, ax, order, hankel),
+        arr,
+        ax,
+    )
+    return _result(values, arr)
+
+
+def _j_split(big, near, far, *args):
+    """``near(*args)`` where ``big`` is false, ``far(*args)`` where true, all args
+    masked alike; when every element falls on one side, no masks at all."""
     if not big.any():
-        return _result(_j_near(arr, ax, order), arr)
+        return near(*args)
     if big.all():
-        return _result(_j_far(arr, ax, order, hankel), arr)
+        return far(*args)
     small = ~big
-    out = np.empty_like(ax)
-    out[small] = _j_near(arr[small], ax[small], order)
-    out[big] = _j_far(arr[big], ax[big], order, hankel)
-    return _result(out, arr)
+    out = np.empty(big.shape)
+    out[small] = near(*(a[small] for a in args))
+    out[big] = far(*(a[big] for a in args))
+    return out
 
 
-def _j_near(x, ax, order: int):
-    scaled = _polevl(ax * ax, _J1_SMALL if order else _J0_SMALL)
+def _j_near(x, x_sq, order: int):
+    scaled = _polevl(x_sq, _J1_SMALL if order else _J0_SMALL)
     return 0.5 * x * scaled if order else scaled
 
 
 def _j_far(x, ax, order: int, hankel: tuple):
     far = _hankel(ax, *hankel)
     return np.where(x < 0.0, -far, far) if order else far
+
+
+def bessel_j0_sq(x_sq: np.ndarray) -> np.ndarray:
+    """J0(sqrt(x_sq)) of an array of squared arguments, elementwise, with no
+    square root where x_sq <= 25.  Unchecked: x_sq must be finite and >= 0."""
+    return _j_split(
+        x_sq > _J_SERIES_MAX * _J_SERIES_MAX,
+        lambda x_sq: _j_near(None, x_sq, 0),
+        lambda x_sq: _j_far(None, np.sqrt(x_sq), 0, _J0_HANKEL),
+        x_sq,
+    )
 
 
 def bessel_j0(x):
@@ -260,7 +276,7 @@ def bessel_j0(x):
     ValueError
         If any element of ``x`` is NaN or infinite.
     """
-    return _j_function(_finite_array(x), 0, (_PP, _PQ, _QP, _QQ, _PIO4))
+    return _j_function(_finite_array(x), 0, _J0_HANKEL)
 
 
 def bessel_j1(x):

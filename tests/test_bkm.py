@@ -21,7 +21,14 @@ from bkm.bkm import (
     solve_mixed_linear,
 )
 from bkm.drm import DrmExpansion, RhoSpec
-from bkm.geometry import Ellipse, Point, distance_matrix, ellipse_knots, interior_grid
+from bkm.geometry import (
+    Ellipse,
+    Point,
+    distance_matrix,
+    ellipse_knots,
+    interior_grid,
+    squared_distances,
+)
 from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
 from bkm.linalg import cond_estimate_1norm
 from bkm.problems import (
@@ -431,6 +438,64 @@ class TestEvaluate:
         # An (n, 2) coordinate array is evaluated exactly like the points.
         assert np.array_equal(evaluate(sol, np.array(pts)), got)
 
+    def test_split_wavenumber_blocks_mixing_both_j0_forms(self):
+        """lam = 2.5 on the 2 x 1 ellipse puts lam*r on both sides of 5 in
+        every block, so both forms of J0 from squared distances are summed;
+        they match scalar bessel_j0 and phi_hat sums point by point."""
+        lam = 2.5
+        rng = np.random.default_rng(5)
+        knots = ellipse_knots(ELLIPSE, 9)
+        interior = [Point(0.4, 0.2), Point(-0.8, -0.3)]
+        sources = tuple(k.position for k in knots) + tuple(interior)
+        sol = BkmSolution(
+            lam=rng.uniform(-1.0, 1.0, len(knots)),
+            expansion=DrmExpansion(
+                sources,
+                mq_pair(3.0, lam),
+                rng.uniform(-1.0, 1.0, len(sources)),
+                rng.uniform(-1.0, 1.0, 3),
+            ),
+            kernel=helmholtz2d(lam),
+            knots=tuple(knots),
+        )
+        pts = []
+        while len(pts) < _EVAL_BLOCK + 41:
+            x, y = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+            if (x / 2.0) ** 2 + y * y < 1.0:
+                pts.append(Point(x, y))
+        for start in (0, _EVAL_BLOCK):
+            lam_r = lam * np.array(
+                [math.dist(p, k.position) for p in pts[start : start + _EVAL_BLOCK] for k in knots]
+            )
+            assert (lam_r <= 5.0).any() and (lam_r > 5.0).any()
+        exp = sol.expansion
+        want = np.array(
+            [
+                sum(c * bessel_j0(lam * math.dist(p, k.position)) for c, k in zip(sol.lam, knots))
+                + sum(
+                    a * exp.pair.phi_hat.eval(math.dist(p, q)) for a, q in zip(exp.alpha, sources)
+                )
+                + exp.tail[0]
+                + exp.tail[1] * p.x
+                + exp.tail[2] * p.y
+                for p in pts
+            ]
+        )
+        got = evaluate(sol, pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_point_rejected(self, bad):
+        """A non-finite coordinate anywhere, here in the third block, raises
+        before any block is evaluated; so does one whose square overflows."""
+        sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
+        pts = [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 9)]
+        pts[2 * _EVAL_BLOCK + 3] = Point(0.1, bad)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(sol, pts)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(sol, np.array([[bad, 0.0]]))
+
     def test_expansion_not_led_by_collocation_knots(self):
         """The same u_p expansion with its knots in reverse order gives the
         same field, though its knots no longer start with sol.knots."""
@@ -457,20 +522,28 @@ class TestSharedDistanceMatrices:
     """Each point-set pair's distance matrix is computed once and every
     kernel matrix over the pair is evaluated from it."""
 
-    @pytest.fixture
-    def distance_calls(self, monkeypatch):
-        """Shapes of the distance matrices built through every module
-        of the package that binds ``distance_matrix``."""
+    @staticmethod
+    def _shapes_of_calls(monkeypatch, fn):
+        """Shapes of the matrices ``fn`` builds through every module of the
+        package that binds it."""
         calls = []
 
         def counted(rows, cols):
             calls.append((len(rows), len(cols)))
-            return distance_matrix(rows, cols)
+            return fn(rows, cols)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("bkm.") and getattr(module, "distance_matrix", None) is distance_matrix:
-                monkeypatch.setattr(module, "distance_matrix", counted)
+            if name.startswith("bkm.") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
         return calls
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        return self._shapes_of_calls(monkeypatch, distance_matrix)
+
+    @pytest.fixture
+    def squared_distance_calls(self, monkeypatch):
+        return self._shapes_of_calls(monkeypatch, squared_distances)
 
     @pytest.mark.parametrize("factory", [laplace_benchmark, helmholtz_benchmark, burger_benchmark])
     def test_boundary_only_solve_builds_one_matrix_and_one_a_phi(
@@ -530,12 +603,15 @@ class TestSharedDistanceMatrices:
         assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)
         assert normal_calls == []
 
-    def test_evaluate_builds_one_matrix_per_block(self, distance_calls):
+    def test_evaluate_builds_one_matrix_per_block(self, distance_calls, squared_distance_calls):
+        """One matrix of squared distances per block, and no distance matrix."""
         problem = helmholtz_benchmark()
         sol, _ = solve_mixed_linear(problem, ellipse_knots(problem.ellipse, 7), [Point(0.3, 0.1)])
         distance_calls.clear()
+        squared_distance_calls.clear()
         evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 37)])
-        assert distance_calls == [(_EVAL_BLOCK, 8), (_EVAL_BLOCK, 8), (37, 8)]
+        assert squared_distance_calls == [(_EVAL_BLOCK, 8), (_EVAL_BLOCK, 8), (37, 8)]
+        assert distance_calls == []
 
 
 class TestOneFactorizationPerMatrix:

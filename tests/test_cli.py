@@ -6,8 +6,10 @@ import io
 import re
 import sys
 
+import numpy as np
 import pytest
 
+from bkm import cli
 from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
@@ -133,6 +135,23 @@ class TestSolveOutput:
         assert main(["solve", "--problem", problem, "--n", n]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if not line.startswith("#")] == want
+
+    def test_values_rounding_to_zero_print_unsigned(self, capsys, monkeypatch):
+        """Computed values a hair below exact print as 0.000 and 0.00, not
+        -0.000 and -0.00; CSV keeps the sign."""
+        problem = cli._PROBLEMS["laplace"]()
+
+        def below_exact(sol, points):
+            return np.array([problem.exact(p) - 1e-9 for p in points])
+
+        monkeypatch.setattr(cli, "evaluate", below_exact)
+        assert main(["solve", "--problem", "laplace", "--n", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if not line.startswith("#")]
+        assert rows[-1] == LAPLACE_5_ROWS[-1]
+        assert not any(re.search(r"-0\.0+(\s|$)", row) for row in rows)
+        assert main(["solve", "--problem", "laplace", "--n", "5", "--format", "csv"]) == EXIT_OK
+        assert float(_rows(capsys.readouterr().out)[-1]["computed"]) == -1e-9
 
     def test_csv_round_trips_at_twelve_digits(self, capsys):
         assert main(["solve", "--problem", "laplace", "--n", "5", "--format", "csv"]) == EXIT_OK

@@ -481,3 +481,21 @@ class TestMqPairWavenumber:
     def test_wavenumber_must_be_positive(self):
         with pytest.raises(ValueError):
             mq_pair(3.0, 0.0)
+
+
+class TestSquaredRadius:
+    """eval_sq gives a kernel of r^2 alone from the squared radius t = r^2."""
+
+    R = np.linspace(0.0, 12.0, 2401)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+    def test_j0_kernel_matches_eval(self, lam):
+        kern = helmholtz2d(lam)
+        # lam^2 * r^2 and (lam * r)^2 differ by round-off only.
+        assert np.abs(kern.eval_sq(self.R * self.R) - kern.eval(self.R)).max() <= 1e-14
+
+    @pytest.mark.parametrize("c, k", [(1.0, 1.0), (3.0, 2.0)])
+    def test_phi_hat_eval_is_its_squared_entry(self, c, k):
+        phi_hat = mq_pair(c, k).phi_hat
+        assert np.array_equal(phi_hat.eval(self.R), phi_hat.eval_sq(self.R * self.R))
+        assert phi_hat.eval_sq(np.array([0.0]))[0] == c**3

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkm import specfun
-from bkm.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j1
+from bkm.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
 
 from oracles import bisect_root, i0_ref, i1_ref, j0_ref, j1_ref
 
@@ -262,3 +262,22 @@ class TestSmallArgumentPolynomial:
         for x, j0, j1 in cases:
             assert bessel_j0(x) == j0
             assert bessel_j1(x) == j1
+
+
+class TestSquaredArgument:
+    """bessel_j0_sq(x^2) is J0(x) from the squared argument."""
+
+    def test_equals_j0_of_the_root_bit_for_bit(self):
+        # sqrt(x*x) is |x| exactly in binary floating point, and below
+        # x^2 = 25 both evaluate the polynomial at the same x*x.
+        switch = [np.nextafter(5.0, 0.0), np.nextafter(5.0, 9.0)]
+        x = np.concatenate([np.linspace(0.0, 50.0, 20001), switch])
+        assert np.array_equal(bessel_j0_sq(x * x), bessel_j0(x))
+
+    def test_each_form_alone_and_both_in_one_array(self):
+        near, far = np.array([0.0, 4.0, 25.0]), np.array([25.5, 100.0, 2500.0])
+        both = np.concatenate([far, near]).reshape(2, 3)
+        one_side_each = np.concatenate([bessel_j0_sq(far), bessel_j0_sq(near)])
+        assert np.array_equal(bessel_j0_sq(both), one_side_each.reshape(2, 3))
+        assert np.array_equal(bessel_j0_sq(near), bessel_j0(np.sqrt(near)))
+        assert np.array_equal(bessel_j0_sq(far), bessel_j0(np.sqrt(far)))
