@@ -77,13 +77,53 @@ class RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code instead of raising.
+
+    The parser is built once, when this module is imported, and every call
+    reuses it: each parse returns a fresh namespace, and usage errors and
+    help go to the ``sys.stderr``/``sys.stdout`` of the call.  Out-of-range
+    values are rejected by the parser and exit with ``EXIT_USAGE``.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors via SystemExit
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_USAGE
     return args.handler(args)
+
+
+def _checked(convert: Callable[[str], float], accept: Callable[[float], bool], what: str):
+    """An argparse ``type=``: ``convert`` the text, then require ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+_radius = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
+
+
+def _list_of(item: Callable[[str], float]):
+    """An argparse ``type=`` for a non-empty comma-separated list of ``item``."""
+
+    def parse(text: str) -> list:
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,28 +135,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a built-in problem and print its table")
     solve.add_argument("--problem", required=True, help="laplace | helmholtz | burger")
-    solve.add_argument("--n", type=int, default=5, help="number of boundary knots")
-    solve.add_argument("--interior", type=int, default=0, help="number of interior knots")
-    solve.add_argument("--c", type=float, default=None, help="override the MQ shape parameter")
+    solve.add_argument("--n", type=_positive_int, default=5, help="number of boundary knots")
+    solve.add_argument(
+        "--interior", type=_non_negative_int, default=0, help="number of interior knots"
+    )
+    solve.add_argument(
+        "--c", type=_positive_float, default=None, help="override the MQ shape parameter"
+    )
     solve.add_argument("--format", choices=("table", "csv"), default="table")
     solve.add_argument("--out", default=None, help="write output to this path")
     solve.set_defaults(handler=_cmd_solve)
 
     conv = sub.add_parser("convergence", help="sweep knot counts and shape parameters")
     conv.add_argument("--problem", required=True)
-    conv.add_argument("--n", default="3,5,7", help="comma-separated knot counts")
-    conv.add_argument("--c", default=None, help="comma-separated shape parameters")
+    conv.add_argument(
+        "--n", type=_list_of(_positive_int), default="3,5,7", help="comma-separated knot counts"
+    )
+    conv.add_argument(
+        "--c", type=_list_of(_positive_float), default=None, help="comma-separated shape parameters"
+    )
     conv.add_argument("--out", default=None)
     conv.set_defaults(handler=_cmd_convergence)
 
     kern = sub.add_parser("kernels", help="print kernel values and operator residuals")
     kern.add_argument("name", help=" | ".join(_KERNEL_NAMES))
-    kern.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    kern.add_argument("--r", type=float, default=None, help="evaluate at this radius only")
-    kern.add_argument("--D", type=float, default=1.0, help="diffusivity (convection2d)")
-    kern.add_argument("--vx", type=float, default=0.0, help="velocity x (convection2d)")
-    kern.add_argument("--vy", type=float, default=0.0, help="velocity y (convection2d)")
-    kern.add_argument("--k", type=float, default=1.0, help="reaction (convection2d)")
+    kern.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+    kern.add_argument("--r", type=_radius, default=None, help="evaluate at this radius only")
+    kern.add_argument("--D", type=_finite_float, default=1.0, help="diffusivity (convection2d)")
+    kern.add_argument("--vx", type=_finite_float, default=0.0, help="velocity x (convection2d)")
+    kern.add_argument("--vy", type=_finite_float, default=0.0, help="velocity y (convection2d)")
+    kern.add_argument("--k", type=_finite_float, default=1.0, help="reaction (convection2d)")
     kern.set_defaults(handler=_cmd_kernels)
     return parser
 
@@ -217,26 +265,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def _cmd_convergence(args: argparse.Namespace) -> int:
     if args.problem not in _PROBLEMS:
         print(f"error: unknown problem: {args.problem!r}", file=sys.stderr)
         return EXIT_USAGE
     problem = _PROBLEMS[args.problem]()
-    try:
-        n_list = [int(part) for part in str(args.n).split(",") if part.strip()]
-        c_list = _parse_float_list(args.c) if args.c else [problem.mq_shape_c]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    c_list = args.c if args.c is not None else [problem.mq_shape_c]
     out = _Output(args.out)
     out.add("n,c,max_err,cond_bkm")
     for c in c_list:
         run_problem = dataclasses.replace(problem, mq_shape_c=c)
-        for n in n_list:
+        for n in args.n:
             try:
                 sol, diag = solve_boundary_only(run_problem, n)
                 computed = evaluate(sol, run_problem.table_points)
@@ -369,6 +408,11 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     verdict = "<" if max_residual < _RESIDUAL_GATE else ">="
     print(f"max_residual {max_residual:.3e} {verdict} {_RESIDUAL_GATE:g}")
     return EXIT_OK if max_residual < _RESIDUAL_GATE else EXIT_NUMERICAL
+
+
+# Built once, at import: a build costs more than a paper-table solve, and
+# scripts, tests and the benchmark call main many times per process.
+_PARSER = _build_parser()
 
 
 if __name__ == "__main__":

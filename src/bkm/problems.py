@@ -56,10 +56,14 @@ class ProblemSpec:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.split_wavenumber <= 0.0:
-            raise ValueError(f"split wavenumber must be positive, got {self.split_wavenumber}")
-        if self.mq_shape_c <= 0.0:
-            raise ValueError(f"MQ shape parameter must be positive, got {self.mq_shape_c}")
+        if not (0.0 < self.split_wavenumber < math.inf):
+            raise ValueError(
+                f"split wavenumber must be finite and positive, got {self.split_wavenumber}"
+            )
+        if not (0.0 < self.mq_shape_c < math.inf):
+            raise ValueError(
+                f"MQ shape parameter must be finite and positive, got {self.mq_shape_c}"
+            )
 
 
 def laplace_benchmark() -> ProblemSpec:

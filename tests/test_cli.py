@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and round-trips."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -8,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bkm import cli
 from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
@@ -269,3 +272,131 @@ class TestKernels:
         assert code == EXIT_OK
         value = float(capsys.readouterr().out.split()[-1])
         assert value == pytest.approx(0.46411585763858434, rel=1e-12)
+
+
+# Argvs that the parser rejects: each exits 2 with argparse's one-line
+# message and no traceback.
+INVALID_ARGVS = [
+    ["solve", "--problem", "laplace", "--c", "-5"],
+    ["solve", "--problem", "laplace", "--c", "0"],
+    ["solve", "--problem", "laplace", "--c", "nan"],
+    ["solve", "--problem", "laplace", "--c", "inf"],
+    ["solve", "--problem", "laplace", "--c", "1e400"],
+    ["solve", "--problem", "laplace", "--n", "0"],
+    ["solve", "--problem", "laplace", "--n", "-3"],
+    ["solve", "--problem", "laplace", "--interior", "-2"],
+    ["convergence", "--problem", "laplace", "--n", ","],
+    ["convergence", "--problem", "laplace", "--n", "5,0"],
+    ["convergence", "--problem", "laplace", "--c", "0"],
+    ["convergence", "--problem", "laplace", "--c", "25,nan"],
+    ["kernels", "j0", "--lambda", "nan", "--r", "1"],
+    ["kernels", "j0", "--r", "inf"],
+    ["kernels", "sinc3d", "--r", "-3"],
+    ["kernels", "convection2d", "--r", "-1"],
+    ["kernels", "convection2d", "--D", "nan"],
+    ["kernels", "convection2d", "--vx=-inf"],
+    ["kernels", "convection2d", "--vy", "1e400"],
+    ["kernels", "convection2d", "--k", "nan"],
+]
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
+    def test_out_of_range_value_is_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^bkm \w+: error: argument --\w+: expected a ", captured.err, re.M)
+        assert "Traceback" not in captured.err
+
+    def test_zero_radius_is_valid(self, capsys):
+        assert main(["kernels", "j0", "--lambda", "2", "--r", "0"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "j0 value 1"
+
+    def test_sweep_lists_skip_blank_items(self, capsys):
+        argv = ["convergence", "--problem", "laplace", "--n", "3,,5,", "--c", " 25"]
+        assert main(argv) == EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        assert [(r["n"], r["c"]) for r in rows] == [("3", "25"), ("5", "25")]
+
+    def test_default_sweep_is_parsed(self):
+        args = cli._PARSER.parse_args(["convergence", "--problem", "laplace"])
+        assert args.n == [3, 5, 7]
+        assert args.c is None
+
+
+class TestSharedParser:
+    """main reuses one parser, built at import; no call may leak into the next."""
+
+    LAPLACE = ["solve", "--problem", "laplace", "--n", "5"]
+
+    def test_option_does_not_carry_over(self, capsys):
+        assert main(self.LAPLACE + ["--c", "10"]) == EXIT_OK
+        with_c = capsys.readouterr().out
+        assert main(self.LAPLACE) == EXIT_OK
+        second = capsys.readouterr().out
+        fresh = cli._build_parser().parse_args(self.LAPLACE)
+        assert fresh.handler(fresh) == EXIT_OK
+        assert second == capsys.readouterr().out
+        assert second != with_c  # the footer's condition numbers depend on c
+
+    def test_each_parse_returns_a_fresh_namespace(self):
+        first = cli._PARSER.parse_args(self.LAPLACE + ["--c", "10", "--interior", "3"])
+        second = cli._PARSER.parse_args(self.LAPLACE)
+        assert first is not second
+        assert (first.c, first.interior) == (10.0, 3)
+        assert (second.c, second.interior) == (None, 0)
+
+    def test_usage_error_after_success_reaches_that_calls_stderr(self, capsys):
+        assert main(self.LAPLACE) == EXIT_OK
+        capsys.readouterr()
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(self.LAPLACE + ["--c", "-5"]) == EXIT_USAGE
+        assert "error: argument --c" in stderr.getvalue()
+        assert capsys.readouterr().err == ""
+        assert main(["solve", "--problem", "laplace", "--n", "abc"]) == EXIT_USAGE
+        assert "error: argument --n" in capsys.readouterr().err
+
+    def test_help_goes_to_the_calls_stdout(self, capsys):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["solve", "--help"]) == EXIT_OK
+        assert stdout.getvalue().startswith("usage: bkm solve")
+        assert capsys.readouterr().out == ""
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        assert main(self.LAPLACE) == EXIT_OK
+        assert "BKM(5)" in capsys.readouterr().out
+
+
+_VALUES = ("0", "-1", "nan", "inf", "1e400", "abc", ",", "5")
+_OPTIONS = {
+    "solve": ("--n", "--interior", "--c"),
+    "convergence": ("--n", "--c"),
+    "kernels": ("--lambda", "--r", "--D", "--vx", "--vy", "--k"),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    if command == "kernels":
+        head = [command, draw(st.sampled_from(cli._KERNEL_NAMES + ("abc",)))]
+    else:
+        head = [command, "--problem", draw(st.sampled_from(sorted(cli._PROBLEMS) + ["abc"]))]
+    names = draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True, max_size=3))
+    return head + [part for name in names for part in (name, draw(st.sampled_from(_VALUES)))]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_argvs())
+def test_main_never_raises(capsys, argv):
+    assert main(argv) in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE)
+    capsys.readouterr()

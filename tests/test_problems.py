@@ -105,6 +105,18 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(laplace_benchmark(), mq_shape_c=-1.0)
 
+    @pytest.mark.parametrize("field", ["split_wavenumber", "mq_shape_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            dataclasses.replace(laplace_benchmark(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["split_wavenumber", "mq_shape_c"])
+    def test_tiny_and_large_finite_parameters_accepted(self, field):
+        for value in (5e-324, 1e300):
+            spec = dataclasses.replace(laplace_benchmark(), **{field: value})
+            assert getattr(spec, field) == value
+
     def test_spec_is_immutable(self):
         p = laplace_benchmark()
         with pytest.raises(dataclasses.FrozenInstanceError):
