@@ -58,9 +58,11 @@ __all__ = [
 
 _BC_KINDS = ("dirichlet", "neumann")
 
-# Evaluation points per block in ``evaluate``: its kernel matrices have
-# this many rows whatever the number of points, so memory stays flat.
+# Rows per block in ``evaluate`` (``_eval_rows``): about _EVAL_ENTRIES matrix
+# entries, and never fewer than _EVAL_BLOCK rows.  The block size depends only
+# on the number of columns, so memory stays flat however many points there are.
 _EVAL_BLOCK = 256
+_EVAL_ENTRIES = 16384
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -303,22 +305,39 @@ def solve_mixed_linear(
     return _solve(problem, knots, interior_points, values, neumann)
 
 
+def _eval_rows(m: int) -> int:
+    """Rows per block of ``evaluate`` for matrices of m columns.
+
+    With few columns, _EVAL_BLOCK rows make each numpy pass so short that
+    its per-call overhead rivals its work.
+    """
+    return max(_EVAL_BLOCK, _EVAL_ENTRIES // m)
+
+
 def evaluate(sol: BkmSolution, points) -> np.ndarray:
     """Evaluate u = v + u_p = sum_k lambda_k kernel(||x - x_k||) + u_p(x).
 
     ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array.
-    The points are taken in blocks of ``_EVAL_BLOCK`` rows, so the kernel
-    matrices stay the same size however many points there are.
+    The points are taken in blocks of max(256, 16384 // m) rows, m being
+    the columns of the block's matrices (``_eval_rows``): about 16k entries
+    up to 64 columns, 256 rows beyond.  The matrices stay the same size
+    however many points there are.
 
     Each block has one matrix of squared distances, to the expansion's
     knots, on which both kernels are evaluated with no square root: the
     solve driver puts the collocation knots first among them, so v reads its
     first ``len(sol.knots)`` columns and u_p all of them.  A solution
     whose expansion does not start with its collocation knots gets them
-    prepended as extra columns of the same matrix.  A coordinate that is
-    not finite, or whose square would overflow, raises ValueError.
+    prepended as extra columns of the same matrix.  An array that is not
+    (n, 2) and real, or a coordinate that is not finite or whose square
+    would overflow, raises ValueError.
     """
     xy = as_xy(points)
+    if xy.ndim != 2 or xy.shape[1] != 2 or xy.dtype.kind not in "fiu":
+        raise ValueError(
+            f"evaluation points need an (n, 2) array of real coordinates, "
+            f"got shape {xy.shape} of dtype {xy.dtype}"
+        )
     if not (np.abs(xy) < 1e150).all():  # NaN compares False
         raise ValueError("evaluation points need finite coordinates below 1e150 in magnitude")
     n = len(sol.knots)
@@ -329,8 +348,9 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
         sources = np.concatenate([knot_xy, sources])
         first_drm = n
     out = np.empty(len(xy))
-    for start in range(0, len(xy), _EVAL_BLOCK):
-        block = xy[start : start + _EVAL_BLOCK]
+    rows = _eval_rows(len(sources))
+    for start in range(0, len(xy), rows):
+        block = xy[start : start + rows]
         sq_distances = squared_distances(block, sources)
         v = sol.kernel.eval_sq(sq_distances[:, :n]) @ sol.lam
         u_p = u_p_from_distances(sol.expansion, sq_distances[:, first_drm:], block)

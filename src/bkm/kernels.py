@@ -140,13 +140,13 @@ def modified_helmholtz2d(lam: float) -> RadialKernel:
 
 
 def _near_zero(s, threshold: float, series, closed):
-    """``series(s)`` where s < threshold, ``closed(s)`` elsewhere, elementwise.
+    """``series(s)`` where |s| < threshold, ``closed(s)`` elsewhere, elementwise.
 
     The closed form is evaluated with 1 in place of the small arguments, so
     it never sees its removable singularity at 0.
     """
     s = np.asarray(s, dtype=float)
-    small = s < threshold
+    small = np.abs(s) < threshold
     return np.where(small, series(s), closed(np.where(small, 1.0, s)))[()]
 
 

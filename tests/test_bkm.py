@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkm.bkm import (
-    _EVAL_BLOCK,
     BkmSolution,
     BoundaryCondition,
     Diagnostics,
     UnsupportedConfigurationError,
+    _eval_rows,
     assemble_bkm_matrix,
     evaluate,
     solve_boundary_only,
@@ -42,6 +42,30 @@ from bkm.specfun import bessel_j0
 from oracles import cond_1norm_explicit, fd_laplacian_2d
 
 ELLIPSE = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
+
+
+def _synthetic_solution(m, seed=0):
+    """A solution on m ellipse knots with random coefficients and a tail:
+    its matrices of squared distances in ``evaluate`` have m columns."""
+    rng = np.random.default_rng(seed)
+    knots = tuple(ellipse_knots(ELLIPSE, m))
+    return BkmSolution(
+        lam=rng.uniform(-1.0, 1.0, m),
+        expansion=DrmExpansion(
+            tuple(k.position for k in knots),
+            mq_pair(1.0),
+            rng.uniform(-1.0, 1.0, m),
+            rng.uniform(-1.0, 1.0, 3),
+        ),
+        kernel=helmholtz2d(1.0),
+        knots=knots,
+    )
+
+
+def _points_in_ellipse(count, seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-1.0, 1.0, (4 * count, 2)) * [2.0, 1.0]
+    return xy[(xy[:, 0] / 2.0) ** 2 + xy[:, 1] ** 2 < 1.0][:count]
 
 
 def dirichlet_bcs(knots):
@@ -413,7 +437,7 @@ class TestEvaluate:
         rng = np.random.RandomState(11)
         cx = problem.ellipse.center.x
         pts = []
-        while len(pts) < 2 * _EVAL_BLOCK + 37:
+        while len(pts) < 2 * _eval_rows(len(sol.expansion.knots)) + 37:
             x, y = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
             if (x / 2.0) ** 2 + y * y < 1.0:
                 pts.append(Point(cx + x, y))
@@ -458,14 +482,15 @@ class TestEvaluate:
             kernel=helmholtz2d(lam),
             knots=tuple(knots),
         )
+        rows = _eval_rows(len(sources))
         pts = []
-        while len(pts) < _EVAL_BLOCK + 41:
+        while len(pts) < rows + 41:
             x, y = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
             if (x / 2.0) ** 2 + y * y < 1.0:
                 pts.append(Point(x, y))
-        for start in (0, _EVAL_BLOCK):
+        for start in (0, rows):
             lam_r = lam * np.array(
-                [math.dist(p, k.position) for p in pts[start : start + _EVAL_BLOCK] for k in knots]
+                [math.dist(p, k.position) for p in pts[start : start + rows] for k in knots]
             )
             assert (lam_r <= 5.0).any() and (lam_r > 5.0).any()
         exp = sol.expansion
@@ -489,12 +514,53 @@ class TestEvaluate:
         """A non-finite coordinate anywhere, here in the third block, raises
         before any block is evaluated; so does one whose square overflows."""
         sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
-        pts = [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 9)]
-        pts[2 * _EVAL_BLOCK + 3] = Point(0.1, bad)
+        rows = _eval_rows(len(sol.expansion.knots))
+        pts = [Point(0.01 * i, 0.0) for i in range(2 * rows + 9)]
+        pts[2 * rows + 3] = Point(0.1, bad)
         with pytest.raises(ValueError, match="finite"):
             evaluate(sol, pts)
         with pytest.raises(ValueError, match="finite"):
             evaluate(sol, np.array([[bad, 0.0]]))
+
+    @pytest.mark.parametrize("factory", [burger_benchmark, helmholtz_benchmark])
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            pytest.param(np.zeros((5, 3)), id="three_columns"),
+            pytest.param(np.zeros(4), id="one_dimensional"),
+            pytest.param(np.zeros((2, 2, 2)), id="three_dimensional"),
+            pytest.param(np.zeros((5, 1)), id="one_column"),
+            pytest.param(np.zeros((5, 2), dtype=complex), id="complex"),
+            pytest.param(np.full((5, 2), "0.1"), id="strings"),
+        ],
+    )
+    def test_malformed_coordinate_array_rejected(self, factory, xy):
+        """Burger (no tail) once evaluated an (n, 3) array on its first two
+        columns, a tailed solution failed in a matmul, and a 1-D array
+        raised IndexError."""
+        sol, _ = solve_boundary_only(factory(), 5)
+        with pytest.raises(ValueError, match=r"\(n, 2\) array of real"):
+            evaluate(sol, xy)
+
+    def test_integer_coordinate_array_accepted(self):
+        sol, _ = solve_boundary_only(helmholtz_benchmark(), 5)
+        xy = np.array([[3, 0], [4, 0]])
+        assert np.array_equal(evaluate(sol, xy), evaluate(sol, xy.astype(float)))
+
+    @pytest.mark.parametrize("m", [12, 70])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_evaluation_is_independent_of_chunking(self, m, data):
+        """Evaluating three blocks' worth of points whole or split into any
+        chunks gives the same field, below and above 64 columns."""
+        sol = _synthetic_solution(m)
+        xy = _points_in_ellipse(2 * _eval_rows(m) + 37, seed=m)
+        cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(xy)), max_size=6))
+        edges = [0, *sorted(cuts), len(xy)]
+        whole = evaluate(sol, xy)
+        chunked = np.concatenate([evaluate(sol, xy[a:b]) for a, b in zip(edges, edges[1:])])
+        assert chunked.shape == whole.shape
+        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     def test_expansion_not_led_by_collocation_knots(self):
         """The same u_p expansion with its knots in reverse order gives the
@@ -609,9 +675,21 @@ class TestSharedDistanceMatrices:
         sol, _ = solve_mixed_linear(problem, ellipse_knots(problem.ellipse, 7), [Point(0.3, 0.1)])
         distance_calls.clear()
         squared_distance_calls.clear()
-        evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * _EVAL_BLOCK + 37)])
-        assert squared_distance_calls == [(_EVAL_BLOCK, 8), (_EVAL_BLOCK, 8), (37, 8)]
+        rows = _eval_rows(8)
+        evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * rows + 37)])
+        assert squared_distance_calls == [(rows, 8), (rows, 8), (37, 8)]
         assert distance_calls == []
+
+    @pytest.mark.parametrize(
+        "m, rows", [(12, 1365), (63, 260), (64, 256), (65, 256), (71, 256), (400, 256)]
+    )
+    def test_evaluate_block_shapes_either_side_of_64_columns(
+        self, squared_distance_calls, m, rows
+    ):
+        """max(256, 16384 // m) rows: about 16k entries up to 64 columns."""
+        sol = _synthetic_solution(m)
+        evaluate(sol, [Point(0.001 * i, 0.0) for i in range(2 * rows + 5)])
+        assert squared_distance_calls == [(rows, m), (rows, m), (5, m)]
 
 
 class TestOneFactorizationPerMatrix:

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from bkm.geometry import Point
 from bkm.kernels import (
     RadialKernel,
+    _dsinc,
+    _dsinhc,
+    _sinc,
+    _sinhc,
     biharmonic2d,
     biharmonic3d,
     biharmonic_mfs_pair,
@@ -123,6 +127,43 @@ class TestModifiedHelmholtz3d:
         k = modified_helmholtz3d(lam)
         resid = fd_radial_laplacian(k.eval, r, dim=3) - lam * lam * k.eval(r)
         assert abs(resid) <= 1e-5 * (1.0 + abs(k.eval(r)))
+
+
+class TestSincHelpersParity:
+    """sin(s)/s and sinh(s)/s are even and their derivatives odd, on both
+    sides of every series threshold; negative s once took the series."""
+
+    @pytest.mark.parametrize("s", [3.0, 1e-2, 1e-5])
+    @pytest.mark.parametrize("helper", [_sinc, _sinhc], ids=["sinc", "sinhc"])
+    def test_values_are_even(self, helper, s):
+        assert helper(-s) == helper(s)
+
+    @pytest.mark.parametrize("s", [3.0, 1e-2, 1e-5])
+    @pytest.mark.parametrize("helper", [_dsinc, _dsinhc], ids=["dsinc", "dsinhc"])
+    def test_derivatives_are_odd(self, helper, s):
+        assert helper(-s) == -helper(s)
+
+    def test_negative_arguments_take_the_closed_forms(self):
+        assert _sinc(-3.0) == pytest.approx(math.sin(3.0) / 3.0, rel=1e-15)
+        assert _sinhc(-3.0) == pytest.approx(math.sinh(3.0) / 3.0, rel=1e-15)
+        dsinc3 = (3.0 * math.cos(3.0) - math.sin(3.0)) / 9.0
+        dsinhc3 = (3.0 * math.cosh(3.0) - math.sinh(3.0)) / 9.0
+        assert _dsinc(-3.0) == pytest.approx(-dsinc3, rel=1e-14)
+        assert _dsinhc(-3.0) == pytest.approx(-dsinhc3, rel=1e-14)
+
+    def test_kernels_at_negative_radius(self):
+        assert helmholtz3d(1.0).eval(-3.0) == pytest.approx(math.sin(3.0) / 3.0, rel=1e-15)
+        assert helmholtz3d(1.0).deriv(-3.0) == -helmholtz3d(1.0).deriv(3.0)
+        assert modified_helmholtz3d(1.0).eval(-3.0) == pytest.approx(
+            math.sinh(3.0) / 3.0, rel=1e-15
+        )
+
+    def test_arrays_mixing_signs(self):
+        s = np.array([-3.0, -1e-2, -1e-5, 0.0, 1e-5, 1e-2, 3.0])
+        for helper in (_sinc, _sinhc):
+            assert np.array_equal(helper(s), helper(s[::-1]))
+        for helper in (_dsinc, _dsinhc):
+            assert np.array_equal(helper(s), -helper(s[::-1]))
 
 
 class TestBiharmonic:
