@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -179,13 +181,32 @@ class _Output:
     def add(self, line: str) -> None:
         self.lines.append(line)
 
-    def emit(self) -> None:
+    def emit(self) -> int:
+        """Write the lines; return EXIT_OK, or EXIT_USAGE if the file is unwritable.
+
+        The file is written in place, with no O_TRUNC (a cut to zero bytes makes
+        ext4 flush it at close, and the next cut waits for that), then cut to
+        length if it is a regular file.  A crash before the cut may leave a
+        tail of the old contents."""
         text = "\n".join(self.lines) + "\n"
         if self.path is None:
             sys.stdout.write(text)
-        else:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            return EXIT_OK
+        data = memoryview(text.encode("utf-8"))
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                written = 0
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            print(f"error: cannot write {self.path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+        return EXIT_OK
 
 
 def rel_err_pct(computed: float, exact: float) -> float:
@@ -261,8 +282,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             out.add(line)
         if problem.notes:
             out.add(f"# note: {problem.notes}")
-    out.emit()
-    return EXIT_OK
+    return out.emit()
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
@@ -288,8 +308,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
                 print(f"error: non-finite error at n={n} c={c}", file=sys.stderr)
                 return EXIT_NUMERICAL
             out.add(f"{n},{c:.12g},{max_err:.12g},{diag.cond_bkm:.12g}")
-    out.emit()
-    return EXIT_OK
+    return out.emit()
 
 
 def _radial_laplacian(f: Callable[[float], float], r: float, h: float, dim: int) -> float:

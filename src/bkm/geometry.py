@@ -142,11 +142,16 @@ def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     """Coordinates of the points as an (n, 2) float array; row i is (x_i, y_i).
 
     An ndarray is taken to hold such rows already and is returned as is.
+    Items holding other than 2n coordinates in all raise ValueError; mixed
+    lengths that add up to 2n, such as [(x0, y0, x1), (y1,)], still pass.
     """
     if isinstance(points, np.ndarray):
         return points
     n = len(points)
-    flat = np.fromiter(itertools.chain.from_iterable(points), dtype=float, count=2 * n)
+    values = itertools.chain.from_iterable(points)
+    flat = np.fromiter(values, dtype=float, count=2 * n)
+    if next(values, values) is not values:  # the iterator is its own end marker
+        raise ValueError(f"expected {n} (x, y) pairs, got more than {2 * n} coordinates")
     return flat.reshape(n, 2)
 
 

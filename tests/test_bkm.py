@@ -291,6 +291,21 @@ class TestSolveMixedLinear:
         err_without = np.abs(evaluate(without, pts) - exact).max()
         assert err_with <= err_without
 
+    def test_interior_points_that_are_not_pairs_rejected(self):
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        with pytest.raises(ValueError, match="pairs"):
+            solve_mixed_linear(problem, knots, [(0.0, 0.0, 0.5), (0.25, 0.1, 0.2)])
+
+    def test_interior_points_as_tuples_match_points(self):
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        interior = [Point(0.0, 0.0), Point(0.5, 0.25)]
+        sol, _ = solve_mixed_linear(problem, knots, interior)
+        plain, _ = solve_mixed_linear(problem, knots, [tuple(p) for p in interior])
+        assert np.array_equal(plain.lam, sol.lam)
+        assert np.array_equal(plain.interior_u, sol.interior_u)
+
     def test_interior_unknowns_returned_in_solution(self):
         problem = laplace_benchmark()
         knots = ellipse_knots(problem.ellipse, 8)
@@ -541,6 +556,21 @@ class TestEvaluate:
         sol, _ = solve_boundary_only(factory(), 5)
         with pytest.raises(ValueError, match=r"\(n, 2\) array of real"):
             evaluate(sol, xy)
+
+    def test_points_that_are_not_pairs_rejected(self):
+        """3-tuples were once re-paired: this call returned the field at
+        (3.0, 0.1) and (9.0, 3.2)."""
+        sol, _ = solve_boundary_only(burger_benchmark(), 5)
+        with pytest.raises(ValueError, match="pairs"):
+            evaluate(sol, [(3.0, 0.1, 9.0), (3.2, 0.2, 9.0)])
+
+    def test_points_tuples_and_arrays_give_the_same_field(self):
+        problem = helmholtz_benchmark()
+        sol, _ = solve_boundary_only(problem, 7)
+        pts = interior_grid(problem.ellipse, 0.3)
+        want = evaluate(sol, pts)
+        assert np.array_equal(evaluate(sol, [(p.x, p.y) for p in pts]), want)
+        assert np.array_equal(evaluate(sol, np.array([[p.x, p.y] for p in pts])), want)
 
     def test_integer_coordinate_array_accepted(self):
         sol, _ = solve_boundary_only(helmholtz_benchmark(), 5)

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import dataclasses
 import io
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -230,6 +232,114 @@ class TestConvergence:
         assert len(rows) == 1
         assert rows[0]["n"] == "5"
         assert float(rows[0]["c"]) == 25.0
+
+
+class TestOutputFile:
+    """``--out`` overwrites a file in place and cuts it to length; the bytes
+    are those of the stdout run."""
+
+    HELMHOLTZ = ["solve", "--problem", "helmholtz", "--n", "7", "--format", "csv"]
+    SWEEP = ["convergence", "--problem", "laplace", "--n", "3,5"]
+
+    @staticmethod
+    def _stdout_bytes(capsys, argv):
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [HELMHOLTZ, SWEEP], ids=["solve", "convergence"])
+    def test_longer_file_is_cut_to_the_stdout_bytes(self, capsys, tmp_path, argv):
+        want = self._stdout_bytes(capsys, argv)
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"x" * 5000)
+        assert main(argv + ["--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == want
+
+    def test_symlink_updates_its_target(self, capsys, tmp_path):
+        want = self._stdout_bytes(capsys, self.HELMHOLTZ)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"x" * 5000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(self.HELMHOLTZ + ["--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_bytes() == want
+
+    def test_existing_file_keeps_its_inode_and_mode(self, capsys, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"x" * 5000)
+        path.chmod(0o640)
+        before = path.stat()
+        assert main(self.HELMHOLTZ + ["--out", str(path)]) == EXIT_OK
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_of_open_for_writing(self, capsys, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference.csv", "w"):
+                pass
+            assert main(self.HELMHOLTZ + ["--out", str(tmp_path / "run.csv")]) == EXIT_OK
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "reference.csv").stat().st_mode)
+        assert stat.S_IMODE((tmp_path / "run.csv").stat().st_mode) == want == 0o666 & ~umask
+
+    def test_dev_null_is_written_not_truncated(self, capsys):
+        assert main(self.HELMHOLTZ + ["--out", os.devnull]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" not in captured.err
+
+    def test_pipe_is_written_not_truncated(self, capsys):
+        want = self._stdout_bytes(capsys, self.SWEEP)
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                assert main(self.SWEEP + ["--out", f"/dev/fd/{write_end}"]) == EXIT_OK
+            finally:
+                os.close(write_end)
+            assert pipe.read() == want
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [HELMHOLTZ, SWEEP], ids=["solve", "convergence"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, argv, where):
+        path = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"^error: cannot write {re.escape(str(path))}: \S", captured.err, re.M)
+        assert "Traceback" not in captured.err
+
+    def test_failed_solve_leaves_the_file_untouched(self, capsys, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"previous run")
+        argv = ["solve", "--problem", "burger", "--interior", "3", "--out", str(path)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert path.read_bytes() == b"previous run"
+
+    @pytest.mark.parametrize("argv", [HELMHOLTZ, SWEEP], ids=["solve", "convergence"])
+    def test_out_never_opens_with_truncation(self, capsys, tmp_path, monkeypatch, argv):
+        """Truncating to zero makes the file system flush the file at close,
+        and the next run's truncation waits for it: --out must not pass O_TRUNC."""
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"x" * 5000)
+        calls = []
+        real_open = os.open
+
+        def recording_open(file, flags, *args, **kwargs):
+            calls.append((os.fspath(file), flags))
+            return real_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for _ in range(4):
+            assert main(argv + ["--out", str(path)]) == EXIT_OK
+        opened = [flags for file, flags in calls if file == str(path)]
+        assert len(opened) == 4
+        assert not any(flags & os.O_TRUNC for flags in opened)
 
 
 class TestKernels:

@@ -140,8 +140,19 @@ class TestArrayHelpers:
         xy = as_xy(pts)
         assert xy.shape == (3, 2) and xy.dtype == float
         assert np.array_equal(xy, np.array([[0.5, -1.0], [2.0, 3.5], [-0.25, 0.0]]))
+        assert np.array_equal(as_xy(tuple((p.x, p.y) for p in pts)), xy)
         assert as_xy(xy) is xy
         assert as_xy([]).shape == (0, 2)
+
+    def test_as_xy_rejects_items_that_are_not_pairs(self):
+        """3-tuples were once re-paired silently: [(3, 0.1, 9), (3.2, 0.2, 9)]
+        read as (3, 0.1) and (9, 3.2)."""
+        with pytest.raises(ValueError, match="pairs"):
+            as_xy([(3.0, 0.1, 9.0), (3.2, 0.2, 9.0)])
+        with pytest.raises(ValueError, match="pairs"):
+            as_xy([(0.0, 1.0), (2.0, 3.0, None)])
+        with pytest.raises(ValueError):
+            as_xy([(3.0, 0.1), (3.2,)])
 
     def test_distance_matrix_matches_dist(self):
         rows = [Point(0.1 * i, 0.3 - 0.2 * i) for i in range(4)]
