@@ -18,6 +18,7 @@ collocation solve for lambda, with no iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,9 +59,9 @@ __all__ = [
 
 _BC_KINDS = ("dirichlet", "neumann")
 
-# Rows per block in ``evaluate`` (``_eval_rows``): about _EVAL_ENTRIES matrix
-# entries, and never fewer than _EVAL_BLOCK rows.  The block size depends only
-# on the number of columns, so memory stays flat however many points there are.
+# Points per block in ``evaluate`` (``_eval_rows``): about _EVAL_ENTRIES matrix
+# entries, and never fewer than _EVAL_BLOCK points.  The block size depends only
+# on the number of knots, so memory stays flat however many points there are.
 _EVAL_BLOCK = 256
 _EVAL_ENTRIES = 16384
 
@@ -153,6 +154,20 @@ def _linear_rho_scale(rho: RhoSpec) -> float | None:
     return {"zero": 0.0, "identity": 1.0}.get(rho.kind)
 
 
+def _spans_plane(xy: np.ndarray) -> bool:
+    """Whether the points are not all on one line (and at least three)."""
+    points = xy.tolist()
+    if len(points) < 3:
+        return False
+    x0, y0 = points[0]
+    x1, y1 = max(points, key=lambda p: (p[0] - x0) ** 2 + (p[1] - y0) ** 2)
+    # (x - x0, y - y0) . normal is |normal| times (x, y)'s distance from the
+    # line through point 0 and the point farthest from it.
+    nx, ny = y1 - y0, x0 - x1
+    tol = 1e-12 * (nx * nx + ny * ny)
+    return any(abs((x - x0) * nx + (y - y0) * ny) > tol for x, y in points)
+
+
 def _solve(
     problem: ProblemSpec,
     knots: Sequence[BoundaryKnot],
@@ -188,8 +203,20 @@ def _solve(
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
     scale = _linear_rho_scale(problem.rho)
-
     unknown = neumann + list(range(n, m))
+    if scale is not None:
+        # The tail needs three points off one line among those whose rows
+        # hold it, or the bordered matrix is singular by construction.  Where
+        # rho{u} = k^2 u (Laplace) it drops out of the unknown points' rows.
+        tailed, which = xy, "knots"
+        if unknown and math.isclose(scale, pair.wavenumber**2):
+            tailed, which = np.delete(xy, unknown, axis=0), "Dirichlet knots"
+        if not _spans_plane(tailed):
+            on_line = ", all on one line" if len(tailed) >= 3 else ""
+            raise UnsupportedConfigurationError(
+                f"the linear tail (1, x, y) needs three {which} not on one line, "
+                f"got {len(tailed)}{on_line}"
+            )
     known_u = np.zeros(m)
     known_u[:n] = values
     known_u[neumann] = 0.0
@@ -256,6 +283,8 @@ def solve_boundary_only(
 
     Raises
     ------
+    UnsupportedConfigurationError
+        If rho is linear and the knots are fewer than three or on one line.
     SingularMatrixError
         Propagated from either dense solve.
     """
@@ -286,7 +315,10 @@ def solve_mixed_linear(
     Raises
     ------
     UnsupportedConfigurationError
-        If the problem's rho is not linear (zero/identity/scaled_identity).
+        If the problem's rho is not linear (zero/identity/scaled_identity),
+        or if the points that carry its linear tail are fewer than three or
+        on one line: all points, or only the Dirichlet knots when
+        rho{u} = k^2 u.
     SingularMatrixError
         Propagated if either dense system is singular.
     """
@@ -306,9 +338,9 @@ def solve_mixed_linear(
 
 
 def _eval_rows(m: int) -> int:
-    """Rows per block of ``evaluate`` for matrices of m columns.
+    """Points per block of ``evaluate`` for m knots.
 
-    With few columns, _EVAL_BLOCK rows make each numpy pass so short that
+    With few knots, _EVAL_BLOCK points make each numpy pass so short that
     its per-call overhead rivals its work.
     """
     return max(_EVAL_BLOCK, _EVAL_ENTRIES // m)
@@ -318,17 +350,19 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     """Evaluate u = v + u_p = sum_k lambda_k kernel(||x - x_k||) + u_p(x).
 
     ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array.
-    The points are taken in blocks of max(256, 16384 // m) rows, m being
-    the columns of the block's matrices (``_eval_rows``): about 16k entries
-    up to 64 columns, 256 rows beyond.  The matrices stay the same size
-    however many points there are.
+    The points are taken in blocks of b = max(256, 16384 // m) points, m
+    being the knots of the block's matrices (``_eval_rows``): about 16k
+    entries up to 64 knots, 256 points beyond.  The matrices stay the same
+    size however many points there are.
 
-    Each block has one matrix of squared distances, to the expansion's
-    knots, on which both kernels are evaluated with no square root: the
-    solve driver puts the collocation knots first among them, so v reads its
-    first ``len(sol.knots)`` columns and u_p all of them.  A solution
-    whose expansion does not start with its collocation knots gets them
-    prepended as extra columns of the same matrix.  An array that is not
+    Each block has one (m, b) matrix of squared distances from the
+    expansion's knots, on which both kernels are evaluated with no square
+    root; every numpy pass runs along a row of b points, and the field is
+    summed as lam @ J0 + alpha @ phi_hat.  ``_solve`` puts the
+    collocation knots first among the knots, so v reads the first
+    ``len(sol.knots)`` rows and u_p all of them.  A solution whose
+    expansion does not start with its collocation knots gets them
+    prepended as extra rows of the same matrix.  An array that is not
     (n, 2) and real, or a coordinate that is not finite or whose square
     would overflow, raises ValueError.
     """
@@ -351,8 +385,8 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     rows = _eval_rows(len(sources))
     for start in range(0, len(xy), rows):
         block = xy[start : start + rows]
-        sq_distances = squared_distances(block, sources)
-        v = sol.kernel.eval_sq(sq_distances[:, :n]) @ sol.lam
-        u_p = u_p_from_distances(sol.expansion, sq_distances[:, first_drm:], block)
-        out[start : start + len(block)] = v + u_p
+        sq_distances = squared_distances(sources, block)
+        u = u_p_from_distances(sol.expansion, sq_distances[first_drm:], block)
+        u += sol.lam @ sol.kernel.eval_sq(sq_distances[:n])
+        out[start : start + len(block)] = u
     return out

@@ -239,10 +239,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _PROBLEMS[config.problem]()
     if config.shape_c is not None:
         problem = dataclasses.replace(problem, mq_shape_c=config.shape_c)
+    if config.n_interior > 0:
+        try:
+            interior = _interior_points(problem.ellipse, config.n_interior)
+        except ValueError as exc:  # more knots than the lattice has: a usage error
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         if config.n_interior > 0:
             knots = ellipse_knots(problem.ellipse, config.n_boundary)
-            interior = _interior_points(problem.ellipse, config.n_interior)
             sol, diag = solve_mixed_linear(problem, knots, interior)
         else:
             sol, diag = solve_boundary_only(problem, config.n_boundary)

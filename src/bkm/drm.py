@@ -285,16 +285,17 @@ def solve_alpha(
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     """Particular solution u_p = sum_j alpha_j phi_hat(||x - x_j||) + tail at the points."""
     xy = as_xy(points)
-    return u_p_from_distances(expansion, squared_distances(xy, as_xy(expansion.knots)), xy)
+    return u_p_from_distances(expansion, squared_distances(as_xy(expansion.knots), xy), xy)
 
 
 def u_p_from_distances(expansion: DrmExpansion, sq_distances: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """``u_p_at`` the points ``xy`` from their squared distances to the
-    expansion's knots (one row per point, one column per knot)."""
-    u_p = expansion.pair.phi_hat.eval_sq(sq_distances) @ expansion.alpha
-    if expansion.tail is None:
-        return u_p
-    return u_p + expansion.tail[0] + xy @ expansion.tail[1:]
+    """``u_p_at`` the points ``xy`` from the squared distances of the
+    expansion's knots to them (one row per knot, one column per point)."""
+    u_p = expansion.alpha @ expansion.pair.phi_hat.eval_sq(sq_distances)
+    if expansion.tail is not None:
+        u_p += expansion.tail[0]
+        u_p += xy @ expansion.tail[1:]
+    return u_p
 
 
 def normal_projections(boundary_knots, sources) -> np.ndarray:

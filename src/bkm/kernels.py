@@ -120,10 +120,13 @@ def helmholtz2d(lam: float) -> RadialKernel:
     def dv(r):
         return -lam * bessel_j1(lam * r)
 
-    def ev_sq(t):
-        return bessel_j0_sq(lam * lam * t)
+    lam_sq = lam * lam
 
-    return RadialKernel(ev, dv, "j0", {"lambda": lam}, ev_sq)
+    def ev_sq(t):
+        return bessel_j0_sq(lam_sq * t)
+
+    # At lam = 1, which every built-in problem uses, no scaling pass.
+    return RadialKernel(ev, dv, "j0", {"lambda": lam}, bessel_j0_sq if lam_sq == 1.0 else ev_sq)
 
 
 def modified_helmholtz2d(lam: float) -> RadialKernel:

@@ -248,7 +248,11 @@ def _j_far(x, ax, order: int, hankel: tuple):
 
 def bessel_j0_sq(x_sq: np.ndarray) -> np.ndarray:
     """J0(sqrt(x_sq)) of an array of squared arguments, elementwise, with no
-    square root where x_sq <= 25.  Unchecked: x_sq must be finite and >= 0."""
+    square root where x_sq <= 25.  Unchecked: x_sq must be finite and >= 0.
+
+    An array with no element above 25 is one polynomial pass, with no mask."""
+    if x_sq.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
+        return _polevl(x_sq, _J0_SMALL)
     return _j_split(
         x_sq > _J_SERIES_MAX * _J_SERIES_MAX,
         lambda x_sq: _j_near(None, x_sq, 0),

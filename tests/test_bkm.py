@@ -406,6 +406,62 @@ class TestSolveMixedLinear:
             solve_mixed_linear(problem, knots, (), bc=dirichlet_bcs(knots[:2]))
 
 
+class TestLinearTailNeedsThreePointsOffOneLine:
+    """The bordered [[A_phi, P], [P^T, 0]] of a linear rho term is singular by
+    construction unless the points that carry the tail span the plane.  Such
+    solves once returned garbage: Laplace at n = 2 gave 6.6e15 at
+    (1.2, -0.35) with cond_interp 2.1e55."""
+
+    @pytest.mark.parametrize("factory", [laplace_benchmark, helmholtz_benchmark])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_boundary_only_below_three_knots_rejected(self, factory, n):
+        with pytest.raises(UnsupportedConfigurationError, match=f"three knots .* got {n}$"):
+            solve_boundary_only(factory(), n)
+
+    @pytest.mark.parametrize(
+        "factory, message",
+        [
+            (laplace_benchmark, "three Dirichlet knots not on one line, got 2$"),
+            (helmholtz_benchmark, "three knots not on one line, got 5, all on one line$"),
+        ],
+    )
+    def test_mixed_points_on_one_line_rejected(self, factory, message):
+        """Two knots, (2, 0) and (-2, 0), and interior points on y = 0: -7.3e14 once."""
+        problem = factory()
+        knots = ellipse_knots(problem.ellipse, 2)
+        interior = [Point(-0.5, 0.0), Point(0.0, 0.0), Point(0.7, 0.0)]
+        with pytest.raises(UnsupportedConfigurationError, match=message):
+            solve_mixed_linear(problem, knots, interior)
+
+    def test_points_on_a_slanted_line_rejected_despite_round_off(self):
+        problem = manufactured(lambda p: p.x, rho=RhoSpec.zero(), ellipse=ELLIPSE)
+        line = [Point(x, 0.3 * x + 0.02) for x in (0.1, 0.2, 0.35, 0.4)]
+        knots = [dataclasses.replace(k, position=p) for k, p in zip(ellipse_knots(ELLIPSE, 2), line)]
+        with pytest.raises(UnsupportedConfigurationError, match="got 4, all on one line"):
+            solve_mixed_linear(problem, knots, line[2:])
+
+    def test_laplace_tail_needs_three_dirichlet_knots(self):
+        """With rho{u} = k^2 u the tail drops out of the rows of the unknown
+        points, so interior points off the line do not help: cond_interp was
+        2.0e38 here."""
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 2)
+        with pytest.raises(UnsupportedConfigurationError, match="three Dirichlet knots"):
+            solve_mixed_linear(problem, knots, [Point(0.0, 0.0), Point(0.3, 0.2)])
+
+    def test_helmholtz_tail_spans_the_plane_with_interior_points(self):
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 2)
+        _, diag = solve_mixed_linear(problem, knots, [Point(0.0, 0.0), Point(0.3, 0.2)])
+        assert diag.cond_interp < 1e8
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_burger_has_no_tail_and_solves_on_one_or_two_knots(self, n):
+        problem = burger_benchmark()
+        sol, _ = solve_boundary_only(problem, n)
+        assert np.isfinite(evaluate(sol, problem.table_points)).all()
+
+
 class TestEvaluate:
     def test_zero_coefficients_give_zero_field(self):
         knots = ellipse_knots(ELLIPSE, 4)
@@ -606,6 +662,11 @@ class TestEvaluate:
         want = evaluate(sol, pts)
         assert evaluate(flipped, pts) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_no_points_give_an_empty_field(self, points):
+        sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
+        assert evaluate(sol, points).shape == (0,)
+
     @given(st.integers(min_value=3, max_value=12))
     @settings(max_examples=10, deadline=None)
     def test_evaluation_shape_matches_point_count(self, n):
@@ -707,7 +768,7 @@ class TestSharedDistanceMatrices:
         squared_distance_calls.clear()
         rows = _eval_rows(8)
         evaluate(sol, [Point(0.01 * i, 0.0) for i in range(2 * rows + 37)])
-        assert squared_distance_calls == [(rows, 8), (rows, 8), (37, 8)]
+        assert squared_distance_calls == [(8, rows), (8, rows), (8, 37)]
         assert distance_calls == []
 
     @pytest.mark.parametrize(
@@ -719,7 +780,7 @@ class TestSharedDistanceMatrices:
         """max(256, 16384 // m) rows: about 16k entries up to 64 columns."""
         sol = _synthetic_solution(m)
         evaluate(sol, [Point(0.001 * i, 0.0) for i in range(2 * rows + 5)])
-        assert squared_distance_calls == [(rows, m), (rows, m), (5, m)]
+        assert squared_distance_calls == [(m, rows), (m, rows), (m, 5)]
 
 
 class TestOneFactorizationPerMatrix:

@@ -99,6 +99,31 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["laplace", "helmholtz"])
+    def test_linear_tail_on_two_knots_fails_numerically(self, capsys, problem):
+        # The bordered DRM matrix is singular by construction: Laplace once
+        # printed 6.6e15 at (1.2, -0.35) and exited 0.
+        assert main(["solve", "--problem", problem, "--n", "2"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the linear tail (1, x, y) needs three knots" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_convergence_over_two_knots_fails_numerically(self, capsys):
+        assert main(["convergence", "--problem", "laplace", "--n", "2,5"]) == EXIT_NUMERICAL
+        assert "error: n=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_burger_has_no_tail_and_solves_on_one_or_two_knots(self, capsys, n):
+        assert main(["solve", "--problem", "burger", "--n", n]) == EXIT_OK
+
+    def test_more_interior_knots_than_the_lattice_is_usage_error(self, capsys):
+        code = main(["solve", "--problem", "laplace", "--interior", "1000"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: requested 1000 interior knots, lattice has 93" in captured.err
+
     def test_main_reads_sys_argv_when_not_given(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["bkm", "kernels", "i0", "--r", "0"])
         assert main(None) == EXIT_OK

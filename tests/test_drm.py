@@ -223,7 +223,8 @@ class TestUpAt:
         pts = ring(8)
         pair = mq_pair(3.0)
         exp = solve_alpha(pts, pair, [math.sin(p.x) for p in pts], RhoSpec.zero())
-        direct = particular_matrix(pts, pts, pair) @ exp.alpha
+        # u_p_at sums over knots x points blocks: alpha @ that matrix.
+        direct = exp.alpha @ np.ascontiguousarray(particular_matrix(pts, pts, pair).T)
         assert np.array_equal(u_p_at(exp, pts), direct)
 
     @pytest.mark.parametrize("c", [1.0, 3.0])

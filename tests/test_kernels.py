@@ -26,6 +26,7 @@ from bkm.kernels import (
     mq_pair,
     normal_derivative,
 )
+from bkm.specfun import bessel_j0_sq
 
 from oracles import (
     fd_biharmonic_radial,
@@ -534,6 +535,10 @@ class TestSquaredRadius:
         kern = helmholtz2d(lam)
         # lam^2 * r^2 and (lam * r)^2 differ by round-off only.
         assert np.abs(kern.eval_sq(self.R * self.R) - kern.eval(self.R)).max() <= 1e-14
+
+    def test_unit_wavenumber_takes_the_squared_radius_unscaled(self):
+        t = self.R * self.R
+        assert np.array_equal(helmholtz2d(1.0).eval_sq(t), bessel_j0_sq(t))
 
     @pytest.mark.parametrize("c, k", [(1.0, 1.0), (3.0, 2.0)])
     def test_phi_hat_eval_is_its_squared_entry(self, c, k):

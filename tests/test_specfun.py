@@ -274,6 +274,19 @@ class TestSquaredArgument:
         x = np.concatenate([np.linspace(0.0, 50.0, 20001), switch])
         assert np.array_equal(bessel_j0_sq(x * x), bessel_j0(x))
 
+    def test_empty_array_keeps_its_shape(self):
+        assert bessel_j0_sq(np.empty((0, 3))).shape == (0, 3)
+
+    def test_max_of_exactly_25_is_one_polynomial_pass(self, monkeypatch):
+        # Perfect squares of multiples of 1/4: sqrt gives x back exactly.
+        x = np.arange(0.0, 5.25, 0.25)
+        t = (x * x).reshape(3, 7)
+        assert t.max() == 25.0
+        want = bessel_j0(np.sqrt(t))
+        # No mask or split: the polynomial covers every element.
+        monkeypatch.setattr(specfun, "_j_split", None)
+        assert np.array_equal(bessel_j0_sq(t), want)
+
     def test_each_form_alone_and_both_in_one_array(self):
         near, far = np.array([0.0, 4.0, 25.0]), np.array([25.5, 100.0, 2500.0])
         both = np.concatenate([far, near]).reshape(2, 3)
