@@ -21,14 +21,12 @@ from .drm import (
     DrmExpansion,
     RbfInterpolant,
     RhoSpec,
-    bordered_interp_matrix,
     interp_matrix,
     particular_matrix,
     rbf_interpolate,
     rho_matrix,
     solve_alpha,
     u_p_at,
-    u_p_normal_at,
 )
 from .geometry import BoundaryKnot, Ellipse, Point, ellipse_knots, interior_grid
 from .kernels import (
@@ -81,7 +79,6 @@ __all__ = [
     "biharmonic2d",
     "biharmonic3d",
     "biharmonic_mfs_pair",
-    "bordered_interp_matrix",
     "burger_benchmark",
     "cond_estimate_1norm",
     "convection_diffusion2d",
@@ -108,7 +105,6 @@ __all__ = [
     "solve_boundary_only",
     "solve_mixed_linear",
     "u_p_at",
-    "u_p_normal_at",
 ]
 
 __version__ = "0.1.0"

@@ -28,9 +28,9 @@ from .drm import (
     DrmExpansion,
     RhoSpec,
     bordered_matrix,
+    burger_alpha,
     knot_distances,
     normal_projections,
-    rho_from_distances,
     u_p_from_distances,
 )
 from .geometry import (
@@ -80,6 +80,8 @@ class BoundaryCondition:
     def __post_init__(self) -> None:
         if self.kind not in _BC_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}, expected {_BC_KINDS}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"boundary {self.kind} value must be finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,16 @@ class Diagnostics:
     ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers,
     ||A||_1 ||A^-1||_1 with A^-1 from the same LU factorization that
     solved A (see ``linalg.solve_and_invert``), so no matrix is factored
-    twice.  ``cond_interp`` is that of the DRM matrix that was solved: the
-    interpolation matrix, bordered with the linear tail for a linear rho
-    kind and bare for Burger, whose rows at the points with unknown u
-    (Neumann and interior knots) are PDE collocation rows.  ``cond_bkm``
-    is that of the n x n collocation matrix for lambda: the value and
-    flux rows of v, plus, when u is unknown somewhere, the rows of u_p's
-    dependence on lambda.  For an all-Dirichlet solve without interior
-    knots these are the interpolation matrix itself and J0 alone.
+    twice: Burger's u_x interpolant comes from that one factorization of
+    A_phi too (``drm.burger_alpha``).  ``cond_interp`` is that of the DRM
+    matrix that was solved: the interpolation matrix, bordered with the
+    linear tail for a linear rho kind and bare for Burger, whose rows at
+    the points with unknown u (Neumann and interior knots) are PDE
+    collocation rows.  ``cond_bkm`` is that of the n x n collocation
+    matrix for lambda: the value and flux rows of v, plus, when u is
+    unknown somewhere, the rows of u_p's dependence on lambda.  For an
+    all-Dirichlet solve without interior knots these are the
+    interpolation matrix itself and J0 alone.
     ``residual_inf`` is the max-norm residual of the lambda solve.
     """
 
@@ -185,9 +189,11 @@ def _solve(
     the bare interpolant: with the tail its paper table error rises from
     5.0e-2 to 7.2e-2.  Each point has a DRM row [A_phi | P] c = f + rho{u},
     and the moment rows P^T alpha = 0 close the system.  Where u is known
-    (Dirichlet knots) rho{u} goes to the right-hand side, Burger's read
-    off the interpolant of u.  Where it is not (Neumann and interior knots),
-    u = v + u_p and rho{u} = s u turn the row into a PDE collocation row,
+    (Dirichlet knots) rho{u} goes to the right-hand side: s u for a linear
+    kind.  Burger's u - u_x u reads u_x off the interpolant of u, whose
+    coefficients come from the one factorization of A_phi that also gives
+    c (``drm.burger_alpha``).  Where u is not known (Neumann and interior
+    knots), u = v + u_p and rho{u} = s u turn the row into a PDE collocation row,
     ([A_phi | P] - s rep) c = f + s J lambda.  lambda enters only those
     right-hand sides, so one factorization gives c = c0 + gather @ lambda,
     and the boundary rows (value or flux of v + u_p) solve for lambda.
@@ -223,20 +229,24 @@ def _solve(
 
     a_phi = pair.phi.eval(distances)
     rhs = np.array([problem.forcing(p) for p in points], dtype=float)
-    rhs += rho_from_distances(problem.rho, pair, xy, distances, a_phi, known_u)
     # At every point v = j_values @ lam and u_p = rep @ c.
     j_values = kernel.eval(distances[:, :n])
     rep = pair.phi_hat.eval(distances)
     system = a_phi
-    if scale is not None:
+    if scale is None:
+        # Burger: u is known at every point, and one factorization gives both
+        # its interpolant (for u_x) and c.
+        c0, system_inv = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
+    else:
+        rhs += scale * known_u
         system = bordered_matrix(a_phi, xy)
         rep = np.hstack([rep, system[:m, m:] / pair.wavenumber**2])
         rhs = np.concatenate([rhs, np.zeros(3)])
-    if unknown:
-        # Only a linear rho has unknown points: rho{u} = scale (v + u_p).
-        system[unknown] -= scale * rep[unknown]
-        coupling = scale * j_values[unknown]
-    c0, system_inv = solve_and_invert(system, rhs)
+        if unknown:
+            # rho{u} = scale (v + u_p) at the unknown points.
+            system[unknown] -= scale * rep[unknown]
+            coupling = scale * j_values[unknown]
+        c0, system_inv = solve_and_invert(system, rhs)
 
     # One row per boundary knot, in knot order: u = v + u_p at a Dirichlet
     # knot, its normal derivative at a Neumann knot.  They are built in

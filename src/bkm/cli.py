@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .kernels import (
 from .linalg import SingularMatrixError
 from .problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
-__all__ = ["RunConfig", "main", "rel_err_pct"]
+__all__ = ["main", "rel_err_pct"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -64,18 +63,6 @@ _RESIDUAL_GATE = 1e-5
 
 # Spacing of the dense lattice the --interior flag subsamples from.
 _INTERIOR_SPACING = 0.25
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of a ``solve`` run."""
-
-    problem: str
-    n_boundary: int
-    n_interior: int = 0
-    shape_c: float | None = None
-    format: str = "table"
-    output: str | None = None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -228,29 +215,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.problem not in _PROBLEMS:
         print(f"error: unknown problem: {args.problem!r}", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(
-        problem=args.problem,
-        n_boundary=args.n,
-        n_interior=args.interior,
-        shape_c=args.c,
-        format=args.format,
-        output=args.out,
-    )
-    problem = _PROBLEMS[config.problem]()
-    if config.shape_c is not None:
-        problem = dataclasses.replace(problem, mq_shape_c=config.shape_c)
-    if config.n_interior > 0:
+    problem = _PROBLEMS[args.problem]()
+    if args.c is not None:
+        problem = dataclasses.replace(problem, mq_shape_c=args.c)
+    if args.interior > 0:
         try:
-            interior = _interior_points(problem.ellipse, config.n_interior)
+            interior = _interior_points(problem.ellipse, args.interior)
         except ValueError as exc:  # more knots than the lattice has: a usage error
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        if config.n_interior > 0:
-            knots = ellipse_knots(problem.ellipse, config.n_boundary)
+        if args.interior > 0:
+            knots = ellipse_knots(problem.ellipse, args.n)
             sol, diag = solve_mixed_linear(problem, knots, interior)
         else:
-            sol, diag = solve_boundary_only(problem, config.n_boundary)
+            sol, diag = solve_boundary_only(problem, args.n)
         points = problem.table_points
         computed = evaluate(sol, points)
     except (SingularMatrixError, UnsupportedConfigurationError, ValueError) as exc:
@@ -261,13 +240,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: non-finite solution values", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out = _Output(config.output)
+    out = _Output(args.out)
     footer = [
         f"# cond_interp {diag.cond_interp:.3e}",
         f"# cond_bkm {diag.cond_bkm:.3e}",
         f"# residual_inf {diag.residual_inf:.3e}",
     ]
-    if config.format == "csv":
+    if args.format == "csv":
         out.add("x,y,exact,computed,rel_err_pct")
         for p, ex, co in zip(points, exact, computed):
             err = rel_err_pct(co, ex)
@@ -277,7 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if problem.notes:
             print(f"# note: {problem.notes}", file=sys.stderr)
     else:
-        out.add(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({config.n_boundary})':>10} {'err%':>8}")
+        out.add(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({args.n})':>10} {'err%':>8}")
         for p, ex, co in zip(points, exact, computed):
             cells = (p.x, p.y, ex, co, rel_err_pct(co, ex))
             # Rounded as printed; + 0.0 turns a -0.0 into 0.0, so zero prints unsigned.

@@ -19,12 +19,17 @@ enters u_p.
 Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays.
 A knot set's distance matrix (``knot_distances``) is computed once per
 solve and every matrix over the set is one kernel call on it:
-``rho_from_distances`` takes it with the caller's A_phi, so the Burger
-rho term's interpolation reuses the A_phi of the alpha solve, and
-``bordered_matrix`` borders that A_phi with the linear tail;
+``bordered_matrix`` borders the caller's A_phi with the linear tail;
 ``u_p_from_distances`` sums u_p from squared distances the caller already
 holds, and ``normal_projections`` with rows of a distance matrix gives a
 Neumann knot's flux row.
+
+The rho formulas live in ``rho_matrix``: 0, u and scale*u for the linear
+kinds (a solve driver adds scale*u to its right-hand side), and Burger's
+u - u_x u in one private helper that ``rho_matrix`` and ``burger_alpha``
+share.  ``burger_alpha`` factors A_phi once for Burger: one solve gives
+u's interpolant coefficients, hence u_x, and rho{u} enters alpha through
+the inverse from the same factorization.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from .geometry import Point, as_xy, coincident_pair, distance_matrix, squared_distances
 from .kernels import KernelPair, RadialKernel, directional_derivative
-from .linalg import lu_solve
+from .linalg import lu_solve, solve_and_invert
 
 __all__ = [
     "RhoSpec",
@@ -44,16 +49,13 @@ __all__ = [
     "RbfInterpolant",
     "knot_distances",
     "interp_matrix",
-    "bordered_interp_matrix",
     "bordered_matrix",
     "particular_matrix",
     "rho_matrix",
-    "rho_from_distances",
+    "burger_alpha",
     "solve_alpha",
     "u_p_at",
     "u_p_from_distances",
-    "u_p_normal_at",
-    "normal_matrix",
     "normal_projections",
     "rbf_interpolate",
 ]
@@ -151,17 +153,6 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     return pair.phi.eval(knot_distances(knots))
 
 
-def bordered_interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
-    """Interpolation matrix with a linear tail, [[A_phi, P], [P^T, 0]], P = [1, x, y].
-
-    Raises
-    ------
-    ValueError
-        If no knots are given or two knots (nearly) coincide.
-    """
-    return bordered_matrix(interp_matrix(knots, pair), knots)
-
-
 def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
     """[[A_phi, P], [P^T, 0]] with rows P = (1, x, y) at the knots, from an
     A_phi the caller already holds."""
@@ -180,29 +171,38 @@ def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
     return pair.phi_hat.eval_sq(squared_distances(as_xy(eval_points), as_xy(knots)))
 
 
-def _interpolant_x_derivative(
-    xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, phi: RadialKernel, u: np.ndarray
-) -> np.ndarray:
-    """x-derivative at the knots of the phi-interpolant of u: D_x A_phi^-1 u, with
-    D_x entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r, diagonal 0."""
-    d_x = directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
-    return d_x @ lu_solve(a_phi, u)
-
-
-def _rho_term(rho: RhoSpec, n: int, u_at_knots, burger_u_x) -> np.ndarray:
-    """The rho term at n knots; ``burger_u_x(u)`` gives u_x for the Burger kind."""
-    if rho.kind == "zero":
-        return np.zeros(n)
+def _u_values(rho: RhoSpec, n: int, u_at_knots) -> np.ndarray:
     if u_at_knots is None:
         raise ValueError(f"rho kind {rho.kind!r} needs u values at the knots")
     u = np.asarray(u_at_knots, dtype=float)
     if u.shape != (n,):
         raise ValueError(f"expected {n} u values, got shape {u.shape}")
-    if rho.kind == "identity":
-        return u.copy()
-    if rho.kind == "scaled_identity":
-        return rho.scale * u
-    return u - burger_u_x(u) * u
+    return u
+
+
+def _burger_rho(
+    phi: RadialKernel, xy: np.ndarray, distances: np.ndarray, u: np.ndarray, u_coef: np.ndarray
+) -> np.ndarray:
+    """Burger's rho{u} = u - u_x u at the knots ``xy``, with u_x = D_x u_coef
+    from the phi-interpolant of u, whose coefficients are u_coef = A_phi^-1 u.
+    D_x has entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r,
+    diagonal 0, from the knots' distance matrix."""
+    d_x = directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
+    return u - (d_x @ u_coef) * u
+
+
+def burger_alpha(
+    pair: KernelPair, xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, f, u
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, and A_phi^-1, from one
+    factorization of A_phi.
+
+    One ``solve_and_invert`` of A_phi [X | Y] = [f u | I] gives u's
+    interpolant coefficients X[:, 1], hence u_x and rho{u}; rho{u} then
+    enters alpha = X[:, 0] + Y rho{u} through the inverse.
+    """
+    x, a_inv = solve_and_invert(a_phi, np.column_stack([f, u]))
+    return x[:, 0] + a_inv @ _burger_rho(pair.phi, xy, distances, u, x[:, 1]), a_inv
 
 
 def rho_matrix(
@@ -226,31 +226,14 @@ def rho_matrix(
     SingularMatrixError
         Propagated from a singular interpolation matrix.
     """
-
-    def burger_u_x(u: np.ndarray) -> np.ndarray:
-        xy = as_xy(knots)
-        distances = knot_distances(xy)
-        return _interpolant_x_derivative(xy, distances, pair.phi.eval(distances), pair.phi, u)
-
-    return _rho_term(rho, len(knots), u_at_knots, burger_u_x)
-
-
-def rho_from_distances(
-    rho: RhoSpec,
-    pair: KernelPair,
-    xy: np.ndarray,
-    distances: np.ndarray,
-    a_phi: np.ndarray,
-    u_at_knots: Sequence[float] | None,
-) -> np.ndarray:
-    """``rho_matrix`` at the knots ``xy`` from their distance matrix (from
-    ``knot_distances``) and A_phi = ``pair.phi`` on it, which the caller
-    already holds and which are not computed again."""
-
-    def burger_u_x(u: np.ndarray) -> np.ndarray:
-        return _interpolant_x_derivative(xy, distances, a_phi, pair.phi, u)
-
-    return _rho_term(rho, len(xy), u_at_knots, burger_u_x)
+    if rho.kind == "zero":
+        return np.zeros(len(knots))
+    u = _u_values(rho, len(knots), u_at_knots)
+    if rho.kind != "burger":
+        return u.copy() if rho.kind == "identity" else rho.scale * u
+    xy = as_xy(knots)
+    distances = knot_distances(xy)
+    return _burger_rho(pair.phi, xy, distances, u, lu_solve(pair.phi.eval(distances), u))
 
 
 def solve_alpha(
@@ -264,20 +247,23 @@ def solve_alpha(
     """Solve A_phi alpha = f + rho-term for the particular-solution coefficients.
 
     With ``linear_tail`` the interpolant gains beta . (1, x, y) and the
-    bordered system of ``bordered_interp_matrix`` is solved with the moment
+    bordered system of ``bordered_matrix`` is solved with the moment
     conditions P^T alpha = 0; the expansion then carries beta as its tail.
-    A_phi is evaluated once and serves both the Burger rho term and the
-    alpha solve.
+    Every matrix is factored once: without a tail, Burger's u_x and alpha
+    come from one factorization of A_phi (``burger_alpha``).
     """
     knots = tuple(knots)
+    n = len(knots)
     distances = knot_distances(knots)
     xy = as_xy(knots)
     a_phi = pair.phi.eval(distances)
-    rhs = np.asarray(f_at_knots, dtype=float)
-    rhs = rhs + rho_from_distances(rho, pair, xy, distances, a_phi, u_at_knots)
+    f = np.asarray(f_at_knots, dtype=float)
+    if rho.kind == "burger" and not linear_tail:
+        u = _u_values(rho, n, u_at_knots)
+        return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u)[0])
+    rhs = f + rho_matrix(rho, knots, pair, u_at_knots)
     if not linear_tail:
         return DrmExpansion(knots, pair, lu_solve(a_phi, rhs))
-    n = len(knots)
     solution = lu_solve(bordered_matrix(a_phi, xy), np.concatenate([rhs, np.zeros(3)]))
     return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
 
@@ -308,27 +294,6 @@ def normal_projections(boundary_knots, sources) -> np.ndarray:
     dx = positions[:, 0, None] - sources[None, :, 0]
     dy = positions[:, 1, None] - sources[None, :, 1]
     return dx * normals[:, 0, None] + dy * normals[:, 1, None]
-
-
-def normal_matrix(boundary_knots, sources, kernel: RadialKernel) -> np.ndarray:
-    """Entries d/dn_i kernel(||x - s_j||) at each boundary knot x = x_i along its
-    outward normal n_i, for sources s_j (0-limit at r = 0)."""
-    positions = as_xy([knot.position for knot in boundary_knots])
-    sources = as_xy(sources)
-    distances = distance_matrix(positions, sources)
-    return directional_derivative(kernel, distances, normal_projections(boundary_knots, sources))
-
-
-def u_p_normal_at(expansion: DrmExpansion, boundary_knots) -> np.ndarray:
-    """Outward-normal derivative of u_p at boundary knots (0-limit at r = 0).
-
-    A linear tail adds its constant gradient (beta_x, beta_y) dotted with
-    each knot's normal.
-    """
-    out = normal_matrix(boundary_knots, expansion.knots, expansion.pair.phi_hat) @ expansion.alpha
-    if expansion.tail is None:
-        return out
-    return out + as_xy([knot.normal for knot in boundary_knots]) @ expansion.tail[1:]
 
 
 @dataclass(frozen=True)

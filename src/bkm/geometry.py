@@ -24,7 +24,6 @@ __all__ = [
     "Ellipse",
     "ellipse_knots",
     "interior_grid",
-    "dist",
     "as_xy",
     "squared_distances",
     "distance_matrix",
@@ -131,11 +130,6 @@ def interior_grid(e: Ellipse, spacing: float) -> list[Point]:
             if e.level(p) < 1.0 - _INTERIOR_MARGIN:
                 points.append(p)
     return points
-
-
-def dist(p: Point, q: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:

@@ -1,20 +1,19 @@
 """Dense real linear algebra: LAPACK-backed solves and the exact 1-norm
 condition number.
 
-Matrices are 2D float ndarrays in row-major semantics.  Two solve paths
-share the input checks and the error for a singular matrix:
+Matrices are 2D float ndarrays in row-major semantics.  There is one solve
+path: every function here reaches LAPACK through one private
+``numpy.linalg.solve`` call (one getrf and its getrs), behind one check of
+the inputs and one error for a singular matrix.  There is no refinement
+sweep, so every matrix is factored once.
 
+- ``lu_solve`` solves A X = B.
 - ``solve_and_invert`` serves every matrix whose condition number a
-  solver driver reports.  One ``numpy.linalg.solve`` of A [X | Y] = [B | I]
-  is one getrf: X comes from the LU factors, so the solve is backward
-  stable, and Y = A^-1 from the same factors gives the exact
-  kappa_1 = ||A||_1 ||A^-1||_1 (``cond_1norm``).  It makes no refinement
-  sweep: a correction through the computed A^-1 brings A^-1's own
-  kappa eps error back into X.
-- ``lu_solve`` adds one refinement sweep (a second getrf) by default,
-  which pins the residual near machine level.  It serves the solves with
-  no reported condition number: the Burger rho term's u_x interpolant,
-  ``drm.solve_alpha`` and ``rbf_interpolate``.
+  solver driver reports.  One solve of A [X | Y] = [B | I] gives X from
+  the LU factors, so the solve is backward stable, and Y = A^-1 from the
+  same factors gives the exact kappa_1 = ||A||_1 ||A^-1||_1
+  (``cond_1norm``).
+- ``cond_estimate_1norm`` is kappa_1 from the solve of A Y = I alone.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name
@@ -100,26 +99,42 @@ def _singular(a: np.ndarray) -> SingularMatrixError:
 
 
 def _as_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A as a square matrix and B as its (n, k) block of right-hand sides."""
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
-    return a, b
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side entries must be finite")
+    return a, b.reshape(a.shape[0], 1 if b.ndim == 1 else b.shape[1])
 
 
-def lu_solve(a, b, refine: int = 1) -> np.ndarray:
-    """Solve A X = B by partial-pivoted LU (LAPACK getrf/getrs).
+def _solve(a: np.ndarray, rhs: np.ndarray, checked: int) -> np.ndarray:
+    """numpy.linalg.solve(a, rhs), the one LAPACK call of this module.
+
+    Raises SingularMatrixError if LAPACK finds A singular or any of the
+    first ``checked`` columns of the solution is not finite.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise _singular(a) from None
+    if not np.all(np.isfinite(x[:, :checked])):
+        raise _singular(a)
+    return x
+
+
+def lu_solve(a, b) -> np.ndarray:
+    """Solve A X = B by partial-pivoted LU (LAPACK getrf/getrs), once.
 
     Parameters
     ----------
     a : (n, n) array_like
         Square coefficient matrix.
     b : (n,) or (n, k) array_like
-        One or more right-hand sides, all solved in one call.
-    refine : int
-        Iterative-refinement sweeps after the direct solve (default 1).
-        Each sweep solves for the correction of the residual, so the
-        residual lands near machine level even when A is ill-conditioned.
+        One or more right-hand sides, all solved in one call; X has the
+        shape of B.
 
     Raises
     ------
@@ -129,25 +144,18 @@ def lu_solve(a, b, refine: int = 1) -> np.ndarray:
     ValueError
         If shapes do not conform or entries are non-finite.
     """
+    shape = np.shape(b)
     a, b = _as_system(a, b)
-    try:
-        with np.errstate(all="ignore"):
-            x = np.linalg.solve(a, b)
-            for _ in range(refine):
-                x = x + np.linalg.solve(a, b - a @ x)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is None or not np.all(np.isfinite(x)):
-        raise _singular(a)
-    return x
+    return _solve(a, b, b.shape[1]).reshape(shape)
 
 
 def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B and invert A with one LU factorization.
 
-    One ``numpy.linalg.solve`` of A [X | Y] = [B | I]; X has the shape of
-    B, and Y = A^-1 is returned as is, also when it is non-finite
-    (``cond_1norm`` then reads infinity).  There is no refinement sweep.
+    One solve of A [X | Y] = [B | I]: X has the shape of B, and Y = A^-1
+    is returned as is, also when it is non-finite (``cond_1norm`` then
+    reads infinity).  A caller that holds Y can apply A^-1 to a right-hand
+    side it only knows after the solve without factoring A again.
 
     Raises
     ------
@@ -157,20 +165,13 @@ def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
     ValueError
         If shapes do not conform or entries are non-finite.
     """
+    shape = np.shape(b)
     a, b = _as_system(a, b)
-    n = a.shape[0]
-    k = 1 if b.ndim == 1 else b.shape[1]
+    n, k = b.shape
     rhs = np.eye(n, k + n, k)
-    rhs[:, :k] = b.reshape(n, k)
-    try:
-        with np.errstate(all="ignore"):
-            solved = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise _singular(a) from None
-    x = solved[:, :k]
-    if not np.all(np.isfinite(x)):
-        raise _singular(a)
-    return x.reshape(b.shape).copy(), solved[:, k:]
+    rhs[:, :k] = b
+    solved = _solve(a, rhs, k)
+    return solved[:, :k].reshape(shape).copy(), solved[:, k:]
 
 
 def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
@@ -190,13 +191,12 @@ def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
 def cond_estimate_1norm(a) -> float:
     """The 1-norm condition number kappa_1(A) = ||A||_1 ||A^-1||_1.
 
-    Exact, from one explicit inverse; never below 1.  Singular input, or
-    an inverse that comes out non-finite, returns ``math.inf``.
+    Exact, from A^-1 solved for explicitly; never below 1.  Singular
+    input, or an inverse that comes out non-finite, returns ``math.inf``.
     """
     a = _as_square(a)
     try:
-        with np.errstate(all="ignore"):
-            a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
+        a_inv = _solve(a, np.eye(a.shape[0]), 0)
+    except SingularMatrixError:
         return math.inf
     return cond_1norm(a, a_inv)

@@ -100,17 +100,6 @@ def fd_gradient_2d(
     return gx, gy
 
 
-def fd_directional(
-    g: Callable[[float, float], float],
-    x: float,
-    y: float,
-    direction: tuple[float, float],
-    h: float = 1e-6,
-) -> float:
-    dx, dy = direction
-    return (g(x + h * dx, y + h * dy) - g(x - h * dx, y - h * dy)) / (2.0 * h)
-
-
 def fd_biharmonic_radial(
     f: Callable[[float], float], r: float, dim: int = 2, h: float = 0.02
 ) -> float:

@@ -1,6 +1,7 @@
 """Boundary-knot collocation: assembly, solving, evaluation, diagnostics."""
 
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -20,7 +21,7 @@ from bkm.bkm import (
     solve_boundary_only,
     solve_mixed_linear,
 )
-from bkm.drm import DrmExpansion, RhoSpec
+from bkm.drm import DrmExpansion, RhoSpec, interp_matrix, rbf_interpolate, rho_matrix, solve_alpha
 from bkm.geometry import (
     Ellipse,
     Point,
@@ -30,7 +31,7 @@ from bkm.geometry import (
     squared_distances,
 )
 from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
-from bkm.linalg import cond_estimate_1norm
+from bkm.linalg import SingularMatrixError, cond_estimate_1norm, lu_solve
 from bkm.problems import (
     burger_benchmark,
     helmholtz_benchmark,
@@ -80,6 +81,42 @@ class TestBoundaryCondition:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BoundaryCondition("robin", 0.0)
+
+    @pytest.mark.parametrize("kind, value", [("dirichlet", math.nan), ("neumann", math.inf)])
+    def test_non_finite_value_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryCondition(kind, value)
+
+
+class TestNonFiniteData:
+    """Non-finite data is reported as such, not as a singular matrix: these
+    solves used to raise ``SingularMatrixError`` at pivot 7 of a finite,
+    regular matrix."""
+
+    @staticmethod
+    def _mixed_solve(kind, value):
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        bc = [BoundaryCondition("dirichlet", problem.dirichlet(k.position)) for k in knots]
+        bc[3] = BoundaryCondition(kind, value)
+        return solve_mixed_linear(problem, knots, (), bc)
+
+    def test_nan_dirichlet_value(self):
+        with pytest.raises(ValueError, match="finite") as exc:
+            self._mixed_solve("dirichlet", math.nan)
+        assert not isinstance(exc.value, SingularMatrixError)
+
+    def test_infinite_neumann_flux(self):
+        with pytest.raises(ValueError, match="finite") as exc:
+            self._mixed_solve("neumann", math.inf)
+        assert not isinstance(exc.value, SingularMatrixError)
+
+    @pytest.mark.parametrize("factory", [helmholtz_benchmark, burger_benchmark])
+    def test_nan_forcing(self, factory):
+        problem = dataclasses.replace(factory(), forcing=lambda p: math.nan)
+        with pytest.raises(ValueError, match="finite") as exc:
+            solve_boundary_only(problem, 8)
+        assert not isinstance(exc.value, SingularMatrixError)
 
 
 class TestAssembleBkmMatrix:
@@ -785,7 +822,8 @@ class TestSharedDistanceMatrices:
 
 class TestOneFactorizationPerMatrix:
     """Each solved matrix is factored once: the solve and the inverse behind
-    its exact condition number come from one ``numpy.linalg.solve`` call."""
+    its exact condition number come from one ``numpy.linalg.solve`` call,
+    and no solve makes a refinement sweep."""
 
     @pytest.fixture
     def lapack_calls(self, monkeypatch):
@@ -801,13 +839,52 @@ class TestOneFactorizationPerMatrix:
         return calls
 
     @pytest.mark.parametrize(
-        "factory, n, solves",
-        [(laplace_benchmark, 5, 2), (helmholtz_benchmark, 7, 2), (burger_benchmark, 5, 4)],
+        "factory, n", [(laplace_benchmark, 5), (helmholtz_benchmark, 7), (burger_benchmark, 5)]
     )
-    def test_boundary_only_solve(self, lapack_calls, factory, n, solves):
-        # Burger's two extra solves are the refined u_x interpolant of its rho term.
+    def test_boundary_only_solve(self, lapack_calls, factory, n):
         solve_boundary_only(factory(), n)
-        assert lapack_calls == {"solve": solves, "inv": 0}
+        assert lapack_calls == {"solve": 2, "inv": 0}
+
+    @pytest.mark.parametrize(
+        "rho, linear_tail",
+        [(RhoSpec.zero(), False), (RhoSpec.zero(), True), (RhoSpec.burger(), False)],
+        ids=["zero", "zero_with_tail", "burger"],
+    )
+    def test_solve_alpha(self, lapack_calls, rho, linear_tail):
+        knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
+        u = [1.0 + p.x * p.y for p in knots]
+        solve_alpha(knots, mq_pair(3.0), [math.sin(p.x) for p in knots], rho, u, linear_tail)
+        assert lapack_calls == {"solve": 1, "inv": 0}
+
+    def test_burger_rho_matrix(self, lapack_calls):
+        knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
+        rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
+        assert lapack_calls == {"solve": 1, "inv": 0}
+
+    @pytest.mark.parametrize("side_condition", [True, False])
+    def test_rbf_interpolate(self, lapack_calls, side_condition):
+        knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
+        rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat, side_condition)
+        assert lapack_calls == {"solve": 1, "inv": 0}
+
+    def test_condition_estimate(self, lapack_calls):
+        cond_estimate_1norm(np.eye(4) + 0.1)
+        assert lapack_calls == {"solve": 1, "inv": 0}
+
+    def test_lu_solve_has_no_refinement_option(self):
+        assert list(inspect.signature(lu_solve).parameters) == ["a", "b"]
+
+    def test_burger_alpha_matches_two_solve_route(self):
+        """One factorization gives the c of A_phi c = f + u - u_x u with u_x
+        from A_phi^-1 u solved on its own, to round-off."""
+        problem = burger_benchmark()
+        sol, _ = solve_boundary_only(problem, 12)
+        knots = sol.expansion.knots
+        pair = sol.expansion.pair
+        f = np.array([problem.forcing(p) for p in knots])
+        u = np.array([problem.dirichlet(p) for p in knots])
+        want = lu_solve(interp_matrix(knots, pair), f + rho_matrix(problem.rho, knots, pair, u))
+        assert np.abs(sol.expansion.alpha - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_coupled_solve(self, lapack_calls):
         problem = helmholtz_benchmark()

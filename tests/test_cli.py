@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import os
 import re
@@ -15,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bkm import cli
-from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 # The printed table rows of `bkm solve` for the three paper tables, pinned
@@ -128,20 +127,6 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "argv", ["bkm", "kernels", "i0", "--r", "0"])
         assert main(None) == EXIT_OK
         assert "i0 value 1" in capsys.readouterr().out
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig(problem="laplace", n_boundary=5)
-        assert config.n_interior == 0
-        assert config.shape_c is None
-        assert config.format == "table"
-        assert config.output is None
-
-    def test_frozen(self):
-        config = RunConfig(problem="laplace", n_boundary=5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            config.n_boundary = 7
 
 
 class TestSolveOutput:

@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 from bkm.drm import (
     DrmExpansion,
     RhoSpec,
-    bordered_interp_matrix,
+    bordered_matrix,
     interp_matrix,
     particular_matrix,
     rbf_interpolate,
     rho_matrix,
     solve_alpha,
     u_p_at,
-    u_p_normal_at,
 )
 from bkm.geometry import Ellipse, Point, ellipse_knots
 from bkm.kernels import biharmonic_mfs_pair, gsr_kernel, mq_pair
 from bkm.linalg import lu_solve
 
-from oracles import fd_directional, fd_laplacian_2d
+from oracles import fd_laplacian_2d
 
 ELLIPSE = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
 
@@ -242,32 +241,6 @@ class TestUpAt:
             assert lap + up(p.x, p.y) == pytest.approx(f[i], abs=1e-4)
 
 
-class TestUpNormalAt:
-    def test_zero_alpha(self):
-        knots = ellipse_knots(ELLIPSE, 6)
-        exp = DrmExpansion(tuple(k.position for k in knots), mq_pair(1.0), np.zeros(6))
-        assert np.array_equal(u_p_normal_at(exp, knots), np.zeros(6))
-
-    def test_coincident_knot_contributes_zero(self):
-        knots = ellipse_knots(ELLIPSE, 1)
-        exp = DrmExpansion((knots[0].position,), mq_pair(2.0), np.array([3.0]))
-        assert u_p_normal_at(exp, knots) == pytest.approx([0.0], abs=1e-15)
-
-    def test_matches_directional_finite_difference(self):
-        knots = ellipse_knots(ELLIPSE, 7)
-        pts = [k.position for k in knots]
-        pair = mq_pair(3.0)
-        exp = solve_alpha(pts, pair, [p.x * p.y for p in pts], RhoSpec.zero())
-        got = u_p_normal_at(exp, knots)
-        h = 1e-6
-        for i, k in enumerate(knots):
-            nx, ny = k.normal
-            plus = u_p_at(exp, [Point(k.position.x + h * nx, k.position.y + h * ny)])[0]
-            minus = u_p_at(exp, [Point(k.position.x - h * nx, k.position.y - h * ny)])[0]
-            fd = (plus - minus) / (2.0 * h)
-            assert got[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
-
-
 class TestLinearTail:
     """The bordered interpolant sum_j alpha_j phi(||x - x_j||) + beta . (1, x, y)."""
 
@@ -294,7 +267,7 @@ class TestLinearTail:
     def test_bordered_matrix_layout(self):
         pts = ring(5)
         pair = mq_pair(3.0)
-        bordered = bordered_interp_matrix(pts, pair)
+        bordered = bordered_matrix(interp_matrix(pts, pair), pts)
         assert bordered.shape == (8, 8)
         assert np.array_equal(bordered[:5, :5], interp_matrix(pts, pair))
         assert np.array_equal(bordered[:5, 5:], self.linear_rows(pts))
@@ -325,21 +298,6 @@ class TestLinearTail:
         probes = [Point(0.3, -0.2), Point(-1.0, 0.4)]
         want = [0.5 + 2.0 * p.x - 1.0 * p.y for p in probes]
         assert u_p_at(exp, probes) == pytest.approx(want, rel=1e-15)
-
-    @pytest.mark.parametrize("c", [1.0, 3.0])
-    def test_normal_derivative_includes_tail_gradient(self, c):
-        knots = ellipse_knots(ELLIPSE, 9)
-        pts = [k.position for k in knots]
-        exp = solve_alpha(pts, mq_pair(c), [self.data(p) for p in pts], RhoSpec.zero(), linear_tail=True)
-        assert abs(exp.tail[1]) > 1.0
-
-        def up(x: float, y: float) -> float:
-            return float(u_p_at(exp, [Point(x, y)])[0])
-
-        got = u_p_normal_at(exp, knots)
-        for i, k in enumerate(knots):
-            fd = fd_directional(up, k.position.x, k.position.y, k.normal)
-            assert got[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 class TestRbfInterpolate:

@@ -13,7 +13,6 @@ from bkm.geometry import (
     Point,
     as_xy,
     coincident_pair,
-    dist,
     distance_matrix,
     ellipse_knots,
     interior_grid,
@@ -113,27 +112,6 @@ class TestEllipseValidation:
             Ellipse(Point(0.0, 0.0), 2.0, 0.0)
 
 
-class TestDist:
-    def test_zero(self):
-        assert dist(Point(0.0, 0.0), Point(0.0, 0.0)) == 0.0
-
-    def test_three_four_five(self):
-        assert dist(Point(3.0, 0.0), Point(0.0, 4.0)) == 5.0
-
-    def test_half(self):
-        assert dist(Point(1.5, 0.0), Point(2.0, 0.0)) == 0.5
-
-    @given(
-        st.floats(min_value=-10, max_value=10),
-        st.floats(min_value=-10, max_value=10),
-        st.floats(min_value=-10, max_value=10),
-        st.floats(min_value=-10, max_value=10),
-    )
-    def test_symmetric_and_nonnegative(self, ax, ay, bx, by):
-        p, q = Point(ax, ay), Point(bx, by)
-        assert dist(p, q) == dist(q, p) >= 0.0
-
-
 class TestArrayHelpers:
     def test_as_xy_rows_are_coordinates(self):
         pts = [Point(0.5, -1.0), Point(2.0, 3.5), Point(-0.25, 0.0)]
@@ -161,7 +139,7 @@ class TestArrayHelpers:
         assert d.shape == (4, 3)
         for i, p in enumerate(rows):
             for j, q in enumerate(cols):
-                assert d[i, j] == pytest.approx(dist(p, q), rel=1e-15)
+                assert d[i, j] == pytest.approx(math.dist(p, q), rel=1e-15)
 
     def test_coincident_pair_first_in_row_major_order(self):
         pts = as_xy([Point(x, 0.0) for x in (0.0, 1.0, 2.0, 1.0, 0.0)])
