@@ -26,7 +26,6 @@ import numpy as np
 
 from .drm import (
     DrmExpansion,
-    RhoSpec,
     bordered_matrix,
     burger_alpha,
     knot_distances,
@@ -151,13 +150,6 @@ def assemble_bkm_matrix(
     return a
 
 
-def _linear_rho_scale(rho: RhoSpec) -> float | None:
-    """s with rho{u} = s u, or None for a nonlinear rho."""
-    if rho.kind == "scaled_identity":
-        return rho.scale
-    return {"zero": 0.0, "identity": 1.0}.get(rho.kind)
-
-
 def _spans_plane(xy: np.ndarray) -> bool:
     """Whether the points are not all on one line (and at least three)."""
     points = xy.tolist()
@@ -208,7 +200,7 @@ def _solve(
     distances = knot_distances(xy)
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
-    scale = _linear_rho_scale(problem.rho)
+    scale = problem.rho.linear_scale
     unknown = neumann + list(range(n, m))
     if scale is not None:
         # The tail needs three points off one line among those whose rows
@@ -332,7 +324,7 @@ def solve_mixed_linear(
     SingularMatrixError
         Propagated if either dense system is singular.
     """
-    if _linear_rho_scale(problem.rho) is None:
+    if problem.rho.linear_scale is None:
         raise UnsupportedConfigurationError(
             f"coupled solve needs a linear rho term, got {problem.rho.kind!r}; "
             f"use solve_boundary_only with full Dirichlet data instead"

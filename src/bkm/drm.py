@@ -24,12 +24,12 @@ solve and every matrix over the set is one kernel call on it:
 holds, and ``normal_projections`` with rows of a distance matrix gives a
 Neumann knot's flux row.
 
-The rho formulas live in ``rho_matrix``: 0, u and scale*u for the linear
-kinds (a solve driver adds scale*u to its right-hand side), and Burger's
-u - u_x u in one private helper that ``rho_matrix`` and ``burger_alpha``
-share.  ``burger_alpha`` factors A_phi once for Burger: one solve gives
-u's interpolant coefficients, hence u_x, and rho{u} enters alpha through
-the inverse from the same factorization.
+The rho formulas live in ``RhoSpec``: s u for the linear kinds (a solve
+driver adds s u to its right-hand side) and Burger's u - u_x u, whose u_x
+at the knots one private helper shares between ``rho_matrix`` and
+``burger_alpha``.  ``burger_alpha`` factors A_phi once for Burger: one
+solve gives u's interpolant coefficients, hence u_x, and rho{u} enters
+alpha through the inverse from the same factorization.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class RhoSpec:
 
     ``zero`` drops the term, ``identity`` keeps u itself,
     ``scaled_identity`` keeps scale*u, and ``burger`` keeps u - u_x * u
-    (the nonlinear remainder of the Burger split), evaluated through the
-    interpolant of u.
+    (the nonlinear remainder of the Burger split).  Calling the spec
+    evaluates rho(u, u_x); no other code knows these formulas.
     """
 
     kind: str
@@ -99,6 +99,23 @@ class RhoSpec:
     @classmethod
     def burger(cls) -> "RhoSpec":
         return cls("burger")
+
+    @property
+    def linear_scale(self) -> float | None:
+        """s with rho{u} = s u, or None for Burger, which is not linear."""
+        return {"zero": 0.0, "identity": 1.0, "burger": None}.get(self.kind, self.scale)
+
+    def __call__(self, u, u_x=None):
+        """s u for a linear kind; u - u_x u for Burger, which needs u_x (ValueError)."""
+        scale = self.linear_scale
+        if scale is not None:
+            return scale * u
+        if u_x is None:
+            raise ValueError(f"rho kind {self.kind!r} needs u_x")
+        return u - u_x * u
+
+
+_BURGER = RhoSpec.burger()
 
 
 @dataclass(frozen=True)
@@ -183,12 +200,12 @@ def _u_values(rho: RhoSpec, n: int, u_at_knots) -> np.ndarray:
 def _burger_rho(
     phi: RadialKernel, xy: np.ndarray, distances: np.ndarray, u: np.ndarray, u_coef: np.ndarray
 ) -> np.ndarray:
-    """Burger's rho{u} = u - u_x u at the knots ``xy``, with u_x = D_x u_coef
-    from the phi-interpolant of u, whose coefficients are u_coef = A_phi^-1 u.
+    """Burger's rho{u} at the knots ``xy``, with u_x = D_x u_coef from the
+    phi-interpolant of u, whose coefficients are u_coef = A_phi^-1 u.
     D_x has entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r,
     diagonal 0, from the knots' distance matrix."""
     d_x = directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
-    return u - (d_x @ u_coef) * u
+    return _BURGER(u, d_x @ u_coef)
 
 
 def burger_alpha(
@@ -213,11 +230,11 @@ def rho_matrix(
 ) -> np.ndarray:
     """Evaluate the rho term at the knots from known u values.
 
-    For the linear kinds this is 0, u, or scale*u directly (the identity
-    pathway is exact because interpolating u and evaluating the interpolant
-    back at the knots is the identity).  For ``burger`` the u_x factor is
-    taken from the phi-interpolant of u: u - (D_x A_phi^-1 u) * u with D_x
-    the x-derivative evaluation matrix of phi.
+    For a linear kind this is ``rho(u)`` = s u directly (exact, because
+    interpolating u and evaluating the interpolant back at the knots is the
+    identity); a zero rho needs no u.  For Burger, u_x is taken from the
+    phi-interpolant of u: ``rho(u, D_x A_phi^-1 u)`` with D_x the
+    x-derivative evaluation matrix of phi.
 
     Raises
     ------
@@ -226,11 +243,12 @@ def rho_matrix(
     SingularMatrixError
         Propagated from a singular interpolation matrix.
     """
-    if rho.kind == "zero":
+    scale = rho.linear_scale
+    if scale == 0.0:
         return np.zeros(len(knots))
     u = _u_values(rho, len(knots), u_at_knots)
-    if rho.kind != "burger":
-        return u.copy() if rho.kind == "identity" else rho.scale * u
+    if scale is not None:
+        return rho(u)
     xy = as_xy(knots)
     distances = knot_distances(xy)
     return _burger_rho(pair.phi, xy, distances, u, lu_solve(pair.phi.eval(distances), u))
@@ -258,7 +276,7 @@ def solve_alpha(
     xy = as_xy(knots)
     a_phi = pair.phi.eval(distances)
     f = np.asarray(f_at_knots, dtype=float)
-    if rho.kind == "burger" and not linear_tail:
+    if rho.linear_scale is None and not linear_tail:
         u = _u_values(rho, n, u_at_knots)
         return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u)[0])
     rhs = f + rho_matrix(rho, knots, pair, u_at_knots)

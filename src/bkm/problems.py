@@ -196,19 +196,6 @@ def _fd_dx(g: Callable[[Point], float], p: Point, h: float) -> float:
     return (g(Point(p.x + h, p.y)) - g(Point(p.x - h, p.y))) / (2.0 * h)
 
 
-def _rho_apply(
-    rho: RhoSpec, exact: Callable[[Point], float], p: Point
-) -> float:
-    if rho.kind == "zero":
-        return 0.0
-    if rho.kind == "identity":
-        return exact(p)
-    if rho.kind == "scaled_identity":
-        return rho.scale * exact(p)
-    u = exact(p)
-    return u - _fd_dx(exact, p, _FD_H) * u
-
-
 def _probe_points(e: Ellipse) -> list[Point]:
     """Deterministic 5x5 probe lattice inside the ellipse (smoothness screen)."""
     points = []
@@ -235,11 +222,11 @@ def manufactured(
 ) -> ProblemSpec:
     """Build a problem whose forcing makes ``exact`` the solution.
 
-    The forcing is computed by finite differences as
-    f = (lap + split_wavenumber^2){exact} - rho{exact}, and the boundary
-    data are ``exact`` restricted to the boundary.  ``exact`` must be
-    defined in a neighborhood of the closed ellipse (the stencil reaches
-    slightly outside).
+    The forcing is f = (lap + split_wavenumber^2){exact} - rho(u, u_x)
+    with u = exact, its Laplacian by finite differences and, for Burger
+    only, u_x too.  The boundary data are ``exact`` restricted to the
+    boundary.  ``exact`` must be defined in a neighborhood of the closed
+    ellipse (the stencil reaches slightly outside).
 
     Raises
     ------
@@ -260,7 +247,9 @@ def manufactured(
             )
 
     def forcing(p: Point) -> float:
-        return _fd_laplacian(exact, p, _FD_H) + lam_sq * exact(p) - _rho_apply(rho, exact, p)
+        u = exact(p)
+        u_x = _fd_dx(exact, p, _FD_H) if rho.linear_scale is None else None
+        return _fd_laplacian(exact, p, _FD_H) + lam_sq * u - rho(u, u_x)
 
     return ProblemSpec(
         name=name,
