@@ -130,7 +130,8 @@ def assemble_bkm_matrix(
     Raises
     ------
     ValueError
-        If knots (nearly) coincide or bc does not match the knots.
+        If a knot coordinate is not finite, knots (nearly) coincide or bc
+        does not match the knots.
     """
     n = len(knots)
     if n < 1:
@@ -138,6 +139,8 @@ def assemble_bkm_matrix(
     if len(bc) != n:
         raise ValueError(f"expected {n} boundary conditions, got {len(bc)}")
     positions = as_xy([k.position for k in knots])
+    if not np.isfinite(positions).all():
+        raise ValueError("boundary knot coordinates must be finite")
     distances = distance_matrix(positions, positions)
     pair = coincident_pair(distances, 1e-12)
     if pair is not None:

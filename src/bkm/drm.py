@@ -34,6 +34,7 @@ alpha through the inverse from the same factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,7 +75,8 @@ class RhoSpec:
     ``zero`` drops the term, ``identity`` keeps u itself,
     ``scaled_identity`` keeps scale*u, and ``burger`` keeps u - u_x * u
     (the nonlinear remainder of the Burger split).  Calling the spec
-    evaluates rho(u, u_x); no other code knows these formulas.
+    evaluates rho(u, u_x); no other code knows these formulas.  Only
+    ``scaled_identity`` takes a scale, and it must be finite.
     """
 
     kind: str
@@ -83,6 +85,10 @@ class RhoSpec:
     def __post_init__(self) -> None:
         if self.kind not in _RHO_KINDS:
             raise ValueError(f"unknown rho kind {self.kind!r}, expected {_RHO_KINDS}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"rho scale must be finite, got {self.scale!r}")
+        if self.kind != "scaled_identity" and self.scale != 1.0:
+            raise ValueError(f"rho kind {self.kind!r} takes no scale, got {self.scale!r}")
 
     @classmethod
     def zero(cls) -> "RhoSpec":
@@ -134,28 +140,27 @@ class DrmExpansion:
     tail: np.ndarray | None = None
 
 
-def _check_distinct(distances: np.ndarray) -> None:
-    pair = coincident_pair(distances, _DUPLICATE_TOL)
-    if pair is not None:
-        raise ValueError(
-            f"duplicate knots at indices {pair[0]} and {pair[1]}: radial interpolation "
-            f"matrix would be rank-deficient"
-        )
-
-
 def knot_distances(knots) -> np.ndarray:
     """Distance matrix of a knot set with itself, entries ||x_i - x_j||.
 
     Raises
     ------
     ValueError
-        If no knots are given or two knots (nearly) coincide.
+        If no knots are given, a coordinate is not finite or two knots
+        (nearly) coincide.
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
     xy = as_xy(knots)
+    if not np.isfinite(xy).all():
+        raise ValueError("knot coordinates must be finite")
     distances = distance_matrix(xy, xy)
-    _check_distinct(distances)
+    pair = coincident_pair(distances, _DUPLICATE_TOL)
+    if pair is not None:
+        raise ValueError(
+            f"duplicate knots at indices {pair[0]} and {pair[1]}: radial interpolation "
+            f"matrix would be rank-deficient"
+        )
     return distances
 
 
@@ -165,7 +170,8 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     Raises
     ------
     ValueError
-        If no knots are given or two knots (nearly) coincide.
+        If no knots are given, a coordinate is not finite or two knots
+        (nearly) coincide.
     """
     return pair.phi.eval(knot_distances(knots))
 
@@ -350,16 +356,13 @@ def rbf_interpolate(
     Raises
     ------
     ValueError
-        If points and values disagree in length or knots coincide.
+        As ``knot_distances``, or if points and values disagree in length.
     """
     points = tuple(points)
     vals = np.asarray(values, dtype=float)
     if vals.shape != (len(points),):
         raise ValueError(f"expected {len(points)} values, got shape {vals.shape}")
-    xy = as_xy(points)
-    distances = distance_matrix(xy, xy)
-    _check_distinct(distances)
-    a = kernel.eval(distances)
+    a = kernel.eval(knot_distances(points))
     if not side_condition:
         beta = lu_solve(a, vals)
         return RbfInterpolant(points, kernel, beta, 0.0)

@@ -59,6 +59,11 @@ class Ellipse:
     semi_minor: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.center, self.semi_major, self.semi_minor))):
+            raise ValueError(
+                f"ellipse center and semi-axes must be finite, got {self.center} and "
+                f"({self.semi_major}, {self.semi_minor})"
+            )
         if not (self.semi_major >= self.semi_minor > 0.0):
             raise ValueError(
                 f"ellipse requires semi_major >= semi_minor > 0, got "
@@ -117,10 +122,10 @@ def interior_grid(e: Ellipse, spacing: float) -> list[Point]:
     Raises
     ------
     ValueError
-        If ``spacing`` <= 0.
+        If ``spacing`` is not finite and positive.
     """
-    if spacing <= 0.0:
-        raise ValueError(f"grid spacing must be positive, got {spacing}")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
     ni = int(math.floor(e.semi_major / spacing))
     nj = int(math.floor(e.semi_minor / spacing))
     points = []

@@ -231,8 +231,9 @@ def manufactured(
     Raises
     ------
     ValueError
-        If the FD Laplacians at h and h/2 disagree at the probe points,
-        which flags a non-smooth candidate solution.
+        If the FD Laplacians at h and h/2 disagree, or either is not
+        finite, at a probe point, which flags a non-smooth candidate
+        solution.
     """
     e = ellipse if ellipse is not None else Ellipse(Point(0.0, 0.0), 2.0, 1.0)
     lam_sq = split_wavenumber * split_wavenumber
@@ -240,7 +241,8 @@ def manufactured(
     for p in _probe_points(e):
         coarse = _fd_laplacian(exact, p, _FD_H * 10)
         fine = _fd_laplacian(exact, p, _FD_H * 5)
-        if abs(coarse - fine) > _SMOOTH_TOL * (1.0 + max(abs(coarse), abs(fine))):
+        gap = abs(coarse - fine)
+        if not math.isfinite(gap) or gap > _SMOOTH_TOL * (1.0 + max(abs(coarse), abs(fine))):
             raise ValueError(
                 f"candidate exact solution fails the smoothness screen at {p}: "
                 f"FD Laplacian {coarse:.6g} vs {fine:.6g} under step halving"

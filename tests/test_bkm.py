@@ -23,6 +23,7 @@ from bkm.bkm import (
 )
 from bkm.drm import DrmExpansion, RhoSpec, interp_matrix, rbf_interpolate, rho_matrix, solve_alpha
 from bkm.geometry import (
+    BoundaryKnot,
     Ellipse,
     Point,
     distance_matrix,
@@ -111,6 +112,22 @@ class TestNonFiniteData:
             self._mixed_solve("neumann", math.inf)
         assert not isinstance(exc.value, SingularMatrixError)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_interior_point(self, bad):
+        # A NaN distance is never close, so the duplicate-knot check used to
+        # fall through to an IndexError.
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        with pytest.raises(ValueError, match="finite"):
+            solve_mixed_linear(problem, knots, [Point(0.0, bad)])
+
+    def test_non_finite_ellipse_center(self):
+        exact = helmholtz_benchmark().exact
+        with pytest.raises(ValueError, match="finite"):
+            solve_boundary_only(
+                manufactured(exact, ellipse=Ellipse(Point(math.nan, 0.0), 2.0, 1.0)), 7
+            )
+
     @pytest.mark.parametrize("factory", [helmholtz_benchmark, burger_benchmark])
     def test_nan_forcing(self, factory):
         problem = dataclasses.replace(factory(), forcing=lambda p: math.nan)
@@ -141,6 +158,12 @@ class TestAssembleBkmMatrix:
         k = ellipse_knots(ELLIPSE, 1)[0]
         with pytest.raises(ValueError):
             assemble_bkm_matrix([k, k], helmholtz2d(1.0), dirichlet_bcs([k, k]))
+
+    def test_non_finite_knot_rejected(self):
+        knots = ellipse_knots(ELLIPSE, 3)
+        knots[1] = BoundaryKnot(Point(math.nan, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
 
     def test_duplicate_message_names_first_pair(self):
         k = ellipse_knots(ELLIPSE, 5)

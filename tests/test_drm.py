@@ -42,6 +42,45 @@ class TestRhoSpec:
         with pytest.raises(ValueError):
             RhoSpec("cubic")
 
+    @pytest.mark.parametrize(
+        "spec, scale",
+        [
+            (RhoSpec.zero(), 0.0),
+            (RhoSpec.identity(), 1.0),
+            (RhoSpec.scaled_identity(-0.7), -0.7),
+            (RhoSpec.burger(), None),
+        ],
+        ids=["zero", "identity", "scaled_identity", "burger"],
+    )
+    def test_linear_scale(self, spec, scale):
+        assert spec.linear_scale == scale
+
+    def test_evaluation_matches_each_formula(self):
+        u = np.array([0.5, -1.25, 2.0])
+        u_x = np.array([3.0, 0.75, -0.5])
+        assert np.array_equal(RhoSpec.zero()(u), 0.0 * u)
+        assert np.array_equal(RhoSpec.identity()(u), u)
+        assert np.array_equal(RhoSpec.scaled_identity(-0.7)(u), -0.7 * u)
+        assert np.array_equal(RhoSpec.burger()(u, u_x), u - u_x * u)
+        # Scalars as well as arrays; linear kinds ignore u_x.
+        assert RhoSpec.scaled_identity(2.0)(1.5, 9.0) == 3.0
+        assert RhoSpec.burger()(2.0, 0.25) == 1.5
+
+    def test_burger_without_u_x_rejected(self):
+        with pytest.raises(ValueError, match="u_x"):
+            RhoSpec.burger()(np.ones(3))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            RhoSpec.scaled_identity(scale)
+
+    @pytest.mark.parametrize("kind", ["zero", "identity", "burger"])
+    def test_scale_on_a_kind_without_one_rejected(self, kind):
+        with pytest.raises(ValueError, match="takes no scale"):
+            RhoSpec(kind, 5.0)
+        assert RhoSpec(kind, 1.0) == RhoSpec(kind)
+
 
 class TestInterpMatrix:
     def test_single_knot_is_phi_at_zero(self):
@@ -71,6 +110,16 @@ class TestInterpMatrix:
     def test_near_duplicate_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             interp_matrix([Point(0.0, 0.0), Point(1e-13, 0.0)], mq_pair(1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_knot_rejected(self, bad):
+        # A NaN distance is never close, so the duplicate check used to
+        # fall through to an IndexError.
+        pts = [Point(bad, 0.0), Point(1.0, 0.0)]
+        with pytest.raises(ValueError, match="finite"):
+            interp_matrix(pts, mq_pair(1.0))
+        with pytest.raises(ValueError, match="finite"):
+            rbf_interpolate(pts, [0.0, 1.0], mq_pair(1.0).phi)
 
     def test_duplicate_message_names_first_pair(self):
         pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]

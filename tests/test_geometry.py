@@ -87,6 +87,11 @@ class TestInteriorGrid:
         with pytest.raises(ValueError):
             interior_grid(ELLIPSE_21, 0.0)
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            interior_grid(ELLIPSE_21, spacing)
+
     @given(st.floats(min_value=0.2, max_value=3.0))
     @settings(max_examples=40)
     def test_all_points_strictly_inside(self, spacing):
@@ -110,6 +115,22 @@ class TestEllipseValidation:
     def test_semi_axes_must_be_positive(self):
         with pytest.raises(ValueError):
             Ellipse(Point(0.0, 0.0), 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "center, a, b",
+        [
+            (Point(math.nan, 0.0), 2.0, 1.0),
+            (Point(0.0, math.inf), 2.0, 1.0),
+            (Point(-math.inf, 0.0), 2.0, 1.0),
+            # Infinite axes used to be accepted, then divide by zero in ellipse_knots.
+            (Point(0.0, 0.0), math.inf, 1.0),
+            (Point(0.0, 0.0), math.inf, math.inf),
+        ],
+        ids=["nan_x", "inf_y", "minus_inf_x", "inf_major", "inf_both"],
+    )
+    def test_non_finite_center_or_axis_rejected(self, center, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            Ellipse(center, a, b)
 
 
 class TestArrayHelpers:

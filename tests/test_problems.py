@@ -151,6 +151,47 @@ class TestManufactured:
         with pytest.raises(ValueError, match="smoothness"):
             manufactured(lambda p: abs(p.x))
 
+    @pytest.mark.parametrize(
+        "exact",
+        [
+            lambda p: math.log(p.x) if p.x > 0 else math.nan,
+            lambda p: math.inf if p.x < -1.0 else p.x,
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_candidate_rejected(self, exact):
+        # A NaN gap compared with the tolerance is false, so it used to pass.
+        with pytest.raises(ValueError, match=r"smoothness screen at Point\(x=-1\.4"):
+            manufactured(exact)
+
+    @pytest.mark.parametrize(
+        "rho, calls, rho_of",
+        [
+            (RhoSpec.zero(), 6, lambda u, u_x: 0.0),
+            (RhoSpec.identity(), 6, lambda u, u_x: u),
+            (RhoSpec.scaled_identity(0.7), 6, lambda u, u_x: 0.7 * u),
+            (RhoSpec.burger(), 8, lambda u, u_x: u - u_x * u),
+        ],
+        ids=["zero", "identity", "scaled_identity", "burger"],
+    )
+    def test_forcing_takes_u_x_only_for_burger(self, rho, calls, rho_of):
+        # Five stencil values for the Laplacian, u once, and for Burger
+        # the two values of the centred u_x.
+        seen = []
+
+        def exact(p: Point) -> float:
+            seen.append(p)
+            return math.exp(p.x / 3.0) * math.cos(p.y / 2.0)
+
+        problem = manufactured(exact, rho=rho)
+        seen.clear()
+        q = Point(0.3, -0.2)
+        f = problem.forcing(q)
+        assert len(seen) == calls
+        u = exact(q)
+        lap = u / 9.0 - u / 4.0  # the analytic Laplacian of exact
+        assert f == pytest.approx(lap + u - rho_of(u, u / 3.0), abs=1e-6)
+
     def test_default_domain_and_shape(self):
         problem = manufactured(lambda p: p.x)
         assert problem.ellipse == Ellipse(Point(0.0, 0.0), 2.0, 1.0)
