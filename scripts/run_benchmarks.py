@@ -6,14 +6,18 @@ interpolation).
 Usage:
     python scripts/run_benchmarks.py [--csv-dir DIR]
 
-Prints every section to stdout; with --csv-dir each table is also written
-as a CSV file in DIR.
+The tables and the sweep are `bkm solve` and `bkm convergence` runs,
+printed under a heading that names the command; the script exits with the
+first non-zero exit code.  With --csv-dir they are written as CSV files in
+DIR instead (`--format csv --out DIR/<problem>.csv`, and
+DIR/<problem>_sweep.csv).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,78 +26,35 @@ from bkm import (
     BoundaryCondition,
     Point,
     biharmonic_mfs_pair,
-    burger_benchmark,
     ellipse_knots,
     evaluate,
     gsr_kernel,
-    helmholtz_benchmark,
     interior_grid,
     laplace_benchmark,
     rbf_interpolate,
-    solve_boundary_only,
     solve_mixed_linear,
 )
-from bkm.cli import rel_err_pct
+from bkm.cli import main as bkm_main
 
-TABLE_RUNS = (
-    (laplace_benchmark, 5),
-    (helmholtz_benchmark, 7),
-    (burger_benchmark, 5),
-)
-
-SWEEPS = (
-    ("laplace", laplace_benchmark, (3, 5, 7, 9)),
-    ("helmholtz", helmholtz_benchmark, (5, 7)),
-)
+TABLE_RUNS = (("laplace", 5), ("helmholtz", 7), ("burger", 5))
+SWEEPS = (("laplace", "3,5,7,9"), ("helmholtz", "5,7"))
 
 
-def write_csv(csv_dir: Path | None, name: str, header: str, rows: list[str]) -> None:
-    if csv_dir is None:
-        return
-    csv_dir.mkdir(parents=True, exist_ok=True)
-    (csv_dir / f"{name}.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-
-
-def run_tables(csv_dir: Path | None) -> None:
-    for factory, n in TABLE_RUNS:
-        problem = factory()
-        sol, diag = solve_boundary_only(problem, n)
-        computed = evaluate(sol, problem.table_points)
-        exact = np.array([problem.exact(p) for p in problem.table_points])
-        print(f"== {problem.name}: n={n}, c={problem.mq_shape_c:g} ==")
-        print(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({n})':>10} {'err%':>8}")
-        csv_rows = []
-        for p, ex, co in zip(problem.table_points, exact, computed):
-            err = rel_err_pct(co, ex)
-            print(f"{p.x:8.3f} {p.y:8.3f} {ex:10.3f} {co:10.3f} {err:8.2f}")
-            csv_rows.append(f"{p.x:.12g},{p.y:.12g},{ex:.12g},{co:.12g},{err:.12g}")
-        nonzero = np.abs(exact) > 1e-12
-        avg_rel = float(np.mean(np.abs(computed - exact)[nonzero] / np.abs(exact)[nonzero]))
-        print(f"max abs err {np.abs(computed - exact).max():.3e}   avg rel err {100 * avg_rel:.2f}%")
-        print(f"cond_bkm {diag.cond_bkm:.3e}   boundary residual {diag.residual_inf:.3e}")
+def run_cli(csv_dir: Path | None) -> None:
+    """Each table and sweep through the CLI; exit on the first failure."""
+    runs = [(name, ["solve", "--problem", name, "--n", str(n)]) for name, n in TABLE_RUNS]
+    runs += [(f"{name}_sweep", ["convergence", "--problem", name, "--n", n]) for name, n in SWEEPS]
+    if csv_dir is not None:
+        csv_dir.mkdir(parents=True, exist_ok=True)
+    for name, argv in runs:
+        if csv_dir is not None:
+            argv += ["--format", "csv"] if argv[0] == "solve" else []
+            argv += ["--out", str(csv_dir / f"{name}.csv")]
+        print(f"== bkm {' '.join(argv)} ==")
+        code = bkm_main(argv)
+        if code != 0:
+            sys.exit(code)
         print()
-        write_csv(csv_dir, problem.name, "x,y,exact,computed,rel_err_pct", csv_rows)
-
-
-def run_sweeps(csv_dir: Path | None) -> None:
-    print("== knot-count sweep: max table error ==")
-    print("problem,n,c,max_err,cond_bkm")
-    csv_rows = []
-    for label, factory, counts in SWEEPS:
-        problem = factory()
-        for n in counts:
-            sol, diag = solve_boundary_only(problem, n)
-            computed = evaluate(sol, problem.table_points)
-            exact = np.array([problem.exact(p) for p in problem.table_points])
-            max_err = float(np.abs(computed - exact).max())
-            row = f"{label},{n},{problem.mq_shape_c:g},{max_err:.12g},{diag.cond_bkm:.12g}"
-            print(row)
-            csv_rows.append(row)
-    print("note: the laplace errors sit at round-off for every n, since the")
-    print("linear tail of the DRM interpolant reproduces u = x + y exactly;")
-    print("without the tail the n=9 error is 2.6e-1 (see README, Known limitations).")
-    print()
-    write_csv(csv_dir, "sweep", "problem,n,c,max_err,cond_bkm", csv_rows)
 
 
 def run_mixed_demo() -> None:
@@ -139,10 +100,9 @@ def run_mtps_demo() -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--csv-dir", type=Path, default=None, help="also write CSVs here")
+    parser.add_argument("--csv-dir", type=Path, default=None, help="write the CSVs here")
     args = parser.parse_args()
-    run_tables(args.csv_dir)
-    run_sweeps(args.csv_dir)
+    run_cli(args.csv_dir)
     run_mixed_demo()
     run_mtps_demo()
 

@@ -34,6 +34,7 @@ from .drm import (
 )
 from .geometry import (
     BoundaryKnot,
+    Ellipse,
     Point,
     as_xy,
     coincident_pair,
@@ -63,6 +64,9 @@ _BC_KINDS = ("dirichlet", "neumann")
 # on the number of knots, so memory stays flat however many points there are.
 _EVAL_BLOCK = 256
 _EVAL_ENTRIES = 16384
+# Round-off allowance on the level function (1 on the boundary) before an
+# interior point counts as outside the ellipse.
+_LEVEL_TOL = 1e-12
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -130,8 +134,8 @@ def assemble_bkm_matrix(
     Raises
     ------
     ValueError
-        If a knot coordinate is not finite, knots (nearly) coincide or bc
-        does not match the knots.
+        If a knot coordinate is not finite or not below 1e150 in
+        magnitude, knots (nearly) coincide or bc does not match the knots.
     """
     n = len(knots)
     if n < 1:
@@ -139,8 +143,8 @@ def assemble_bkm_matrix(
     if len(bc) != n:
         raise ValueError(f"expected {n} boundary conditions, got {len(bc)}")
     positions = as_xy([k.position for k in knots])
-    if not np.isfinite(positions).all():
-        raise ValueError("boundary knot coordinates must be finite")
+    if not (np.abs(positions) < 1e150).all():  # NaN compares False
+        raise ValueError("boundary knot coordinates must be finite and below 1e150 in magnitude")
     distances = distance_matrix(positions, positions)
     pair = coincident_pair(distances, 1e-12)
     if pair is not None:
@@ -165,6 +169,22 @@ def _spans_plane(xy: np.ndarray) -> bool:
     nx, ny = y1 - y0, x0 - x1
     tol = 1e-12 * (nx * nx + ny * ny)
     return any(abs((x - x0) * nx + (y - y0) * ny) > tol for x, y in points)
+
+
+def _check_inside(ellipse: Ellipse, xy: np.ndarray) -> None:
+    """Raise ValueError naming the first interior point outside the ellipse.
+
+    A point is outside where the level function exceeds 1 by more than
+    round-off (_LEVEL_TOL)."""
+    scaled = (xy - ellipse.center) / (ellipse.semi_major, ellipse.semi_minor)
+    level = (scaled * scaled).sum(axis=1)
+    outside = np.flatnonzero(level > 1.0 + _LEVEL_TOL)
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"interior point {i} at ({xy[i, 0]:g}, {xy[i, 1]:g}) lies outside the ellipse "
+            f"(level {level[i]:.6g} > 1)"
+        )
 
 
 def _solve(
@@ -201,6 +221,8 @@ def _solve(
     m = len(points)
     xy = as_xy(points)
     distances = knot_distances(xy)
+    if m > n:
+        _check_inside(problem.ellipse, xy[n:])
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
     scale = problem.rho.linear_scale
@@ -324,6 +346,10 @@ def solve_mixed_linear(
         or if the points that carry its linear tail are fewer than three or
         on one line: all points, or only the Dirichlet knots when
         rho{u} = k^2 u.
+    ValueError
+        If an interior point lies outside the ellipse (level function above
+        1 + 1e-12), or a coordinate is not finite or not below 1e150 in
+        magnitude.
     SingularMatrixError
         Propagated if either dense system is singular.
     """

@@ -10,6 +10,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -19,11 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bkm import UnsupportedConfigurationError, evaluate, solve_boundary_only, solve_mixed_linear
+from .bkm import evaluate, solve_boundary_only, solve_mixed_linear
 from .geometry import Ellipse, Point, ellipse_knots, interior_grid
 from .kernels import (
     DisplacementKernel,
-    RadialKernel,
     biharmonic2d,
     biharmonic3d,
     convection_diffusion2d,
@@ -32,10 +32,9 @@ from .kernels import (
     modified_helmholtz2d,
     modified_helmholtz3d,
 )
-from .linalg import SingularMatrixError
 from .problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
-__all__ = ["main", "rel_err_pct"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -46,16 +45,6 @@ _PROBLEMS = {
     "helmholtz": helmholtz_benchmark,
     "burger": burger_benchmark,
 }
-
-_KERNEL_NAMES = (
-    "j0",
-    "i0",
-    "sinc3d",
-    "sinh3d",
-    "biharmonic2d",
-    "biharmonic3d",
-    "convection2d",
-)
 
 # Residual threshold echoed by the kernels command; matches the operator
 # residual the test suite enforces.
@@ -71,14 +60,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     The parser is built once, when this module is imported, and every call
     reuses it: each parse returns a fresh namespace, and usage errors and
     help go to the ``sys.stderr``/``sys.stdout`` of the call.  Out-of-range
-    values are rejected by the parser and exit with ``EXIT_USAGE``.
+    values are rejected by the parser and exit with ``EXIT_USAGE``.  A
+    closed stdout exits with ``EXIT_NUMERICAL`` and prints nothing more.
     """
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors via SystemExit
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_USAGE
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()  # a reader that went away raises here, not at exit
+    except BrokenPipeError:
+        # Point stdout's fd at /dev/null, so the interpreter's final flush of
+        # what is still buffered does not raise again.
+        with contextlib.suppress(OSError):  # no fd, as with a StringIO
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_NUMERICAL
+    return code
 
 
 def _checked(convert: Callable[[str], float], accept: Callable[[float], bool], what: str):
@@ -196,7 +199,7 @@ class _Output:
         return EXIT_OK
 
 
-def rel_err_pct(computed: float, exact: float) -> float:
+def _rel_err_pct(computed: float, exact: float) -> float:
     """Error in percent, relative to exact; absolute when exact vanishes."""
     scale = abs(exact) if abs(exact) > 1e-12 else 1.0
     return 100.0 * (computed - exact) / scale
@@ -204,6 +207,8 @@ def rel_err_pct(computed: float, exact: float) -> float:
 
 def _interior_points(ellipse: Ellipse, count: int) -> list[Point]:
     """Deterministic interior knots: an even-stride subsample of a dense lattice."""
+    if count == 0:
+        return []
     lattice = interior_grid(ellipse, _INTERIOR_SPACING)
     if count > len(lattice):
         raise ValueError(f"requested {count} interior knots, lattice has {len(lattice)}")
@@ -211,86 +216,87 @@ def _interior_points(ellipse: Ellipse, count: int) -> list[Point]:
     return [lattice[i] for i in idx]
 
 
+def _problem(name: str):
+    """The named built-in problem, or None after an error on stderr."""
+    if name not in _PROBLEMS:
+        print(f"error: unknown problem: {name!r}", file=sys.stderr)
+        return None
+    return _PROBLEMS[name]()
+
+
+def _solve_table(problem, n: int, interior: list[Point]):
+    """(computed, exact, diagnostics) at the table points of a solve on n
+    boundary knots plus ``interior``.  A failed solve (SingularMatrixError
+    and UnsupportedConfigurationError included) or a non-finite value
+    raises ValueError."""
+    if interior:
+        sol, diag = solve_mixed_linear(problem, ellipse_knots(problem.ellipse, n), interior)
+    else:
+        sol, diag = solve_boundary_only(problem, n)
+    computed = evaluate(sol, problem.table_points)
+    exact = np.array([problem.exact(p) for p in problem.table_points])
+    if not (np.all(np.isfinite(computed)) and np.all(np.isfinite(exact))):
+        raise ValueError("non-finite solution values")
+    return computed, exact, diag
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.problem not in _PROBLEMS:
-        print(f"error: unknown problem: {args.problem!r}", file=sys.stderr)
+    problem = _problem(args.problem)
+    if problem is None:
         return EXIT_USAGE
-    problem = _PROBLEMS[args.problem]()
     if args.c is not None:
         problem = dataclasses.replace(problem, mq_shape_c=args.c)
-    if args.interior > 0:
-        try:
-            interior = _interior_points(problem.ellipse, args.interior)
-        except ValueError as exc:  # more knots than the lattice has: a usage error
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
-        if args.interior > 0:
-            knots = ellipse_knots(problem.ellipse, args.n)
-            sol, diag = solve_mixed_linear(problem, knots, interior)
-        else:
-            sol, diag = solve_boundary_only(problem, args.n)
-        points = problem.table_points
-        computed = evaluate(sol, points)
-    except (SingularMatrixError, UnsupportedConfigurationError, ValueError) as exc:
+        interior = _interior_points(problem.ellipse, args.interior)
+    except ValueError as exc:  # more knots than the lattice has: a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    exact = np.array([problem.exact(p) for p in points])
-    if not (np.all(np.isfinite(computed)) and np.all(np.isfinite(exact))):
-        print("error: non-finite solution values", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        computed, exact, diag = _solve_table(problem, args.n, interior)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     out = _Output(args.out)
+    rows = zip(problem.table_points, exact, computed)
     footer = [
         f"# cond_interp {diag.cond_interp:.3e}",
         f"# cond_bkm {diag.cond_bkm:.3e}",
         f"# residual_inf {diag.residual_inf:.3e}",
     ]
+    if problem.notes:
+        footer.append(f"# note: {problem.notes}")
     if args.format == "csv":
         out.add("x,y,exact,computed,rel_err_pct")
-        for p, ex, co in zip(points, exact, computed):
-            err = rel_err_pct(co, ex)
-            out.add(f"{p.x:.12g},{p.y:.12g},{ex:.12g},{co:.12g},{err:.12g}")
-        for line in footer:
-            print(line, file=sys.stderr)
-        if problem.notes:
-            print(f"# note: {problem.notes}", file=sys.stderr)
+        for p, ex, co in rows:
+            out.add(f"{p.x:.12g},{p.y:.12g},{ex:.12g},{co:.12g},{_rel_err_pct(co, ex):.12g}")
+        print("\n".join(footer), file=sys.stderr)
     else:
         out.add(f"{'x':>8} {'y':>8} {'Exact':>10} {f'BKM({args.n})':>10} {'err%':>8}")
-        for p, ex, co in zip(points, exact, computed):
-            cells = (p.x, p.y, ex, co, rel_err_pct(co, ex))
+        for p, ex, co in rows:
+            cells = (p.x, p.y, ex, co, _rel_err_pct(co, ex))
             # Rounded as printed; + 0.0 turns a -0.0 into 0.0, so zero prints unsigned.
             row = [round(float(v), d) + 0.0 for v, d in zip(cells, (3, 3, 3, 3, 2))]
             out.add("{:8.3f} {:8.3f} {:10.3f} {:10.3f} {:8.2f}".format(*row))
-        for line in footer:
-            out.add(line)
-        if problem.notes:
-            out.add(f"# note: {problem.notes}")
+        out.lines += footer
     return out.emit()
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    if args.problem not in _PROBLEMS:
-        print(f"error: unknown problem: {args.problem!r}", file=sys.stderr)
+    problem = _problem(args.problem)
+    if problem is None:
         return EXIT_USAGE
-    problem = _PROBLEMS[args.problem]()
-    c_list = args.c if args.c is not None else [problem.mq_shape_c]
     out = _Output(args.out)
     out.add("n,c,max_err,cond_bkm")
-    for c in c_list:
+    for c in args.c or [problem.mq_shape_c]:
         run_problem = dataclasses.replace(problem, mq_shape_c=c)
         for n in args.n:
             try:
-                sol, diag = solve_boundary_only(run_problem, n)
-                computed = evaluate(sol, run_problem.table_points)
-            except (SingularMatrixError, ValueError) as exc:
+                computed, exact, diag = _solve_table(run_problem, n, [])
+            except ValueError as exc:
                 print(f"error: n={n} c={c}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
-            exact = np.array([run_problem.exact(p) for p in run_problem.table_points])
             max_err = float(np.abs(computed - exact).max())
-            if not math.isfinite(max_err):
-                print(f"error: non-finite error at n={n} c={c}", file=sys.stderr)
-                return EXIT_NUMERICAL
             out.add(f"{n},{c:.12g},{max_err:.12g},{diag.cond_bkm:.12g}")
     return out.emit()
 
@@ -302,33 +308,36 @@ def _radial_laplacian(f: Callable[[float], float], r: float, h: float, dim: int)
     return d2 + (dim - 1) * d1 / r
 
 
-def _biharmonic_residual(f: Callable[[float], float], lam: float, r: float, dim: int) -> float:
-    """FD (lap^2 - lam^4) f at r, Richardson-extrapolated nested Laplacian."""
+def _helmholtz_check(dim: int, sign: float):
+    """(residual, value) of (lap + sign lam^2) on a radial kernel in dim dimensions."""
 
-    def nested(h: float) -> float:
-        def lap(s: float) -> float:
-            return _radial_laplacian(f, s, h, dim)
+    def check(kernel, lam: float, r: float) -> tuple[float, float]:
+        value = kernel.eval(r)
+        return _radial_laplacian(kernel.eval, r, 1e-4, dim) + sign * lam * lam * value, value
 
-        return _radial_laplacian(lap, r, h, dim)
-
-    fine, coarse = nested(0.02), nested(0.04)
-    return (4.0 * fine - coarse) / 3.0 - lam**4 * f(r)
+    return check
 
 
-def _operator_residual(name: str, kernel, lam: float, r: float) -> float:
-    if name == "j0":
-        return _radial_laplacian(kernel.eval, r, 1e-4, 2) + lam * lam * kernel.eval(r)
-    if name == "i0":
-        return _radial_laplacian(kernel.eval, r, 1e-4, 2) - lam * lam * kernel.eval(r)
-    if name == "sinc3d":
-        return _radial_laplacian(kernel.eval, r, 1e-4, 3) + lam * lam * kernel.eval(r)
-    if name == "sinh3d":
-        return _radial_laplacian(kernel.eval, r, 1e-4, 3) - lam * lam * kernel.eval(r)
-    raise ValueError(name)
+def _biharmonic_check(dim: int):
+    """(residual, value) of FD (lap^2 - lam^4), Richardson-extrapolated nested Laplacian."""
+
+    def check(kernel, lam: float, r: float) -> tuple[float, float]:
+        def nested(h: float) -> float:
+            def lap(s: float) -> float:
+                return _radial_laplacian(kernel.eval, s, h, dim)
+
+            return _radial_laplacian(lap, r, h, dim)
+
+        fine, coarse = nested(0.02), nested(0.04)
+        value = kernel.eval(r)
+        return (4.0 * fine - coarse) / 3.0 - lam**4 * value, value
+
+    return check
 
 
-def _convection_residual(kernel: DisplacementKernel, delta: tuple[float, float]) -> float:
-    """FD residual of D lap(phi) + v . grad(phi) + (k + |v|^2/(2D)) phi.
+def _convection_check(kernel: DisplacementKernel, lam: float, r: float) -> tuple[float, float]:
+    """(residual, value) of FD D lap(phi) + v . grad(phi) + (k + |v|^2/(2D)) phi
+    at displacement (r, r) / sqrt(2).
 
     The kernel exp(-v . delta / (2D)) J0(mu r), mu^2 = |v|^2/(4D^2) + k/D,
     annihilates that operator: its effective reaction is
@@ -339,7 +348,7 @@ def _convection_residual(kernel: DisplacementKernel, delta: tuple[float, float])
     k = kernel.params["k"]
     k_eff = k + (vx * vx + vy * vy) / (2.0 * D)
     h = 1e-4
-    dx, dy = delta
+    dx = dy = r / math.sqrt(2.0)
 
     def ev(ax: float, ay: float) -> float:
         return kernel.eval((ax, ay))
@@ -349,40 +358,47 @@ def _convection_residual(kernel: DisplacementKernel, delta: tuple[float, float])
     ) / (h * h)
     gx = (ev(dx + h, dy) - ev(dx - h, dy)) / (2.0 * h)
     gy = (ev(dx, dy + h) - ev(dx, dy - h)) / (2.0 * h)
-    return D * lap + vx * gx + vy * gy + k_eff * ev(dx, dy)
+    value = ev(dx, dy)
+    return D * lap + vx * gx + vy * gy + k_eff * value, value
+
+
+# The general-solution catalog of `bkm kernels`: name -> (the kernels built
+# from the parsed options, the (residual, value) of one kernel at a radius).
+# --help lists the names in this order.
+_CATALOG = {
+    "j0": (lambda a: (helmholtz2d(a.lam),), _helmholtz_check(2, 1.0)),
+    "i0": (lambda a: (modified_helmholtz2d(a.lam),), _helmholtz_check(2, -1.0)),
+    "sinc3d": (lambda a: (helmholtz3d(a.lam),), _helmholtz_check(3, 1.0)),
+    "sinh3d": (lambda a: (modified_helmholtz3d(a.lam),), _helmholtz_check(3, -1.0)),
+    "biharmonic2d": (lambda a: biharmonic2d(a.lam), _biharmonic_check(2)),
+    "biharmonic3d": (lambda a: biharmonic3d(a.lam), _biharmonic_check(3)),
+    "convection2d": (
+        lambda a: (convection_diffusion2d(a.D, (a.vx, a.vy), a.k),),
+        _convection_check,
+    ),
+}
+_KERNEL_NAMES = tuple(_CATALOG)
+
+
+def _value_at(kernel, r: float) -> float:
+    """A radial kernel's value at radius r; a displacement kernel's at (r, 0)."""
+    return kernel.eval((r, 0.0)) if isinstance(kernel, DisplacementKernel) else kernel.eval(r)
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    name = args.name
-    if name not in _KERNEL_NAMES:
-        print(f"error: unknown kernel: {name!r}", file=sys.stderr)
+    if args.name not in _CATALOG:
+        print(f"error: unknown kernel: {args.name!r}", file=sys.stderr)
         return EXIT_USAGE
+    build, check = _CATALOG[args.name]
     try:
-        if name == "convection2d":
-            kernels: tuple = (convection_diffusion2d(args.D, (args.vx, args.vy), args.k),)
-        elif name == "biharmonic2d":
-            kernels = biharmonic2d(args.lam)
-        elif name == "biharmonic3d":
-            kernels = biharmonic3d(args.lam)
-        else:
-            factory = {
-                "j0": helmholtz2d,
-                "i0": modified_helmholtz2d,
-                "sinc3d": helmholtz3d,
-                "sinh3d": modified_helmholtz3d,
-            }[name]
-            kernels = (factory(args.lam),)
+        kernels = build(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.r is not None:
         for kernel in kernels:
-            if isinstance(kernel, DisplacementKernel):
-                value = kernel.eval((args.r, 0.0))
-            else:
-                value = kernel.eval(args.r)
-            print(f"{kernel.label} value {value:.12g}")
+            print(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
         return EXIT_OK
 
     radii = np.linspace(0.1, 5.0, 50)
@@ -390,23 +406,9 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     for kernel in kernels:
         print(f"kernel {kernel.label}  params {dict(kernel.params)}")
         for r in radii[::7]:
-            if isinstance(kernel, DisplacementKernel):
-                value = kernel.eval((float(r), 0.0))
-            else:
-                value = kernel.eval(float(r))
-            print(f"  r={r:7.4f}  value={value: .10g}")
+            print(f"  r={r:7.4f}  value={_value_at(kernel, float(r)): .10g}")
         for r in radii:
-            r = float(r)
-            if name == "convection2d":
-                residual = _convection_residual(kernels[0], (r / math.sqrt(2.0), r / math.sqrt(2.0)))
-                value = kernels[0].eval((r / math.sqrt(2.0), r / math.sqrt(2.0)))
-            elif name in ("biharmonic2d", "biharmonic3d"):
-                dim = 2 if name == "biharmonic2d" else 3
-                residual = _biharmonic_residual(kernel.eval, args.lam, r, dim)
-                value = kernel.eval(r)
-            else:
-                residual = _operator_residual(name, kernel, args.lam, r)
-                value = kernel.eval(r)
+            residual, value = check(kernel, args.lam, float(r))
             max_residual = max(max_residual, abs(residual) / (1.0 + abs(value)))
     verdict = "<" if max_residual < _RESIDUAL_GATE else ">="
     print(f"max_residual {max_residual:.3e} {verdict} {_RESIDUAL_GATE:g}")

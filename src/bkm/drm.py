@@ -146,14 +146,15 @@ def knot_distances(knots) -> np.ndarray:
     Raises
     ------
     ValueError
-        If no knots are given, a coordinate is not finite or two knots
+        If no knots are given, a coordinate is not finite or not below
+        1e150 in magnitude (its square would overflow), or two knots
         (nearly) coincide.
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
     xy = as_xy(knots)
-    if not np.isfinite(xy).all():
-        raise ValueError("knot coordinates must be finite")
+    if not (np.abs(xy) < 1e150).all():  # NaN compares False
+        raise ValueError("knot coordinates must be finite and below 1e150 in magnitude")
     distances = distance_matrix(xy, xy)
     pair = coincident_pair(distances, _DUPLICATE_TOL)
     if pair is not None:
@@ -170,8 +171,8 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     Raises
     ------
     ValueError
-        If no knots are given, a coordinate is not finite or two knots
-        (nearly) coincide.
+        As ``knot_distances``: no knots, a coordinate that is not finite
+        or not below 1e150 in magnitude, or two (nearly) coincident knots.
     """
     return pair.phi.eval(knot_distances(knots))
 

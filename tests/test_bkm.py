@@ -135,6 +135,47 @@ class TestNonFiniteData:
             solve_boundary_only(problem, 8)
         assert not isinstance(exc.value, SingularMatrixError)
 
+    def test_huge_interior_point(self):
+        # Finite, but its square overflows: this used to end in a bare
+        # OverflowError from the linear-tail check.
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        with pytest.raises(ValueError, match="finite"):
+            solve_mixed_linear(problem, knots, [Point(1e200, 0.0)])
+
+
+class TestInteriorPointsInsideEllipse:
+    """Interior knots must lie inside the ellipse, up to round-off on its
+    level function; one outside used to solve with no warning."""
+
+    def test_point_outside_rejected(self):
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        with pytest.raises(ValueError, match=r"interior point 0 at \(5, 3\) lies outside"):
+            solve_mixed_linear(problem, knots, [Point(5.0, 3.0)])
+
+    def test_message_names_the_first_point_outside(self):
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        points = [Point(0.0, 0.0), Point(0.0, 1.5), Point(5.0, 3.0)]
+        with pytest.raises(ValueError, match=r"interior point 1 at \(0, 1.5\)"):
+            solve_mixed_linear(problem, knots, points)
+
+    def test_point_within_round_off_of_the_boundary_solves(self):
+        problem = helmholtz_benchmark()
+        e = problem.ellipse
+        knots = ellipse_knots(e, 8)
+        # Between two knots, at level 1 - 1e-9.
+        scale = math.sqrt(1.0 - 1e-9)
+        theta = math.pi / 8.0
+        p = Point(
+            e.center.x + scale * e.semi_major * math.cos(theta),
+            e.center.y + scale * e.semi_minor * math.sin(theta),
+        )
+        assert e.level(p) == pytest.approx(1.0 - 1e-9, abs=1e-15)
+        sol, _ = solve_mixed_linear(problem, knots, [p])
+        assert np.isfinite(sol.interior_u).all()
+
 
 class TestAssembleBkmMatrix:
     def test_all_dirichlet_unit_diagonal(self):
@@ -162,6 +203,13 @@ class TestAssembleBkmMatrix:
     def test_non_finite_knot_rejected(self):
         knots = ellipse_knots(ELLIPSE, 3)
         knots[1] = BoundaryKnot(Point(math.nan, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
+
+    def test_huge_knot_rejected(self):
+        # Finite, but its squared distances overflow.
+        knots = ellipse_knots(ELLIPSE, 3)
+        knots[1] = BoundaryKnot(Point(1e200, 0.0), (1.0, 0.0))
         with pytest.raises(ValueError, match="finite"):
             assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
 

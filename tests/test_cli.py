@@ -6,7 +6,9 @@ import io
 import os
 import re
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +394,64 @@ class TestKernels:
         assert code == EXIT_OK
         value = float(capsys.readouterr().out.split()[-1])
         assert value == pytest.approx(0.46411585763858434, rel=1e-12)
+
+
+class TestCatalog:
+    """Every name of the kernel catalog, through `bkm kernels`."""
+
+    def test_help_lists_every_name_in_catalog_order(self, capsys):
+        assert main(["kernels", "--help"]) == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        assert " | ".join(cli._KERNEL_NAMES) in help_text
+        assert cli._KERNEL_NAMES == tuple(cli._CATALOG)
+
+    @pytest.mark.parametrize("name", cli._KERNEL_NAMES)
+    def test_value_at_unit_radius_prints_one_line_per_kernel(self, capsys, name):
+        assert main(["kernels", name, "--r", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == (2 if name.startswith("biharmonic") else 1)
+        for line in lines:
+            label, word, value = line.split()
+            assert word == "value"
+            assert np.isfinite(float(value))
+
+
+class TestClosedStdout:
+    """A stdout whose reader is gone (as in `bkm kernels j0 | head -1`)
+    exits 1 with nothing on stderr.  The pipe's read end is closed before
+    the run starts, so the outcome does not depend on timing."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "laplace", "--n", "5"],
+            ["convergence", "--problem", "laplace", "--n", "3,5"],
+            ["kernels", "j0"],
+        ],
+        ids=["solve", "convergence", "kernels"],
+    )
+    def test_exits_1_without_traceback(self, argv, buffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        flags = [] if buffered else ["-u"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "bkm.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_NUMERICAL
+        assert b"Traceback" not in done.stderr
+        assert done.stderr == b""
 
 
 # Argvs that the parser rejects: each exits 2 with argparse's one-line

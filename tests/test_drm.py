@@ -121,6 +121,12 @@ class TestInterpMatrix:
         with pytest.raises(ValueError, match="finite"):
             rbf_interpolate(pts, [0.0, 1.0], mq_pair(1.0).phi)
 
+    def test_huge_knot_rejected(self):
+        # Finite, but the squared distance overflows: this used to return a
+        # matrix with NaN entries.
+        with pytest.raises(ValueError, match="finite"):
+            interp_matrix([Point(1e200, 0.0), Point(0.0, 0.0)], mq_pair(1.0))
+
     def test_duplicate_message_names_first_pair(self):
         pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]
         with pytest.raises(ValueError, match=r"^duplicate knots at indices 0 and 2: "):
