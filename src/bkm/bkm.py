@@ -37,6 +37,7 @@ from .geometry import (
     Ellipse,
     Point,
     as_xy,
+    checked_xy,
     coincident_pair,
     distance_matrix,
     ellipse_knots,
@@ -142,11 +143,9 @@ def assemble_bkm_matrix(
         raise ValueError("at least one boundary knot is required")
     if len(bc) != n:
         raise ValueError(f"expected {n} boundary conditions, got {len(bc)}")
-    positions = as_xy([k.position for k in knots])
-    if not (np.abs(positions) < 1e150).all():  # NaN compares False
-        raise ValueError("boundary knot coordinates must be finite and below 1e150 in magnitude")
+    positions = checked_xy([k.position for k in knots], "boundary knots")
     distances = distance_matrix(positions, positions)
-    pair = coincident_pair(distances, 1e-12)
+    pair = coincident_pair(distances)
     if pair is not None:
         raise ValueError(f"duplicate boundary knots at indices {pair[0]} and {pair[1]}")
     a = kernel.eval(distances)
@@ -159,16 +158,16 @@ def assemble_bkm_matrix(
 
 def _spans_plane(xy: np.ndarray) -> bool:
     """Whether the points are not all on one line (and at least three)."""
-    points = xy.tolist()
-    if len(points) < 3:
+    if len(xy) < 3:
         return False
-    x0, y0 = points[0]
-    x1, y1 = max(points, key=lambda p: (p[0] - x0) ** 2 + (p[1] - y0) ** 2)
+    d = xy - xy[0]
+    dx, dy = d[:, 0], d[:, 1]
+    far = (dx * dx + dy * dy).argmax()  # the first farthest point
     # (x - x0, y - y0) . normal is |normal| times (x, y)'s distance from the
     # line through point 0 and the point farthest from it.
-    nx, ny = y1 - y0, x0 - x1
+    nx, ny = float(dy[far]), -float(dx[far])
     tol = 1e-12 * (nx * nx + ny * ny)
-    return any(abs((x - x0) * nx + (y - y0) * ny) > tol for x, y in points)
+    return bool((abs(dx * nx + dy * ny) > tol).any())
 
 
 def _check_inside(ellipse: Ellipse, xy: np.ndarray) -> None:
@@ -176,8 +175,7 @@ def _check_inside(ellipse: Ellipse, xy: np.ndarray) -> None:
 
     A point is outside where the level function exceeds 1 by more than
     round-off (_LEVEL_TOL)."""
-    scaled = (xy - ellipse.center) / (ellipse.semi_major, ellipse.semi_minor)
-    level = (scaled * scaled).sum(axis=1)
+    level = ellipse.level(xy)
     outside = np.flatnonzero(level > 1.0 + _LEVEL_TOL)
     if outside.size:
         i = outside[0]
@@ -214,13 +212,15 @@ def _solve(
     and the boundary rows (value or flux of v + u_p) solve for lambda.
 
     One all-points distance matrix feeds every matrix of the solve.
+    Interior pairs or array rows reach the forcing and u_p as ``Point``s.
     """
     knots = tuple(knots)
     n = len(knots)
-    points = tuple(k.position for k in knots) + tuple(interior)
-    m = len(points)
-    xy = as_xy(points)
+    positions = tuple(k.position for k in knots)
+    xy = as_xy(positions + tuple(interior))
     distances = knot_distances(xy)
+    points = positions + tuple(map(Point._make, xy[n:].tolist()))
+    m = len(points)
     if m > n:
         _check_inside(problem.ellipse, xy[n:])
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
@@ -393,18 +393,11 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     collocation knots first among the knots, so v reads the first
     ``len(sol.knots)`` rows and u_p all of them.  A solution whose
     expansion does not start with its collocation knots gets them
-    prepended as extra rows of the same matrix.  An array that is not
-    (n, 2) and real, or a coordinate that is not finite or whose square
-    would overflow, raises ValueError.
+    prepended as extra rows of the same matrix.  Points that fail
+    ``checked_xy`` (not (n, 2) and real, or a coordinate that is not finite
+    or whose square would overflow) raise ValueError.
     """
-    xy = as_xy(points)
-    if xy.ndim != 2 or xy.shape[1] != 2 or xy.dtype.kind not in "fiu":
-        raise ValueError(
-            f"evaluation points need an (n, 2) array of real coordinates, "
-            f"got shape {xy.shape} of dtype {xy.dtype}"
-        )
-    if not (np.abs(xy) < 1e150).all():  # NaN compares False
-        raise ValueError("evaluation points need finite coordinates below 1e150 in magnitude")
+    xy = checked_xy(points, "evaluation points")
     n = len(sol.knots)
     knot_xy = as_xy([knot.position for knot in sol.knots])
     sources = as_xy(sol.expansion.knots)

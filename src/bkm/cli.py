@@ -172,7 +172,8 @@ class _Output:
         self.lines.append(line)
 
     def emit(self) -> int:
-        """Write the lines; return EXIT_OK, or EXIT_USAGE if the file is unwritable.
+        """Write the lines; return EXIT_OK, EXIT_NUMERICAL if stdout is needed
+        but fd 1 was closed at start-up, or EXIT_USAGE if the file is unwritable.
 
         The file is written in place, with no O_TRUNC (a cut to zero bytes makes
         ext4 flush it at close, and the next cut waits for that), then cut to
@@ -180,6 +181,8 @@ class _Output:
         tail of the old contents."""
         text = "\n".join(self.lines) + "\n"
         if self.path is None:
+            if sys.stdout is None:  # fd 1 was closed at start-up
+                return EXIT_NUMERICAL
             sys.stdout.write(text)
             return EXIT_OK
         data = memoryview(text.encode("utf-8"))
@@ -396,23 +399,24 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    out = _Output(None)
     if args.r is not None:
         for kernel in kernels:
-            print(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
-        return EXIT_OK
+            out.add(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
+        return out.emit()
 
     radii = np.linspace(0.1, 5.0, 50)
     max_residual = 0.0
     for kernel in kernels:
-        print(f"kernel {kernel.label}  params {dict(kernel.params)}")
+        out.add(f"kernel {kernel.label}  params {dict(kernel.params)}")
         for r in radii[::7]:
-            print(f"  r={r:7.4f}  value={_value_at(kernel, float(r)): .10g}")
+            out.add(f"  r={r:7.4f}  value={_value_at(kernel, float(r)): .10g}")
         for r in radii:
             residual, value = check(kernel, args.lam, float(r))
             max_residual = max(max_residual, abs(residual) / (1.0 + abs(value)))
     verdict = "<" if max_residual < _RESIDUAL_GATE else ">="
-    print(f"max_residual {max_residual:.3e} {verdict} {_RESIDUAL_GATE:g}")
-    return EXIT_OK if max_residual < _RESIDUAL_GATE else EXIT_NUMERICAL
+    out.add(f"max_residual {max_residual:.3e} {verdict} {_RESIDUAL_GATE:g}")
+    return out.emit() or (EXIT_OK if max_residual < _RESIDUAL_GATE else EXIT_NUMERICAL)
 
 
 # Built once, at import: a build costs more than a paper-table solve, and

@@ -16,7 +16,9 @@ tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0.
 linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
 enters u_p.
 
-Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays.
+Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
+``knot_distances`` (hence every interpolation), ``particular_matrix``,
+``u_p_at`` and ``RbfInterpolant.at`` admit them through ``checked_xy``.
 A knot set's distance matrix (``knot_distances``) is computed once per
 solve and every matrix over the set is one kernel call on it:
 ``bordered_matrix`` borders the caller's A_phi with the linear tail;
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, coincident_pair, distance_matrix, squared_distances
+from .geometry import Point, as_xy, checked_xy, coincident_pair, distance_matrix, squared_distances
 from .kernels import KernelPair, RadialKernel, directional_derivative
 from .linalg import lu_solve, solve_and_invert
 
@@ -62,10 +64,6 @@ __all__ = [
 ]
 
 _RHO_KINDS = ("zero", "identity", "scaled_identity", "burger")
-
-# Radial interpolation matrices are exactly rank-deficient under repeated
-# knots, so near-coincident knots are rejected outright.
-_DUPLICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,17 +144,15 @@ def knot_distances(knots) -> np.ndarray:
     Raises
     ------
     ValueError
-        If no knots are given, a coordinate is not finite or not below
-        1e150 in magnitude (its square would overflow), or two knots
-        (nearly) coincide.
+        If no knots are given, they fail ``checked_xy`` (not (n, 2), or a
+        coordinate not finite or not below 1e150 in magnitude), or two
+        knots (nearly) coincide.
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
-    xy = as_xy(knots)
-    if not (np.abs(xy) < 1e150).all():  # NaN compares False
-        raise ValueError("knot coordinates must be finite and below 1e150 in magnitude")
+    xy = checked_xy(knots, "knots")
     distances = distance_matrix(xy, xy)
-    pair = coincident_pair(distances, _DUPLICATE_TOL)
+    pair = coincident_pair(distances)
     if pair is not None:
         raise ValueError(
             f"duplicate knots at indices {pair[0]} and {pair[1]}: radial interpolation "
@@ -177,22 +173,30 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     return pair.phi.eval(knot_distances(knots))
 
 
+def _bordered(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """[[A, P], [P^T, 0]] for an interpolation matrix A and the rows P of
+    its side-condition functions at the points."""
+    m, k = p.shape
+    system = np.zeros((m + k, m + k))
+    system[:m, :m] = a
+    system[:m, m:] = p
+    system[m:, :m] = p.T
+    return system
+
+
 def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
     """[[A_phi, P], [P^T, 0]] with rows P = (1, x, y) at the knots, from an
     A_phi the caller already holds."""
     xy = as_xy(knots)
-    m = len(xy)
-    system = np.zeros((m + 3, m + 3))
-    system[:m, :m] = a_phi
-    system[:m, m] = 1.0
-    system[:m, m + 1 :] = xy
-    system[m:, :m] = system[:m, m:].T
-    return system
+    p = np.ones((len(xy), 3))
+    p[:, 1:] = xy
+    return _bordered(a_phi, p)
 
 
 def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
     """Evaluation matrix phi_hat(||x - x_j||) from squared distances, rows = eval points."""
-    return pair.phi_hat.eval_sq(squared_distances(as_xy(eval_points), as_xy(knots)))
+    xy = checked_xy(eval_points, "evaluation points")
+    return pair.phi_hat.eval_sq(squared_distances(xy, as_xy(knots)))
 
 
 def _u_values(rho: RhoSpec, n: int, u_at_knots) -> np.ndarray:
@@ -279,8 +283,8 @@ def solve_alpha(
     """
     knots = tuple(knots)
     n = len(knots)
-    distances = knot_distances(knots)
     xy = as_xy(knots)
+    distances = knot_distances(xy)
     a_phi = pair.phi.eval(distances)
     f = np.asarray(f_at_knots, dtype=float)
     if rho.linear_scale is None and not linear_tail:
@@ -295,7 +299,7 @@ def solve_alpha(
 
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     """Particular solution u_p = sum_j alpha_j phi_hat(||x - x_j||) + tail at the points."""
-    xy = as_xy(points)
+    xy = checked_xy(points, "evaluation points")
     return u_p_from_distances(expansion, squared_distances(as_xy(expansion.knots), xy), xy)
 
 
@@ -336,7 +340,8 @@ class RbfInterpolant:
     offset: float
 
     def at(self, eval_points) -> np.ndarray:
-        distances = distance_matrix(as_xy(eval_points), as_xy(self.points))
+        xy = checked_xy(eval_points, "evaluation points")
+        distances = distance_matrix(xy, as_xy(self.points))
         values = self.kernel.eval(distances) @ self.beta
         return values + self.offset
 
@@ -368,10 +373,5 @@ def rbf_interpolate(
         beta = lu_solve(a, vals)
         return RbfInterpolant(points, kernel, beta, 0.0)
     n = len(points)
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = a
-    system[:n, n] = 1.0
-    system[n, :n] = 1.0
-    rhs = np.concatenate([vals, [0.0]])
-    solution = lu_solve(system, rhs)
+    solution = lu_solve(_bordered(a, np.ones((n, 1))), np.append(vals, 0.0))
     return RbfInterpolant(points, kernel, solution[:n], float(solution[n]))

@@ -6,7 +6,8 @@ the knots treats the choice as opaque.
 
 Kernel matrices are built from point sets as (n, 2) coordinate arrays
 (``as_xy``) and one broadcast matrix of their squared distances
-(``squared_distances``) or distances (``distance_matrix``).
+(``squared_distances``) or distances (``distance_matrix``).  Knot sets and
+evaluation points from callers are admitted by one check, ``checked_xy``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "ellipse_knots",
     "interior_grid",
     "as_xy",
+    "checked_xy",
     "squared_distances",
     "distance_matrix",
     "coincident_pair",
@@ -33,6 +35,8 @@ __all__ = [
 # Lattice points this close to the boundary (in level-function units) are
 # treated as boundary points and excluded from interior sets.
 _INTERIOR_MARGIN = 1e-9
+_COORD_LIMIT = 1e150  # squares of smaller coordinates do not overflow
+_COINCIDENT_TOL = 1e-12  # closer points make radial kernel matrices rank-deficient
 
 
 class Point(NamedTuple):
@@ -70,10 +74,12 @@ class Ellipse:
                 f"({self.semi_major}, {self.semi_minor})"
             )
 
-    def level(self, p: Point) -> float:
-        """Level function ((x-cx)/a)^2 + ((y-cy)/b)^2; equals 1 on the boundary."""
-        dx = (p.x - self.center.x) / self.semi_major
-        dy = (p.y - self.center.y) / self.semi_minor
+    def level(self, p: Point | np.ndarray) -> float | np.ndarray:
+        """Level function ((x-cx)/a)^2 + ((y-cy)/b)^2, 1 on the boundary, of a
+        ``Point`` or of each row of an (n, 2) coordinate array."""
+        x, y = p.T if isinstance(p, np.ndarray) else p
+        dx = (x - self.center.x) / self.semi_major
+        dy = (y - self.center.y) / self.semi_minor
         return dx * dx + dy * dy
 
 
@@ -128,13 +134,11 @@ def interior_grid(e: Ellipse, spacing: float) -> list[Point]:
         raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
     ni = int(math.floor(e.semi_major / spacing))
     nj = int(math.floor(e.semi_minor / spacing))
-    points = []
-    for j in range(-nj, nj + 1):
-        for i in range(-ni, ni + 1):
-            p = Point(e.center.x + i * spacing, e.center.y + j * spacing)
-            if e.level(p) < 1.0 - _INTERIOR_MARGIN:
-                points.append(p)
-    return points
+    xs = e.center.x + np.arange(-ni, ni + 1) * spacing
+    ys = e.center.y + np.arange(-nj, nj + 1) * spacing
+    lattice = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
+    inside = lattice[e.level(lattice) < 1.0 - _INTERIOR_MARGIN]
+    return list(map(Point._make, inside.tolist()))
 
 
 def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
@@ -152,6 +156,20 @@ def as_xy(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     if next(values, values) is not values:  # the iterator is its own end marker
         raise ValueError(f"expected {n} (x, y) pairs, got more than {2 * n} coordinates")
     return flat.reshape(n, 2)
+
+
+def checked_xy(points: Sequence[Point] | np.ndarray, what: str) -> np.ndarray:
+    """``as_xy`` of the points, admitted only as an (n, 2) real array whose
+    coordinates are finite and below 1e150 in magnitude; ValueErrors name ``what``."""
+    xy = as_xy(points)
+    if xy.ndim != 2 or xy.shape[1] != 2 or xy.dtype.kind not in "fiu":
+        raise ValueError(
+            f"{what} need an (n, 2) array of real coordinates, "
+            f"got shape {xy.shape} of dtype {xy.dtype}"
+        )
+    if not (np.abs(xy) < _COORD_LIMIT).all():  # NaN compares False
+        raise ValueError(f"{what} need finite coordinates below {_COORD_LIMIT:g} in magnitude")
+    return xy
 
 
 def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -172,7 +190,7 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.sqrt(t, out=t)
 
 
-def coincident_pair(distances: np.ndarray, tol: float) -> tuple[int, int] | None:
+def coincident_pair(distances: np.ndarray, tol: float = _COINCIDENT_TOL) -> tuple[int, int] | None:
     """First index pair i < j (row-major order) of a point set's own distance
     matrix whose distance is below ``tol``, or None when there is none."""
     close = distances < tol

@@ -24,6 +24,7 @@ wrapped kernel, which use a high-order finite-difference stencil instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -153,70 +154,57 @@ def _near_zero(s, threshold: float, series, closed):
     return np.where(small, series(s), closed(np.where(small, 1.0, s)))[()]
 
 
-def _sinc(s):
-    """sin(s)/s with the removable singularity filled in."""
+def _sin_over(s, sign: float):
+    """sin(s)/s for sign = -1, sinh(s)/s for sign = +1 (the sign of the s^2
+    term of its series), with the removable singularity filled in."""
+    sin = np.sinh if sign > 0 else np.sin
 
     def series(s):
         s2 = s * s
-        return 1.0 - s2 / 6.0 + s2 * s2 / 120.0
+        return 1.0 + sign * s2 / 6.0 + s2 * s2 / 120.0
 
-    return _near_zero(s, 1e-4, series, lambda s: np.sin(s) / s)
-
-
-def _dsinc(s):
-    """d/ds of sin(s)/s; series near 0 avoids cancellation."""
-
-    def series(s):
-        s2 = s * s
-        return s * (-1.0 / 3.0 + s2 / 30.0 - s2 * s2 / 840.0)
-
-    return _near_zero(s, 2e-2, series, lambda s: (s * np.cos(s) - np.sin(s)) / (s * s))
+    return _near_zero(s, 1e-4, series, lambda s: sin(s) / s)
 
 
-def _sinhc(s):
-    """sinh(s)/s with the removable singularity filled in."""
+def _d_sin_over(s, sign: float):
+    """d/ds of ``_sin_over``; the series near 0 avoids cancellation."""
+    sin, cos = (np.sinh, np.cosh) if sign > 0 else (np.sin, np.cos)
 
     def series(s):
         s2 = s * s
-        return 1.0 + s2 / 6.0 + s2 * s2 / 120.0
+        return s * (sign / 3.0 + s2 / 30.0 + sign * s2 * s2 / 840.0)
 
-    return _near_zero(s, 1e-4, series, lambda s: np.sinh(s) / s)
+    return _near_zero(s, 2e-2, series, lambda s: (s * cos(s) - sin(s)) / (s * s))
 
 
-def _dsinhc(s):
-    """d/ds of sinh(s)/s; series near 0 avoids cancellation."""
+# The four functions by name, as the kernel tests import them.
+_sinc = functools.partial(_sin_over, sign=-1.0)
+_dsinc = functools.partial(_d_sin_over, sign=-1.0)
+_sinhc = functools.partial(_sin_over, sign=1.0)
+_dsinhc = functools.partial(_d_sin_over, sign=1.0)
 
-    def series(s):
-        s2 = s * s
-        return s * (1.0 / 3.0 + s2 / 30.0 + s2 * s2 / 840.0)
 
-    return _near_zero(s, 2e-2, series, lambda s: (s * np.cosh(s) - np.sinh(s)) / (s * s))
+def _sin_over_kernel(lam: float, sign: float, label: str) -> RadialKernel:
+    """sin(lam*r)/(lam*r) (sign -1) or sinh(lam*r)/(lam*r) (sign +1) with its derivative."""
+    lam = _require_positive(lam, "wavenumber")
+
+    def ev(r):
+        return _sin_over(lam * r, sign)
+
+    def dv(r):
+        return lam * _d_sin_over(lam * r, sign)
+
+    return RadialKernel(ev, dv, label, {"lambda": lam})
 
 
 def helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sin(lam*r)/(lam*r) of the 3D operator lap + lam^2."""
-    lam = _require_positive(lam, "wavenumber")
-
-    def ev(r):
-        return _sinc(lam * r)
-
-    def dv(r):
-        return lam * _dsinc(lam * r)
-
-    return RadialKernel(ev, dv, "sinc3d", {"lambda": lam})
+    return _sin_over_kernel(lam, -1.0, "sinc3d")
 
 
 def modified_helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2."""
-    lam = _require_positive(lam, "wavenumber")
-
-    def ev(r):
-        return _sinhc(lam * r)
-
-    def dv(r):
-        return lam * _dsinhc(lam * r)
-
-    return RadialKernel(ev, dv, "sinh3d", {"lambda": lam})
+    return _sin_over_kernel(lam, 1.0, "sinh3d")
 
 
 def biharmonic2d(lam: float) -> tuple[RadialKernel, RadialKernel]:

@@ -414,6 +414,23 @@ class TestSolveMixedLinear:
         assert np.array_equal(plain.lam, sol.lam)
         assert np.array_equal(plain.interior_u, sol.interior_u)
 
+    @pytest.mark.parametrize("form", ["tuples", "array"])
+    def test_helmholtz_interior_as_pairs_or_array_matches_points(self, form):
+        """The Helmholtz forcing reads p.x, so pairs or array rows used to end
+        in AttributeError; the solve now hands it checked Points."""
+        problem = helmholtz_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        interior = [Point(0.0, 0.0), Point(0.5, 0.1), Point(-0.75, -0.25)]
+        supplied = [tuple(p) for p in interior] if form == "tuples" else np.array(interior)
+        sol, diag = solve_mixed_linear(problem, knots, interior)
+        got, got_diag = solve_mixed_linear(problem, knots, supplied)
+        assert np.array_equal(got.interior_u, sol.interior_u)
+        assert got_diag == diag
+        assert got.expansion.knots == sol.expansion.knots
+        assert all(type(p) is Point for p in got.expansion.knots)
+        probes = interior_grid(problem.ellipse, 0.25)
+        assert np.array_equal(evaluate(got, probes), evaluate(sol, probes))
+
     def test_interior_unknowns_returned_in_solution(self):
         problem = laplace_benchmark()
         knots = ellipse_knots(problem.ellipse, 8)

@@ -454,6 +454,59 @@ class TestClosedStdout:
         assert done.stderr == b""
 
 
+def _run_with_fd1_closed(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -m bkm.cli argv`` under ``sh -c '... >&-'``: Python starts
+    with fd 1 closed and sets sys.stdout to None."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "bkm.cli", *argv],
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestStdoutClosedAtStartup:
+    """With fd 1 closed before the start, a command that needs stdout exits 1
+    without a traceback (solve and convergence used to end in an
+    AttributeError, kernels printed nothing and exited 0); with --out it
+    writes the file and exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "laplace", "--n", "5"],
+            ["solve", "--problem", "laplace", "--n", "5", "--format", "csv"],
+            ["convergence", "--problem", "laplace", "--n", "3,5"],
+            ["kernels", "j0"],
+            ["kernels", "j0", "--r", "1"],
+        ],
+        ids=["solve", "solve-csv", "convergence", "kernels", "kernels-r"],
+    )
+    def test_needing_stdout_exits_1_without_traceback(self, argv):
+        done = _run_with_fd1_closed(argv)
+        assert done.returncode == EXIT_NUMERICAL
+        assert b"Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "laplace", "--n", "5"],
+            ["convergence", "--problem", "laplace", "--n", "3,5"],
+        ],
+        ids=["solve", "convergence"],
+    )
+    def test_out_file_is_written(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.txt"
+        done = _run_with_fd1_closed([*argv, "--out", str(path)])
+        assert done.returncode == EXIT_OK
+        assert b"Traceback" not in done.stderr
+        assert main(argv) == EXIT_OK
+        assert path.read_text() == capsys.readouterr().out
+
+
 # Argvs that the parser rejects: each exits 2 with argparse's one-line
 # message and no traceback.
 INVALID_ARGVS = [

@@ -12,6 +12,7 @@ from bkm.drm import (
     RhoSpec,
     bordered_matrix,
     interp_matrix,
+    knot_distances,
     particular_matrix,
     rbf_interpolate,
     rho_matrix,
@@ -126,6 +127,12 @@ class TestInterpMatrix:
         # matrix with NaN entries.
         with pytest.raises(ValueError, match="finite"):
             interp_matrix([Point(1e200, 0.0), Point(0.0, 0.0)], mq_pair(1.0))
+
+    def test_three_column_array_rejected(self):
+        # An (n, 3) array used to pass with its third column ignored.
+        xy = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 7.0]])
+        with pytest.raises(ValueError, match=r"\(n, 2\) array of real"):
+            knot_distances(xy)
 
     def test_duplicate_message_names_first_pair(self):
         pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]
@@ -353,6 +360,33 @@ class TestLinearTail:
         probes = [Point(0.3, -0.2), Point(-1.0, 0.4)]
         want = [0.5 + 2.0 * p.x - 1.0 * p.y for p in probes]
         assert u_p_at(exp, probes) == pytest.approx(want, rel=1e-15)
+
+
+class TestEvaluationPointChecks:
+    """The entry points that evaluate at caller points reject a NaN point
+    and a point whose squared distances would overflow, as ``evaluate``
+    does; they used to return NaN or overflow."""
+
+    BAD = [Point(math.nan, 0.0), Point(1e200, 0.0)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "huge"])
+    def test_particular_matrix(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            particular_matrix([Point(0.0, 0.0), bad], ring(5), mq_pair(1.0))
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "huge"])
+    def test_u_p_at(self, bad):
+        expansion = solve_alpha(ring(5), mq_pair(1.0), np.ones(5), RhoSpec.zero())
+        with pytest.raises(ValueError, match="finite"):
+            u_p_at(expansion, [bad])
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "huge"])
+    def test_rbf_interpolant_at(self, bad):
+        pts = ring(6)
+        mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1, mode="plain")
+        itp = rbf_interpolate(pts, [p.x for p in pts], mtps)
+        with pytest.raises(ValueError, match="finite"):
+            itp.at(np.array([[0.1, 0.2], bad]))
 
 
 class TestRbfInterpolate:

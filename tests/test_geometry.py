@@ -12,6 +12,7 @@ from bkm.geometry import (
     Ellipse,
     Point,
     as_xy,
+    checked_xy,
     coincident_pair,
     distance_matrix,
     ellipse_knots,
@@ -107,6 +108,31 @@ class TestInteriorGrid:
         assert len(set(pts)) == len(pts)
 
 
+    def test_row_major_order_on_shifted_ellipse(self):
+        """The lattice scan is y ascending, then x ascending, each point at
+        center + (i, j) * spacing; the same points in the same order as a
+        scalar double loop."""
+        e = Ellipse(Point(3.0, 0.0), 2.0, 1.0)
+        h = 0.07
+        ni, nj = int(2.0 // h), int(1.0 // h)
+        want = [
+            p
+            for j in range(-nj, nj + 1)
+            for i in range(-ni, ni + 1)
+            if e.level(p := Point(3.0 + i * h, 0.0 + j * h)) < 1.0 - 1e-9
+        ]
+        assert interior_grid(e, h) == want
+
+
+class TestLevel:
+    def test_array_levels_equal_point_levels(self):
+        e = Ellipse(Point(0.5, -1.25), 3.0, 0.75)
+        xy = np.random.default_rng(3).uniform(-4.0, 4.0, (40, 2))
+        levels = e.level(xy)
+        assert levels.shape == (40,)
+        assert np.array_equal(levels, [e.level(Point(*row)) for row in xy.tolist()])
+
+
 class TestEllipseValidation:
     def test_semi_axes_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -153,6 +179,31 @@ class TestArrayHelpers:
         with pytest.raises(ValueError):
             as_xy([(3.0, 0.1), (3.2,)])
 
+    def test_checked_xy_admits_real_pairs(self):
+        pts = [Point(0.5, -1.0), Point(2.0, 3.5)]
+        assert np.array_equal(checked_xy(pts, "points"), as_xy(pts))
+        ints = np.array([[1, 2], [3, 4]])
+        assert checked_xy(ints, "points") is ints
+        assert checked_xy([], "points").shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "xy",
+        [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2), dtype=complex)],
+        ids=["three-columns", "flat", "complex"],
+    )
+    def test_checked_xy_rejects_other_shapes_and_dtypes(self, xy):
+        with pytest.raises(ValueError, match=r"^probes need an \(n, 2\) array of real"):
+            checked_xy(xy, "probes")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e150, 1e200])
+    def test_checked_xy_rejects_non_finite_and_huge(self, bad):
+        with pytest.raises(ValueError, match="^probes need finite coordinates"):
+            checked_xy([Point(0.0, 0.0), Point(0.0, bad)], "probes")
+
+    def test_checked_xy_keeps_as_xy_pairs_error(self):
+        with pytest.raises(ValueError, match="pairs"):
+            checked_xy([(3.0, 0.1, 9.0), (3.2, 0.2, 9.0)], "probes")
+
     def test_distance_matrix_matches_dist(self):
         rows = [Point(0.1 * i, 0.3 - 0.2 * i) for i in range(4)]
         cols = [Point(-0.5, 0.25), Point(1.0, 1.0), Point(0.0, 0.0)]
@@ -168,3 +219,7 @@ class TestArrayHelpers:
         assert coincident_pair(d, 1e-12) == (0, 4)
         assert coincident_pair(d[1:, 1:], 1e-12) == (0, 2)
         assert coincident_pair(d[:3, :3], 1e-12) is None
+        assert coincident_pair(d) == (0, 4)  # default tolerance 1e-12
+        near = as_xy([Point(0.0, 0.0), Point(1e-13, 0.0), Point(1e-11, 0.0)])
+        assert coincident_pair(distance_matrix(near, near)) == (0, 1)
+        assert coincident_pair(distance_matrix(near[::2], near[::2])) is None
