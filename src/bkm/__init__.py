@@ -5,6 +5,9 @@ non-singular radial general solutions centred at boundary knots (no
 fictitious boundary, no mesh, no integration) and picks up inhomogeneous
 and nonlinear terms through dual-reciprocity particular solutions built
 on multiquadric radial basis functions.
+
+The package exports what solves, the CLI and the scripts use; building
+blocks that only tests use are imported from their modules.
 """
 
 from .bkm import (
@@ -12,22 +15,11 @@ from .bkm import (
     BoundaryCondition,
     Diagnostics,
     UnsupportedConfigurationError,
-    assemble_bkm_matrix,
     evaluate,
     solve_boundary_only,
     solve_mixed_linear,
 )
-from .drm import (
-    DrmExpansion,
-    RbfInterpolant,
-    RhoSpec,
-    interp_matrix,
-    particular_matrix,
-    rbf_interpolate,
-    rho_matrix,
-    solve_alpha,
-    u_p_at,
-)
+from .drm import DrmExpansion, RbfInterpolant, RhoSpec, rbf_interpolate
 from .geometry import BoundaryKnot, Ellipse, Point, ellipse_knots, interior_grid
 from .kernels import (
     DisplacementKernel,
@@ -43,9 +35,8 @@ from .kernels import (
     modified_helmholtz2d,
     modified_helmholtz3d,
     mq_pair,
-    normal_derivative,
 )
-from .linalg import SingularMatrixError, cond_estimate_1norm, lu_factor, lu_solve
+from .linalg import SingularMatrixError, lu_solve
 from .problems import (
     ProblemSpec,
     burger_benchmark,
@@ -71,7 +62,6 @@ __all__ = [
     "RhoSpec",
     "SingularMatrixError",
     "UnsupportedConfigurationError",
-    "assemble_bkm_matrix",
     "bessel_i0",
     "bessel_i1",
     "bessel_j0",
@@ -80,7 +70,6 @@ __all__ = [
     "biharmonic3d",
     "biharmonic_mfs_pair",
     "burger_benchmark",
-    "cond_estimate_1norm",
     "convection_diffusion2d",
     "ellipse_knots",
     "evaluate",
@@ -89,22 +78,15 @@ __all__ = [
     "helmholtz3d",
     "helmholtz_benchmark",
     "interior_grid",
-    "interp_matrix",
     "laplace_benchmark",
-    "lu_factor",
     "lu_solve",
     "manufactured",
     "modified_helmholtz2d",
     "modified_helmholtz3d",
     "mq_pair",
-    "normal_derivative",
-    "particular_matrix",
     "rbf_interpolate",
-    "rho_matrix",
-    "solve_alpha",
     "solve_boundary_only",
     "solve_mixed_linear",
-    "u_p_at",
 ]
 
 __version__ = "0.1.0"

@@ -52,11 +52,12 @@ __all__ = [
     "BoundaryCondition",
     "BkmSolution",
     "Diagnostics",
-    "assemble_bkm_matrix",
     "solve_boundary_only",
     "solve_mixed_linear",
     "evaluate",
 ]
+# ``assemble_bkm_matrix`` stays defined but unexported: only tests use it, and
+# perfbench/tracing.py looks it up by name in this module.
 
 _BC_KINDS = ("dirichlet", "neumann")
 
@@ -136,7 +137,8 @@ def assemble_bkm_matrix(
     ------
     ValueError
         If a knot coordinate is not finite or not below 1e150 in
-        magnitude, knots (nearly) coincide or bc does not match the knots.
+        magnitude, knots (nearly) coincide, bc does not match the knots or
+        a Neumann knot's normal is not a finite unit vector.
     """
     n = len(knots)
     if n < 1:
@@ -151,7 +153,7 @@ def assemble_bkm_matrix(
     a = kernel.eval(distances)
     neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
     if neumann:
-        projections = normal_projections([knots[i] for i in neumann], positions)
+        projections, _ = normal_projections([knots[i] for i in neumann], positions)
         a[neumann] = directional_derivative(kernel, distances[neumann], projections)
     return a
 
@@ -272,8 +274,7 @@ def _solve(
     bc_rep = rep[:n]
     if neumann:
         rows = distances[neumann]
-        projections = normal_projections([knots[i] for i in neumann], xy)
-        normals = as_xy([knots[i].normal for i in neumann])
+        projections, normals = normal_projections([knots[i] for i in neumann], xy)
         bc_lam[neumann] = directional_derivative(kernel, rows[:, :n], projections[:, :n])
         bc_rep[neumann, :m] = directional_derivative(pair.phi_hat, rows, projections)
         # The tail's gradient is (beta_x, beta_y) / k^2.
@@ -348,8 +349,9 @@ def solve_mixed_linear(
         rho{u} = k^2 u.
     ValueError
         If an interior point lies outside the ellipse (level function above
-        1 + 1e-12), or a coordinate is not finite or not below 1e150 in
-        magnitude.
+        1 + 1e-12), a coordinate is not finite or not below 1e150 in
+        magnitude, or a Neumann knot's normal is not finite or its length
+        is not within 1e-9 of 1 (Dirichlet knots' normals are not used).
     SingularMatrixError
         Propagated if either dense system is singular.
     """

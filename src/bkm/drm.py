@@ -24,7 +24,8 @@ solve and every matrix over the set is one kernel call on it:
 ``bordered_matrix`` borders the caller's A_phi with the linear tail;
 ``u_p_from_distances`` sums u_p from squared distances the caller already
 holds, and ``normal_projections`` with rows of a distance matrix gives a
-Neumann knot's flux row.
+Neumann knot's flux row; it is where a Neumann knot's normal is checked
+to be a finite unit vector.
 
 The rho formulas live in ``RhoSpec``: s u for the linear kinds (a solve
 driver adds s u to its right-hand side) and Burger's u - u_x u, whose u_x
@@ -51,19 +52,19 @@ __all__ = [
     "DrmExpansion",
     "RbfInterpolant",
     "knot_distances",
-    "interp_matrix",
     "bordered_matrix",
-    "particular_matrix",
-    "rho_matrix",
     "burger_alpha",
-    "solve_alpha",
-    "u_p_at",
     "u_p_from_distances",
     "normal_projections",
     "rbf_interpolate",
 ]
+# ``interp_matrix``, ``particular_matrix``, ``rho_matrix``, ``solve_alpha`` and
+# ``u_p_at`` stay defined but unexported: only tests use them, and
+# perfbench/tracing.py looks them up by name in this module.
 
 _RHO_KINDS = ("zero", "identity", "scaled_identity", "burger")
+# How far a Neumann knot's normal may be from unit length.
+_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -313,16 +314,32 @@ def u_p_from_distances(expansion: DrmExpansion, sq_distances: np.ndarray, xy: np
     return u_p
 
 
-def normal_projections(boundary_knots, sources) -> np.ndarray:
+def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]:
     """Entries (x_i - s_j) . n_i for boundary knots x_i with outward normals n_i
-    and sources s_j.  With the distances ||x_i - s_j||,
-    ``kernels.directional_derivative`` turns them into normal derivatives."""
+    and sources s_j, and the normals n_i as an (n, 2) array.  With the
+    distances ||x_i - s_j||, ``kernels.directional_derivative`` turns the
+    entries into normal derivatives.
+
+    Raises
+    ------
+    ValueError
+        Naming the knot's position, if a normal is not finite or its length
+        is not within 1e-9 of 1.
+    """
     positions = as_xy([knot.position for knot in boundary_knots])
     normals = as_xy([knot.normal for knot in boundary_knots])
+    # Negated so that a NaN length, which compares false, counts as bad.
+    bad = ~(np.abs(np.hypot(normals[:, 0], normals[:, 1]) - 1.0) <= _UNIT_TOL)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(
+            f"Neumann knot at ({positions[i, 0]:g}, {positions[i, 1]:g}) needs a finite "
+            f"unit normal, got ({normals[i, 0]:g}, {normals[i, 1]:g})"
+        )
     sources = as_xy(sources)
     dx = positions[:, 0, None] - sources[None, :, 0]
     dy = positions[:, 1, None] - sources[None, :, 1]
-    return dx * normals[:, 0, None] + dy * normals[:, 1, None]
+    return dx * normals[:, 0, None] + dy * normals[:, 1, None], normals
 
 
 @dataclass(frozen=True)

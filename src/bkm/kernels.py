@@ -16,9 +16,16 @@ of ``mq_pair`` also take squared distances (``eval_sq``), with no sqrt.
 The convection-diffusion kernel, a function of the displacement rather
 than the distance, takes one displacement per call.
 
+The four wavenumber-scaled general solutions (J0, I0 and the 3D sin and
+sinh kernels) come from one factory: f(lam*r) with derivative
+lam*f'(lam*r).  Every parameter a factory takes as positive (wavenumber,
+shape, diffusivity, pre-wavelet shift) must be finite and positive, and
+the convection-diffusion velocity and reaction must be finite; anything
+else raises ValueError when the kernel is built.
+
 Every radial kernel carries its analytic radial derivative so collocation
 rows never fall back to numerical differentiation; the lone exception is
-the factory's modes whose derivative would need second derivatives of the
+``gsr_kernel``'s modes whose derivative would need second derivatives of the
 wrapped kernel, which use a high-order finite-difference stencil instead.
 """
 
@@ -47,9 +54,10 @@ __all__ = [
     "mq_pair",
     "gsr_kernel",
     "biharmonic_mfs_pair",
-    "normal_derivative",
     "directional_derivative",
 ]
+# ``normal_derivative`` stays defined but unexported: only tests use it, and
+# perfbench/tracing.py looks it up by name in this module.
 
 _GSR_MODES = ("plain", "forcing", "dirichlet", "neumann")
 
@@ -106,41 +114,42 @@ class KernelPair:
 
 def _require_positive(value: float, name: str) -> float:
     value = float(value)
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
+
+
+def _scaled(
+    lam: float, f: Callable, df: Callable, label: str, sq: Callable | None = None
+) -> RadialKernel:
+    """The kernel f(lam*r) with derivative lam*f'(lam*r), for a finite positive
+    wavenumber lam; ``sq(lam)``, when given, builds its ``eval_sq``."""
+    lam = _require_positive(lam, "wavenumber")
+
+    def ev(r):
+        return f(lam * r)
+
+    def dv(r):
+        return lam * df(lam * r)
+
+    return RadialKernel(ev, dv, label, {"lambda": lam}, None if sq is None else sq(lam))
+
+
+def _j0_sq(lam: float) -> Callable:
+    """t -> J0(lam*sqrt(t)): at lam = 1, which every built-in problem uses,
+    ``bessel_j0_sq`` itself, with no scaling pass."""
+    lam_sq = lam * lam
+    return bessel_j0_sq if lam_sq == 1.0 else lambda t: bessel_j0_sq(lam_sq * t)
 
 
 def helmholtz2d(lam: float) -> RadialKernel:
     """Non-singular general solution J0(lam*r) of the 2D operator lap + lam^2."""
-    lam = _require_positive(lam, "wavenumber")
-
-    def ev(r):
-        return bessel_j0(lam * r)
-
-    def dv(r):
-        return -lam * bessel_j1(lam * r)
-
-    lam_sq = lam * lam
-
-    def ev_sq(t):
-        return bessel_j0_sq(lam_sq * t)
-
-    # At lam = 1, which every built-in problem uses, no scaling pass.
-    return RadialKernel(ev, dv, "j0", {"lambda": lam}, bessel_j0_sq if lam_sq == 1.0 else ev_sq)
+    return _scaled(lam, bessel_j0, lambda s: -bessel_j1(s), "j0", _j0_sq)
 
 
 def modified_helmholtz2d(lam: float) -> RadialKernel:
     """Non-singular general solution I0(lam*r) of the 2D operator lap - lam^2."""
-    lam = _require_positive(lam, "wavenumber")
-
-    def ev(r):
-        return bessel_i0(lam * r)
-
-    def dv(r):
-        return lam * bessel_i1(lam * r)
-
-    return RadialKernel(ev, dv, "i0", {"lambda": lam})
+    return _scaled(lam, bessel_i0, bessel_i1, "i0")
 
 
 def _near_zero(s, threshold: float, series, closed):
@@ -177,34 +186,21 @@ def _d_sin_over(s, sign: float):
     return _near_zero(s, 2e-2, series, lambda s: (s * cos(s) - sin(s)) / (s * s))
 
 
-# The four functions by name, as the kernel tests import them.
+# The inputs of the 3D kernels, by name, as the kernel tests import them.
 _sinc = functools.partial(_sin_over, sign=-1.0)
 _dsinc = functools.partial(_d_sin_over, sign=-1.0)
 _sinhc = functools.partial(_sin_over, sign=1.0)
 _dsinhc = functools.partial(_d_sin_over, sign=1.0)
 
 
-def _sin_over_kernel(lam: float, sign: float, label: str) -> RadialKernel:
-    """sin(lam*r)/(lam*r) (sign -1) or sinh(lam*r)/(lam*r) (sign +1) with its derivative."""
-    lam = _require_positive(lam, "wavenumber")
-
-    def ev(r):
-        return _sin_over(lam * r, sign)
-
-    def dv(r):
-        return lam * _d_sin_over(lam * r, sign)
-
-    return RadialKernel(ev, dv, label, {"lambda": lam})
-
-
 def helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sin(lam*r)/(lam*r) of the 3D operator lap + lam^2."""
-    return _sin_over_kernel(lam, -1.0, "sinc3d")
+    return _scaled(lam, _sinc, _dsinc, "sinc3d")
 
 
 def modified_helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2."""
-    return _sin_over_kernel(lam, 1.0, "sinh3d")
+    return _scaled(lam, _sinhc, _dsinhc, "sinh3d")
 
 
 def biharmonic2d(lam: float) -> tuple[RadialKernel, RadialKernel]:
@@ -235,14 +231,19 @@ def convection_diffusion2d(
     Raises
     ------
     ValueError
-        If D <= 0 or the wavenumber would be imaginary (mu^2 < 0).
+        If D is not finite and positive, v or k is not finite, or the
+        wavenumber would be imaginary (mu^2 < 0) or overflow.
     """
     D = _require_positive(D, "diffusivity")
     vx, vy = float(v[0]), float(v[1])
+    if not all(map(math.isfinite, (vx, vy, k))):
+        raise ValueError(f"velocity and reaction must be finite, got v=({vx}, {vy}), k={k}")
     half = math.hypot(vx, vy) / (2.0 * D)
     mu_sq = half * half + k / D
     if mu_sq < 0.0:
         raise ValueError(f"imaginary wavenumber out of scope: mu^2 = {mu_sq}")
+    if not mu_sq < math.inf:
+        raise ValueError(f"wavenumber overflows: mu^2 = {mu_sq}")
     mu = math.sqrt(mu_sq)
 
     def ev(delta: tuple[float, float]) -> float:
@@ -265,7 +266,8 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
     Raises
     ------
     ValueError
-        If the shape parameter ``c`` or the wavenumber is <= 0.
+        If the shape parameter ``c`` or the wavenumber is not finite and
+        positive.
     """
     c = _require_positive(c, "shape parameter")
     k = _require_positive(wavenumber, "wavenumber")
@@ -338,8 +340,8 @@ def gsr_kernel(
         the optional remaining-operator image of g, included only when
         supplied; like ``g`` it is called on arrays of radii.
     prewavelet_c : float, optional
-        When set, every occurrence of r is replaced by sqrt(r^2 + c^2),
-        turning the kernel into its pre-wavelet variant.
+        When set (finite and positive), every occurrence of r is replaced
+        by sqrt(r^2 + c^2), turning the kernel into its pre-wavelet variant.
 
     Returns
     -------
@@ -349,16 +351,19 @@ def gsr_kernel(
     Raises
     ------
     ValueError
-        If ``m`` < 0 or ``mode`` is unknown.
+        If ``m`` < 0, ``mode`` is unknown or ``prewavelet_c`` is not
+        finite and positive.
     """
     if m < 0:
         raise ValueError(f"smoothing exponent must be >= 0, got m={m}")
     if mode not in _GSR_MODES:
         raise ValueError(f"unknown gsr mode {mode!r}, expected one of {_GSR_MODES}")
+    if prewavelet_c is not None:
+        prewavelet_c = _require_positive(prewavelet_c, "pre-wavelet shift c")
     if mode == "plain" and m == 0 and prewavelet_c is None:
         return g
 
-    pc_sq = None if prewavelet_c is None else float(prewavelet_c) ** 2
+    pc_sq = None if prewavelet_c is None else prewavelet_c**2
     # Without the pre-wavelet shift, m >= 1 defines eval and deriv as 0 at
     # r = 0; those radii are replaced by 1 before g sees them.
     crushed = pc_sq is None and m >= 1
@@ -411,7 +416,7 @@ def gsr_kernel(
     suffix = ",prewavelet" if prewavelet_c is not None else ""
     params = {"m": float(m), "value": float(value)}
     if prewavelet_c is not None:
-        params["prewavelet_c"] = float(prewavelet_c)
+        params["prewavelet_c"] = prewavelet_c
     params.update(g.params)
     return RadialKernel(ev, dv, f"gsr[{mode},m={m}{suffix}]({g.label})", params)
 

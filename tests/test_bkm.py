@@ -177,6 +177,53 @@ class TestInteriorPointsInsideEllipse:
         assert np.isfinite(sol.interior_u).all()
 
 
+class TestNeumannNormals:
+    """A Neumann knot needs a finite unit normal.  A normal of (3, 4) used to
+    solve with the flux row of a normal of length 5, and a NaN one failed
+    only as non-finite matrix entries, naming no knot."""
+
+    @staticmethod
+    def _half_neumann(normal):
+        problem = helmholtz_benchmark()
+        knots = list(ellipse_knots(problem.ellipse, 8))
+        knots[1] = BoundaryKnot(knots[1].position, normal)
+        bc = [
+            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+            for i in range(len(knots))
+        ]
+        return problem, knots, bc
+
+    @pytest.mark.parametrize(
+        "normal, shown",
+        [((3.0, 4.0), "3, 4"), ((math.nan, 1.0), "nan, 1"), ((0.0, math.inf), "0, inf")],
+        ids=["length-5", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("entry", ["solve_mixed_linear", "assemble_bkm_matrix"])
+    def test_bad_normal_rejected_naming_the_knot(self, normal, shown, entry):
+        problem, knots, bc = self._half_neumann(normal)
+        x, y = knots[1].position
+        message = rf"Neumann knot at \({x:g}, {y:g}\) needs a finite unit normal, got \({shown}\)"
+        with pytest.raises(ValueError, match=message):
+            if entry == "solve_mixed_linear":
+                solve_mixed_linear(problem, knots, (), bc)
+            else:
+                assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)
+
+    def test_only_neumann_knots_need_a_unit_normal(self):
+        # Any unit normal solves, not only the ellipse's.
+        problem, knots, bc = self._half_neumann((0.6, 0.8))
+        sol, diagnostics = solve_mixed_linear(problem, knots, (), bc)
+        assert np.isfinite(sol.lam).all() and np.isfinite(diagnostics.cond_bkm)
+        assert np.isfinite(assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)).all()
+        # A Dirichlet knot's normal is not used, so it is not checked.
+        problem, knots, bc = self._half_neumann((3.0, 4.0))
+        with pytest.raises(ValueError, match="unit normal"):
+            solve_mixed_linear(problem, knots, (), bc)
+        bc[1] = BoundaryCondition("dirichlet", 0.0)
+        solve_mixed_linear(problem, knots, (), bc)
+        assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)
+
+
 class TestAssembleBkmMatrix:
     def test_all_dirichlet_unit_diagonal(self):
         knots = ellipse_knots(ELLIPSE, 6)

@@ -545,3 +545,49 @@ class TestSquaredRadius:
         phi_hat = mq_pair(c, k).phi_hat
         assert np.array_equal(phi_hat.eval(self.R), phi_hat.eval_sq(self.R * self.R))
         assert phi_hat.eval_sq(np.array([0.0]))[0] == c**3
+
+
+class TestParameterRule:
+    """A parameter a factory takes as positive must be finite and positive,
+    and the convection-diffusion velocity and reaction finite; anything else
+    raises when the kernel is built, not at its first evaluation."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: helmholtz2d(math.nan),
+            lambda: helmholtz2d(math.inf),
+            lambda: modified_helmholtz2d(math.inf),
+            lambda: helmholtz3d(math.nan),
+            lambda: modified_helmholtz3d(math.inf),
+            lambda: biharmonic2d(math.nan),
+            lambda: biharmonic3d(math.inf),
+            lambda: mq_pair(math.nan),
+            lambda: mq_pair(3.0, math.inf),
+            lambda: mq_pair(math.inf, 1.0),
+            lambda: convection_diffusion2d(math.inf, (1.0, 0.0), 1.0),
+            lambda: convection_diffusion2d(1.0, (math.nan, 0.0), 1.0),
+            lambda: convection_diffusion2d(1.0, (0.0, -math.inf), 1.0),
+            lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.nan),
+            lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.inf),
+            lambda: convection_diffusion2d(1e-300, (1.0, 0.0), 1.0),
+            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=math.nan),
+            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=math.inf),
+            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=0.0),
+            lambda: gsr_kernel(helmholtz2d(1.0), prewavelet_c=-0.8),
+        ],
+        ids=[
+            "j0-nan", "j0-inf", "i0-inf", "sinc3d-nan", "sinh3d-inf", "biharmonic2d-nan",
+            "biharmonic3d-inf", "mq-c-nan", "mq-k-inf", "mq-c-inf", "convection-D-inf",
+            "convection-vx-nan", "convection-vy-inf", "convection-k-nan", "convection-k-inf",
+            "convection-mu-overflow", "gsr-c-nan", "gsr-c-inf", "gsr-c-zero", "gsr-c-negative",
+        ],
+    )
+    def test_rejected_when_built(self, build):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            build()
+
+    @pytest.mark.parametrize("factory", [helmholtz2d, helmholtz3d, mq_pair])
+    def test_message_names_the_rule(self, factory):
+        with pytest.raises(ValueError, match="must be finite and positive, got nan"):
+            factory(math.nan)
