@@ -11,9 +11,10 @@ Dirichlet data at every knot, which keeps even a nonlinear remaining
 operator explicit.  ``solve_mixed_linear`` takes Neumann knots and
 interior knots too, for linear remaining operators: u at those points is
 not known, so it is replaced by its representation v + u_p, which turns
-their interpolation rows into PDE collocation rows.  Either way the solve
-is one interpolation/PDE solve for the particular solution and one
-collocation solve for lambda, with no iteration.
+their interpolation rows into PDE collocation rows.  There is no
+iteration: where rho{u} = s u (s != 0) carries lambda into those rows, the
+particular solution and lambda come from one block system; otherwise from
+one interpolation/PDE solve and then one collocation solve for lambda.
 """
 
 from __future__ import annotations
@@ -102,22 +103,27 @@ class BkmSolution:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Conditioning and residual of the two dense solves.
+    """Conditioning and residual of the dense solves.
 
     ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers,
     ||A||_1 ||A^-1||_1 with A^-1 from the same LU factorization that
     solved A (see ``linalg.solve_and_invert``), so no matrix is factored
     twice: Burger's u_x interpolant comes from that one factorization of
-    A_phi too (``drm.burger_alpha``).  ``cond_interp`` is that of the DRM
-    matrix that was solved: the interpolation matrix, bordered with the
-    linear tail for a linear rho kind and bare for Burger, whose rows at
-    the points with unknown u (Neumann and interior knots) are PDE
-    collocation rows.  ``cond_bkm`` is that of the n x n collocation
-    matrix for lambda: the value and flux rows of v, plus, when u is
-    unknown somewhere, the rows of u_p's dependence on lambda.  For an
-    all-Dirichlet solve without interior knots these are the
-    interpolation matrix itself and J0 alone.
-    ``residual_inf`` is the max-norm residual of the lambda solve.
+    A_phi too (``drm.burger_alpha``).
+
+    A solve with unknown u (Neumann or interior knots) and rho{u} = s u,
+    s != 0, is coupled: c and lambda come from one block system (see
+    ``_solve``).  Both ``cond_interp`` and ``cond_bkm`` then hold kappa_1
+    of that one (m + 3 + n) matrix, and ``residual_inf`` is its max-norm
+    residual.
+
+    Every other solve is two solves in turn.  ``cond_interp`` is that of
+    the DRM matrix that was solved: the interpolation matrix, bordered
+    with the linear tail for a linear rho kind and bare for Burger.
+    ``cond_bkm`` is that of the n x n collocation matrix for lambda, the
+    value and flux rows of v, and ``residual_inf`` is the max-norm
+    residual of the lambda solve.  For an all-Dirichlet solve without
+    interior knots these are the interpolation matrix itself and J0 alone.
     """
 
     cond_interp: float
@@ -150,12 +156,30 @@ def assemble_bkm_matrix(
     pair = coincident_pair(distances)
     if pair is not None:
         raise ValueError(f"duplicate boundary knots at indices {pair[0]} and {pair[1]}")
-    a = kernel.eval(distances)
     neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
-    if neumann:
-        projections, _ = normal_projections([knots[i] for i in neumann], positions)
-        a[neumann] = directional_derivative(kernel, distances[neumann], projections)
-    return a
+    return _boundary_rows(knots, neumann, positions, distances, (kernel, kernel.eval(distances)))[0][0]
+
+
+def _boundary_rows(knots, neumann, xy, distances, *blocks):
+    """Each block's rows at the boundary knots, in knot order, and the
+    Neumann knots' unit normals (None without Neumann knots).
+
+    A block (kernel, values) holds the kernel centred at the first points
+    of ``xy`` (one column each; any further columns are the caller's),
+    evaluated at the points of ``xy`` (one row each; ``knots`` lead).  A
+    Dirichlet knot keeps its value row and a Neumann knot gets the
+    kernel's normal derivative instead, in a copy: ``values`` is not
+    written, and without Neumann knots the rows are views of it.
+    """
+    n = len(knots)
+    if not neumann:
+        return [values[:n] for _, values in blocks], None
+    projections, normals = normal_projections([knots[i] for i in neumann], xy)
+    out = [values[:n].copy() for _, values in blocks]
+    for rows, (kernel, values) in zip(out, blocks):
+        k = min(values.shape[1], len(xy))
+        rows[neumann, :k] = directional_derivative(kernel, distances[neumann, :k], projections[:, :k])
+    return out, normals
 
 
 def _spans_plane(xy: np.ndarray) -> bool:
@@ -194,7 +218,7 @@ def _solve(
     values: np.ndarray,
     neumann: list[int],
 ) -> tuple[BkmSolution, Diagnostics]:
-    """The one solve driver: u_p's coefficients c = (alpha, beta), then lambda.
+    """u_p's coefficients c = (alpha, beta) and lambda, for both entry points.
 
     ``values`` holds each knot's boundary value, a flux at the knots listed
     in ``neumann``.
@@ -208,10 +232,19 @@ def _solve(
     kind.  Burger's u - u_x u reads u_x off the interpolant of u, whose
     coefficients come from the one factorization of A_phi that also gives
     c (``drm.burger_alpha``).  Where u is not known (Neumann and interior
-    knots), u = v + u_p and rho{u} = s u turn the row into a PDE collocation row,
-    ([A_phi | P] - s rep) c = f + s J lambda.  lambda enters only those
-    right-hand sides, so one factorization gives c = c0 + gather @ lambda,
-    and the boundary rows (value or flux of v + u_p) solve for lambda.
+    knots), u = v + u_p and rho{u} = s u turn the row into a PDE
+    collocation row, ([A_phi | P] - s rep) c - s J lambda = f.  The
+    boundary rows (value or flux of v + u_p) close the system:
+
+        [[system, -s J_unknown], [bc_rep, bc_lam]] (c, lambda) = (rhs, values),
+
+    where the unknown points' rows of system hold [A_phi | P] - s rep and
+    J_unknown is zero outside those rows.  With s != 0 and u unknown
+    somewhere, this whole (m + 3 + n) system is solved at once, one
+    factorization for c and lambda together.  Otherwise its top right
+    block is zero: c solves the DRM system on its own, and lambda then the
+    boundary rows, which is that block-triangular system's exact solve.
+    ``Diagnostics`` says which matrix each reading is of.
 
     One all-points distance matrix feeds every matrix of the solve.
     Interior pairs or array rows reach the forcing and u_p as ``Point``s.
@@ -252,50 +285,44 @@ def _solve(
     j_values = kernel.eval(distances[:, :n])
     rep = pair.phi_hat.eval(distances)
     system = a_phi
+    # rho{u} = scale (v + u_p) at the unknown points puts lam in their DRM rows.
+    coupled = bool(unknown) and bool(scale)
     if scale is None:
         # Burger: u is known at every point, and one factorization gives both
         # its interpolant (for u_x) and c.
-        c0, system_inv = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
+        c, system_inv = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
     else:
-        rhs += scale * known_u
         system = bordered_matrix(a_phi, xy)
         rep = np.hstack([rep, system[:m, m:] / pair.wavenumber**2])
-        rhs = np.concatenate([rhs, np.zeros(3)])
-        if unknown:
-            # rho{u} = scale (v + u_p) at the unknown points.
-            system[unknown] -= scale * rep[unknown]
-            coupling = scale * j_values[unknown]
-        c0, system_inv = solve_and_invert(system, rhs)
+        rhs = np.concatenate([rhs + scale * known_u, np.zeros(3)])
+        if not coupled:
+            c, system_inv = solve_and_invert(system, rhs)
 
     # One row per boundary knot, in knot order: u = v + u_p at a Dirichlet
-    # knot, its normal derivative at a Neumann knot.  They are built in
-    # place in rows :n of j_values and rep, which nothing reads afterwards.
-    bc_lam = j_values[:n]
-    bc_rep = rep[:n]
+    # knot, its normal derivative at a Neumann knot.
+    blocks = (kernel, j_values), (pair.phi_hat, rep)
+    (bc_lam, bc_rep), normals = _boundary_rows(knots, neumann, xy, distances, *blocks)
     if neumann:
-        rows = distances[neumann]
-        projections, normals = normal_projections([knots[i] for i in neumann], xy)
-        bc_lam[neumann] = directional_derivative(kernel, rows[:, :n], projections[:, :n])
-        bc_rep[neumann, :m] = directional_derivative(pair.phi_hat, rows, projections)
         # The tail's gradient is (beta_x, beta_y) / k^2.
         bc_rep[neumann, m] = 0.0
         bc_rep[neumann, m + 1 :] = normals / pair.wavenumber**2
-    bc_rhs = values - bc_rep @ c0
-    if unknown:
-        # c = c0 + gather @ lam: lam enters only the unknown rows' right-hand sides.
-        gather = system_inv[:, unknown] @ coupling
-        bc_lam += bc_rep @ gather
-    lam, bc_inv = solve_and_invert(bc_lam, bc_rhs)
+    if coupled:
+        # [[system, 0], [bc_rep, bc_lam]] (c, lam) = (rhs, values), with
+        # system - scale rep and -scale J in the unknown points' rows.
+        matrix = np.block([[system, np.zeros((m + 3, n))], [bc_rep, bc_lam]])
+        matrix[unknown] -= scale * np.hstack([rep[unknown], j_values[unknown]])
+        target = np.concatenate([rhs, values])
+    else:
+        matrix, target = bc_lam, values - bc_rep @ c
+    x, inverse = solve_and_invert(matrix, target)
+    c, lam = (x[: m + 3], x[m + 3 :]) if coupled else (c, x)
+    cond_bkm = cond_1norm(matrix, inverse)
+    cond_interp = cond_bkm if coupled else cond_1norm(system, system_inv)
+    diagnostics = Diagnostics(cond_interp, cond_bkm, float(np.abs(matrix @ x - target).max()))
 
-    c = c0 + gather @ lam if unknown else c0
     tail = c[m:] / pair.wavenumber**2 if scale is not None else None
     expansion = DrmExpansion(points, pair, c[:m], tail)
     interior_u = j_values[n:] @ lam + rep[n:] @ c if m > n else None
-    diagnostics = Diagnostics(
-        cond_interp=cond_1norm(system, system_inv),
-        cond_bkm=cond_1norm(bc_lam, bc_inv),
-        residual_inf=float(np.abs(bc_lam @ lam - bc_rhs).max()),
-    )
     return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
 
 
@@ -335,6 +362,13 @@ def solve_mixed_linear(
     linear rho term folds into the particular solution's system, so there
     is no iteration.  ``interior_u`` of the solution holds that
     representation at the interior knots.
+
+    With such knots and rho{u} = s u, s != 0, lambda and the particular
+    solution come from one (m + 3 + n) block system, m counting boundary
+    and interior knots, and ``Diagnostics`` report that matrix's kappa_1
+    as both ``cond_interp`` and ``cond_bkm``, and its residual.  With
+    s = 0 the two systems are solved in turn, as in the boundary-only
+    solve.
 
     When ``bc`` is omitted, every knot gets a Dirichlet condition from the
     problem's boundary data.  With no Neumann knots and no interior points

@@ -246,19 +246,22 @@ def _j_far(x, ax, order: int, hankel: tuple):
     return np.where(x < 0.0, -far, far) if order else far
 
 
-def bessel_j0_sq(x_sq: np.ndarray) -> np.ndarray:
-    """J0(sqrt(x_sq)) of an array of squared arguments, elementwise, with no
-    square root where x_sq <= 25.  Unchecked: x_sq must be finite and >= 0.
+def bessel_j0_sq(x_sq):
+    """J0(sqrt(x_sq)) of squared arguments, elementwise, with no square root
+    where x_sq <= 25; a float for a scalar argument.  Unchecked: x_sq must
+    be finite and >= 0.
 
     An array with no element above 25 is one polynomial pass, with no mask."""
-    if x_sq.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
-        return _polevl(x_sq, _J0_SMALL)
-    return _j_split(
-        x_sq > _J_SERIES_MAX * _J_SERIES_MAX,
+    arr = np.asarray(x_sq, dtype=float)
+    if arr.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
+        return _result(_polevl(arr, _J0_SMALL), arr)
+    values = _j_split(
+        arr > _J_SERIES_MAX * _J_SERIES_MAX,
         lambda x_sq: _j_near(None, x_sq, 0),
         lambda x_sq: _j_far(None, np.sqrt(x_sq), 0, _J0_HANKEL),
-        x_sq,
+        arr,
     )
+    return _result(values, arr)
 
 
 def bessel_j0(x):

@@ -21,7 +21,15 @@ from bkm.bkm import (
     solve_boundary_only,
     solve_mixed_linear,
 )
-from bkm.drm import DrmExpansion, RhoSpec, interp_matrix, rbf_interpolate, rho_matrix, solve_alpha
+from bkm.drm import (
+    DrmExpansion,
+    RhoSpec,
+    interp_matrix,
+    particular_matrix,
+    rbf_interpolate,
+    rho_matrix,
+    solve_alpha,
+)
 from bkm.geometry import (
     BoundaryKnot,
     Ellipse,
@@ -72,6 +80,28 @@ def _points_in_ellipse(count, seed):
 
 def dirichlet_bcs(knots):
     return [BoundaryCondition("dirichlet", 0.0) for _ in knots]
+
+
+def _exp_cos(p: Point) -> float:
+    """u = e^{x/3} cos(y/2), the manufactured solution of the coupled tests."""
+    return math.exp(p.x / 3.0) * math.cos(p.y / 2.0)
+
+
+def _exp_cos_gradient(p: Point) -> tuple[float, float]:
+    scale = math.exp(p.x / 3.0)
+    return scale * math.cos(p.y / 2.0) / 3.0, -0.5 * scale * math.sin(p.y / 2.0)
+
+
+def _exact_bcs(knots, neumann, exact, gradient):
+    """``exact`` at each knot, or its exact flux at the knots in ``neumann``."""
+    bc = []
+    for i, k in enumerate(knots):
+        if i in neumann:
+            gx, gy = gradient(k.position)
+            bc.append(BoundaryCondition("neumann", gx * k.normal[0] + gy * k.normal[1]))
+        else:
+            bc.append(BoundaryCondition("dirichlet", exact(k.position)))
+    return bc
 
 
 class TestBoundaryCondition:
@@ -510,8 +540,10 @@ class TestSolveMixedLinear:
         0-3; u = e^{x/3} cos(y/2) with rho = identity takes every other
         knot Neumann and all 93 lattice points.  Max error over
         interior_grid(e, 0.1) was 4e1-5e2 and 2.3e-1 when u at those knots
-        was a separate unknown; with u substituted by its representation it
-        is 6e-15-2e-13 and 5.8e-5."""
+        was a separate unknown.  With u substituted by its representation
+        it was 2.7e-14-1.7e-13 and 5.6e-5 when c was eliminated through the
+        inverse of the DRM matrix, and is 2.7e-15-1.1e-14 and 4.7e-7 with c
+        and lambda from one block system."""
         if case == "laplace_c25":
             problem = laplace_benchmark()
 
@@ -529,27 +561,14 @@ class TestSolveMixedLinear:
                 chosen = sorted(rng.choice(len(lattice), 51, replace=False))
                 layouts.append((neumann, [lattice[i] for i in chosen]))
         else:
-
-            def exact(p: Point) -> float:
-                return math.exp(p.x / 3.0) * math.cos(p.y / 2.0)
-
-            def gradient(p: Point) -> tuple[float, float]:
-                scale = math.exp(p.x / 3.0)
-                return scale * math.cos(p.y / 2.0) / 3.0, -0.5 * scale * math.sin(p.y / 2.0)
-
+            exact, gradient = _exp_cos, _exp_cos_gradient
             problem = manufactured(exact, rho=RhoSpec.identity(), ellipse=ELLIPSE)
             layouts = [(set(range(1, 20, 2)), interior_grid(ELLIPSE, 0.25))]
         knots = ellipse_knots(problem.ellipse, 20)
         probes = interior_grid(problem.ellipse, 0.1)
         want = np.array([exact(p) for p in probes])
         for neumann, interior in layouts:
-            bc = []
-            for i, k in enumerate(knots):
-                if i in neumann:
-                    gx, gy = gradient(k.position)
-                    bc.append(BoundaryCondition("neumann", gx * k.normal[0] + gy * k.normal[1]))
-                else:
-                    bc.append(BoundaryCondition("dirichlet", exact(k.position)))
+            bc = _exact_bcs(knots, neumann, exact, gradient)
             sol, _ = solve_mixed_linear(problem, knots, interior, bc)
             assert np.abs(evaluate(sol, probes) - want).max() <= 1e-3
 
@@ -576,6 +595,63 @@ class TestSolveMixedLinear:
         knots = ellipse_knots(problem.ellipse, 4)
         with pytest.raises(ValueError):
             solve_mixed_linear(problem, knots, (), bc=dirichlet_bcs(knots[:2]))
+
+
+def _seeded_half_neumann(seed):
+    return tuple(np.random.default_rng(seed).choice(20, 10, replace=False).tolist())
+
+
+class TestCoupledSolveIsOneSystem:
+    """With unknown u (Neumann or interior knots) and rho{u} = s u, s != 0,
+    c and lambda come from one block system, solved by one factorization,
+    not from an elimination of c through the inverse of the DRM matrix."""
+
+    @pytest.mark.parametrize(
+        "rho, neumann, bound",
+        [
+            pytest.param(RhoSpec.identity(), (), 1e-6, id="identity-dirichlet"),
+            pytest.param(RhoSpec.identity(), tuple(range(1, 20, 2)), 1e-6, id="identity-alternating"),
+            *[
+                pytest.param(rho, _seeded_half_neumann(seed), 1e-5, id=f"{label}-seed{seed}")
+                for rho, label in [(RhoSpec.identity(), "identity"), (RhoSpec.scaled_identity(0.7), "s0.7")]
+                for seed in range(8)
+            ],
+        ],
+    )
+    def test_twenty_knots_and_93_interior_knots(self, rho, neumann, bound):
+        """20 knots, 93 interior knots from the 0.25 lattice.  Eliminating c
+        through the inverse read 3.4e-3 (all Dirichlet), 5.6e-5 (alternating)
+        and 9.6e-5 to 1.0e-2 (seeded, identity) or 2.8e-4 to 2.2e-3 (seeded,
+        s = 0.7); the one block system reads 3.7e-7 to 1.8e-6."""
+        problem = manufactured(_exp_cos, rho=rho, ellipse=ELLIPSE)
+        knots = ellipse_knots(ELLIPSE, 20)
+        bc = _exact_bcs(knots, neumann, _exp_cos, _exp_cos_gradient)
+        sol, _ = solve_mixed_linear(problem, knots, interior_grid(ELLIPSE, 0.25), bc)
+        probes = interior_grid(ELLIPSE, 0.1)
+        want = np.array([_exp_cos(p) for p in probes])
+        assert np.abs(evaluate(sol, probes) - want).max() < bound
+
+    def test_diagnostics_report_the_joint_matrix(self):
+        """Both condition numbers are kappa_1 of the one (m + 3 + n) matrix
+        [[system - s rep, -s J], [rep, J]] (unknown rows modified), here
+        assembled from its blocks on 8 knots and 2 interior knots, c = 1."""
+        problem = manufactured(_exp_cos, rho=RhoSpec.identity(), ellipse=ELLIPSE, mq_shape_c=1.0)
+        knots = ellipse_knots(ELLIPSE, 8)
+        interior = [Point(0.0, 0.0), Point(0.5, 0.25)]
+        _, diag = solve_mixed_linear(problem, knots, interior)
+
+        points = [k.position for k in knots] + interior
+        pair = mq_pair(1.0)
+        p = np.array([[1.0, q.x, q.y] for q in points])
+        system = np.block([[interp_matrix(points, pair), p], [p.T, np.zeros((3, 3))]])
+        rep = np.hstack([particular_matrix(points, points, pair), p])
+        j = helmholtz2d(1.0).eval(distance_matrix(np.array(points), np.array(points[:8])))
+        joint = np.block([[system, np.zeros((13, 8))], [rep[:8], j[:8]]])
+        joint[8:10] -= np.hstack([rep[8:], j[8:]])
+        want = cond_estimate_1norm(joint)
+        assert want < 1e8
+        assert diag.cond_interp == diag.cond_bkm
+        assert diag.cond_bkm == pytest.approx(want, rel=1e-10)
 
 
 class TestLinearTailNeedsThreePointsOffOneLine:
@@ -1031,6 +1107,19 @@ class TestOneFactorizationPerMatrix:
         interior = [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)]
         solve_mixed_linear(problem, knots, interior, bc)
         assert lapack_calls == {"solve": 2, "inv": 0}
+
+    def test_coupled_solve_with_rho_in_the_drm_rows(self, lapack_calls):
+        """rho{u} = u (Laplace) puts lambda in the unknown points' DRM rows:
+        one factorization of the joint system gives c and lambda."""
+        problem = laplace_benchmark()
+        knots = ellipse_knots(problem.ellipse, 8)
+        bc = [
+            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+            for i in range(len(knots))
+        ]
+        interior = [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)]
+        solve_mixed_linear(problem, knots, interior, bc)
+        assert lapack_calls == {"solve": 1, "inv": 0}
 
     def test_condition_number_stays_exact(self):
         problem = helmholtz_benchmark()

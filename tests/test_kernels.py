@@ -540,6 +540,17 @@ class TestSquaredRadius:
         t = self.R * self.R
         assert np.array_equal(helmholtz2d(1.0).eval_sq(t), bessel_j0_sq(t))
 
+    @pytest.mark.parametrize("t", [0.0, 4.0, 30.0, 1e4])
+    @pytest.mark.parametrize("lam", [1.0, 1.3])
+    def test_j0_kernel_takes_a_float(self, lam, t):
+        """A float t gives a float, as ``eval`` and ``deriv`` do, on either
+        side of the series/asymptotic switch at t = 25."""
+        kern = helmholtz2d(lam)
+        got = kern.eval_sq(t)
+        assert type(got) is float
+        assert got == kern.eval_sq(np.array([t]))[0]
+        assert abs(got - kern.eval(math.sqrt(t))) <= 1e-15
+
     @pytest.mark.parametrize("c, k", [(1.0, 1.0), (3.0, 2.0)])
     def test_phi_hat_eval_is_its_squared_entry(self, c, k):
         phi_hat = mq_pair(c, k).phi_hat
