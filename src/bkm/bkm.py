@@ -124,6 +124,13 @@ class Diagnostics:
     value and flux rows of v, and ``residual_inf`` is the max-norm
     residual of the lambda solve.  For an all-Dirichlet solve without
     interior knots these are the interpolation matrix itself and J0 alone.
+
+    ``residual_inf`` is unscaled, about eps ||A|| ||x||, and does not
+    track the error: it reads 1e-15 to 1e-14 on the c = 25 Laplace solves
+    with Neumann and interior knots, whose error is at round-off, and
+    1.7e-7 on the coupled rho = identity manufactured solve with 20
+    Dirichlet and 93 interior knots, whose error is 4.1e-7.  No check
+    should read it as an accuracy measure.
     """
 
     cond_interp: float

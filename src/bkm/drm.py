@@ -5,8 +5,9 @@ operator image ``phi`` of a kernel pair; the same coefficients alpha then
 sum the approximate particular solutions ``phi_hat``, so that applying the
 operator to u_p reproduces the interpolant exactly at the knots.  The
 module also hosts the rho pathways (how the remaining operator acts on an
-interpolant of u) and a constrained RBF interpolation driver used with
-kernels that need a side condition.
+interpolant of u) and an RBF interpolation driver, which always solves
+with the side condition sum_k beta_k = 0 and a constant term, as kernels
+such as the modified thin plate spline need.
 
 The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
@@ -344,12 +345,9 @@ def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class RbfInterpolant:
-    """RBF interpolant sum_k beta_k kernel(||x - x_k||) + offset.
-
-    ``offset`` is the coefficient of the constant constraint function when
-    the interpolation was solved with the side condition sum_k beta_k = 0;
-    it is 0 otherwise.
-    """
+    """RBF interpolant sum_k beta_k kernel(||x - x_k||) + offset, with the
+    side condition sum_k beta_k = 0; ``offset`` is the coefficient of the
+    constant term that the side condition pairs with."""
 
     points: tuple[Point, ...]
     kernel: RadialKernel
@@ -364,17 +362,14 @@ class RbfInterpolant:
 
 
 def rbf_interpolate(
-    points: Sequence[Point],
-    values: Sequence[float],
-    kernel: RadialKernel,
-    side_condition: bool = True,
+    points: Sequence[Point], values: Sequence[float], kernel: RadialKernel
 ) -> RbfInterpolant:
     """Interpolate scattered data with a radial kernel.
 
-    With ``side_condition`` the representation is augmented by a constant
-    term and the constraint sum_k beta_k = 0 (one extra row and column),
-    which restores solvability for conditionally positive definite kernels
-    such as the modified thin plate spline.
+    The representation is augmented by a constant term and the constraint
+    sum_k beta_k = 0 (one extra row and column), which restores solvability
+    for conditionally positive definite kernels such as the modified thin
+    plate spline.
 
     Raises
     ------
@@ -386,9 +381,6 @@ def rbf_interpolate(
     if vals.shape != (len(points),):
         raise ValueError(f"expected {len(points)} values, got shape {vals.shape}")
     a = kernel.eval(knot_distances(points))
-    if not side_condition:
-        beta = lu_solve(a, vals)
-        return RbfInterpolant(points, kernel, beta, 0.0)
     n = len(points)
     solution = lu_solve(_bordered(a, np.ones((n, 1))), np.append(vals, 0.0))
     return RbfInterpolant(points, kernel, solution[:n], float(solution[n]))

@@ -190,10 +190,10 @@ def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.sqrt(t, out=t)
 
 
-def coincident_pair(distances: np.ndarray, tol: float = _COINCIDENT_TOL) -> tuple[int, int] | None:
+def coincident_pair(distances: np.ndarray) -> tuple[int, int] | None:
     """First index pair i < j (row-major order) of a point set's own distance
-    matrix whose distance is below ``tol``, or None when there is none."""
-    close = distances < tol
+    matrix whose distance is below 1e-12, or None when there is none."""
+    close = distances < _COINCIDENT_TOL
     # The zero diagonal is always close; anything beyond it is a pair.
     if np.count_nonzero(close) == len(distances):
         return None

@@ -23,10 +23,8 @@ shape, diffusivity, pre-wavelet shift) must be finite and positive, and
 the convection-diffusion velocity and reaction must be finite; anything
 else raises ValueError when the kernel is built.
 
-Every radial kernel carries its analytic radial derivative so collocation
-rows never fall back to numerical differentiation; the lone exception is
-``gsr_kernel``'s modes whose derivative would need second derivatives of the
-wrapped kernel, which use a high-order finite-difference stencil instead.
+Every radial kernel carries its analytic radial derivative, so collocation
+rows never fall back to numerical differentiation.
 """
 
 from __future__ import annotations
@@ -58,9 +56,6 @@ __all__ = [
 ]
 # ``normal_derivative`` stays defined but unexported: only tests use it, and
 # perfbench/tracing.py looks it up by name in this module.
-
-_GSR_MODES = ("plain", "forcing", "dirichlet", "neumann")
-
 
 @dataclass(frozen=True)
 class RadialKernel:
@@ -304,23 +299,8 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
     )
 
 
-def _fd_radial_deriv(f: Callable, r):
-    """Fourth-order central derivative of f at r, clamped away from r < 0."""
-    h = 1e-5 * np.maximum(1.0, np.abs(r))
-    h = np.where(r < 2.0 * h, np.maximum(r / 4.0, 1e-12), h)
-    return (f(r - 2 * h) - 8.0 * f(r - h) + 8.0 * f(r + h) - f(r + 2 * h)) / (12.0 * h)
-
-
-def gsr_kernel(
-    g: RadialKernel,
-    m: int = 0,
-    mode: str = "plain",
-    *,
-    value: float = 1.0,
-    rho: Callable | None = None,
-    prewavelet_c: float | None = None,
-) -> RadialKernel:
-    """Build an RBF from a general solution ``g`` of the target operator.
+def gsr_kernel(g: RadialKernel, m: int = 0, *, prewavelet_c: float | None = None) -> RadialKernel:
+    """Build the RBF r^(2m) g(r) from a general solution ``g`` of the target operator.
 
     Parameters
     ----------
@@ -330,15 +310,6 @@ def gsr_kernel(
         Smoothing exponent; the kernel carries an r^(2m) factor.  With
         m >= 1 the factor crushes any logarithmic singularity of ``g``,
         and eval/deriv are defined as 0 at r = 0 by that limit.
-    mode : str
-        ``plain``      -> r^(2m) g(r)
-        ``forcing``    -> [value + rho(r)] r^(2m) g(r)   (interior source)
-        ``dirichlet``  -> value * r^(2m) dg/dr           (boundary source)
-        ``neumann``    -> value * r^(2m) g(r)            (boundary source)
-        ``value`` is the source-location factor (forcing term, Dirichlet
-        datum, or Neumann datum evaluated at the source point); ``rho`` is
-        the optional remaining-operator image of g, included only when
-        supplied; like ``g`` it is called on arrays of radii.
     prewavelet_c : float, optional
         When set (finite and positive), every occurrence of r is replaced
         by sqrt(r^2 + c^2), turning the kernel into its pre-wavelet variant.
@@ -346,79 +317,59 @@ def gsr_kernel(
     Returns
     -------
     RadialKernel
-        With m = 0, plain mode and no pre-wavelet, ``g`` itself.
+        With the analytic derivative from g and g'; with m = 0 and no
+        pre-wavelet, ``g`` itself.
 
     Raises
     ------
     ValueError
-        If ``m`` < 0, ``mode`` is unknown or ``prewavelet_c`` is not
-        finite and positive.
+        If ``m`` < 0 or ``prewavelet_c`` is not finite and positive.
     """
     if m < 0:
         raise ValueError(f"smoothing exponent must be >= 0, got m={m}")
-    if mode not in _GSR_MODES:
-        raise ValueError(f"unknown gsr mode {mode!r}, expected one of {_GSR_MODES}")
     if prewavelet_c is not None:
         prewavelet_c = _require_positive(prewavelet_c, "pre-wavelet shift c")
-    if mode == "plain" and m == 0 and prewavelet_c is None:
+    if m == 0 and prewavelet_c is None:
         return g
 
     pc_sq = None if prewavelet_c is None else prewavelet_c**2
-    # Without the pre-wavelet shift, m >= 1 defines eval and deriv as 0 at
-    # r = 0; those radii are replaced by 1 before g sees them.
-    crushed = pc_sq is None and m >= 1
 
     def radius(r):
         if pc_sq is None:
             return r
         return np.sqrt(r * r + pc_sq)
 
-    def base(s):
-        if mode == "dirichlet":
-            core = g.deriv(s)
-        else:
-            core = g.eval(s)
-        if mode == "forcing":
-            core = core * (value + (rho(s) if rho is not None else 0.0))
-        elif mode in ("dirichlet", "neumann"):
-            core = core * value
-        return np.power(s, 2 * m) * core
-
+    # Without the pre-wavelet shift, m >= 1 defines eval and deriv as 0 at
+    # r = 0; those radii are replaced by 1 before g sees them.
     def with_zero_limit(f, r):
         r = np.asarray(r, dtype=float)
-        if not crushed:
+        if pc_sq is not None:
             return f(r)
         at_zero = r == 0.0
         return np.where(at_zero, 0.0, f(np.where(at_zero, 1.0, r)))[()]
 
     def ev(r):
-        return with_zero_limit(lambda r: base(radius(r)), r)
+        s = radius(r)
+        return np.power(s, 2 * m) * g.eval(s)
 
-    # Analytic derivative needs only g and g'; modes that would require g''
-    # (dirichlet) or the derivative of a caller-supplied rho fall back to a
-    # high-order finite-difference stencil on their own eval.
-    analytic = mode in ("plain", "neumann") or (mode == "forcing" and rho is None)
-    scale = value if mode in ("neumann", "forcing") else 1.0
-
-    def analytic_dv(r):
+    def dv(r):
         s = radius(r)
         inner = np.power(s, 2 * m) * g.deriv(s)
         if m >= 1:
             inner = 2 * m * np.power(s, 2 * m - 1) * g.eval(s) + inner
-        chain = 1.0 if pc_sq is None else r / s
-        return scale * inner * chain
-
-    def dv(r):
-        if not analytic:
-            return with_zero_limit(lambda r: _fd_radial_deriv(ev, r), r)
-        return with_zero_limit(analytic_dv, r)
+        return inner if pc_sq is None else inner * (r / s)
 
     suffix = ",prewavelet" if prewavelet_c is not None else ""
-    params = {"m": float(m), "value": float(value)}
+    params = {"m": float(m)}
     if prewavelet_c is not None:
         params["prewavelet_c"] = prewavelet_c
     params.update(g.params)
-    return RadialKernel(ev, dv, f"gsr[{mode},m={m}{suffix}]({g.label})", params)
+    return RadialKernel(
+        lambda r: with_zero_limit(ev, r),
+        lambda r: with_zero_limit(dv, r),
+        f"gsr[m={m}{suffix}]({g.label})",
+        params,
+    )
 
 
 def biharmonic_mfs_pair() -> tuple[RadialKernel, RadialKernel]:

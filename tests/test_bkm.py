@@ -1072,10 +1072,9 @@ class TestOneFactorizationPerMatrix:
         rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
         assert lapack_calls == {"solve": 1, "inv": 0}
 
-    @pytest.mark.parametrize("side_condition", [True, False])
-    def test_rbf_interpolate(self, lapack_calls, side_condition):
+    def test_rbf_interpolate(self, lapack_calls):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
-        rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat, side_condition)
+        rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat)
         assert lapack_calls == {"solve": 1, "inv": 0}
 
     def test_condition_estimate(self, lapack_calls):

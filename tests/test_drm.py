@@ -383,7 +383,7 @@ class TestEvaluationPointChecks:
     @pytest.mark.parametrize("bad", BAD, ids=["nan", "huge"])
     def test_rbf_interpolant_at(self, bad):
         pts = ring(6)
-        mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1, mode="plain")
+        mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1)
         itp = rbf_interpolate(pts, [p.x for p in pts], mtps)
         with pytest.raises(ValueError, match="finite"):
             itp.at(np.array([[0.1, 0.2], bad]))
@@ -398,26 +398,19 @@ class TestRbfInterpolate:
         return [Point(float(x), float(y)) for x, y in rng.uniform(-1.0, 1.0, (n, 2))]
 
     def mtps(self):
-        return gsr_kernel(biharmonic_mfs_pair()[0], m=1, mode="plain")
+        return gsr_kernel(biharmonic_mfs_pair()[0], m=1)
 
     def test_reproduces_node_values_with_side_condition(self):
         pts = self.scatter(12)
         vals = [self.target(p) for p in pts]
-        itp = rbf_interpolate(pts, vals, self.mtps(), side_condition=True)
+        itp = rbf_interpolate(pts, vals, self.mtps())
         assert itp.at(pts) == pytest.approx(vals, abs=1e-10)
 
     def test_side_condition_zeroes_coefficient_sum(self):
         pts = self.scatter(10)
         vals = [self.target(p) for p in pts]
-        itp = rbf_interpolate(pts, vals, self.mtps(), side_condition=True)
+        itp = rbf_interpolate(pts, vals, self.mtps())
         assert float(np.sum(itp.beta)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_plain_mode_has_no_offset(self):
-        pts = self.scatter(8)
-        vals = [self.target(p) for p in pts]
-        itp = rbf_interpolate(pts, vals, mq_pair(1.0).phi_hat, side_condition=False)
-        assert itp.offset == 0.0
-        assert itp.at(pts) == pytest.approx(vals, abs=1e-10)
 
     def test_interpolation_improves_with_more_points(self):
         probe = [Point(0.05, -0.15)]
@@ -425,6 +418,6 @@ class TestRbfInterpolate:
         for n in (9, 25):
             pts = self.scatter(n)
             vals = [self.target(p) for p in pts]
-            itp = rbf_interpolate(pts, vals, self.mtps(), side_condition=True)
+            itp = rbf_interpolate(pts, vals, self.mtps())
             errs.append(abs(float(itp.at(probe)[0]) - self.target(probe[0])))
         assert errs[1] < errs[0]

@@ -216,10 +216,9 @@ class TestArrayHelpers:
     def test_coincident_pair_first_in_row_major_order(self):
         pts = as_xy([Point(x, 0.0) for x in (0.0, 1.0, 2.0, 1.0, 0.0)])
         d = distance_matrix(pts, pts)
-        assert coincident_pair(d, 1e-12) == (0, 4)
-        assert coincident_pair(d[1:, 1:], 1e-12) == (0, 2)
-        assert coincident_pair(d[:3, :3], 1e-12) is None
-        assert coincident_pair(d) == (0, 4)  # default tolerance 1e-12
+        assert coincident_pair(d) == (0, 4)
+        assert coincident_pair(d[1:, 1:]) == (0, 2)
+        assert coincident_pair(d[:3, :3]) is None
         near = as_xy([Point(0.0, 0.0), Point(1e-13, 0.0), Point(1e-11, 0.0)])
         assert coincident_pair(distance_matrix(near, near)) == (0, 1)
         assert coincident_pair(distance_matrix(near[::2], near[::2])) is None

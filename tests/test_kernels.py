@@ -276,11 +276,11 @@ class TestMqPair:
 class TestGsrKernel:
     def test_m0_plain_is_identity_on_g(self):
         g = helmholtz2d(2.0)
-        assert gsr_kernel(g, m=0, mode="plain") is g
+        assert gsr_kernel(g, m=0) is g
 
     def test_m1_plain_over_log_is_modified_tps(self):
         ln1 = biharmonic_mfs_pair()[0]
-        mtps = gsr_kernel(ln1, m=1, mode="plain")
+        mtps = gsr_kernel(ln1, m=1)
         r2ln1 = biharmonic_mfs_pair()[1]
         for r in (0.3, 1.0, 2.5):
             assert mtps.eval(r) == pytest.approx(r2ln1.eval(r), rel=1e-15)
@@ -290,47 +290,27 @@ class TestGsrKernel:
 
     def test_prewavelet_log_vanishes_at_origin(self):
         g = RadialKernel(math.log, lambda r: 1.0 / r, "ln", {})
-        kern = gsr_kernel(g, m=1, mode="plain", prewavelet_c=1.0)
+        kern = gsr_kernel(g, m=1, prewavelet_c=1.0)
         assert kern.eval(0.0) == 0.0
 
     def test_prewavelet_regularizes_everywhere(self):
         g = RadialKernel(math.log, lambda r: 1.0 / r, "ln", {})
-        kern = gsr_kernel(g, m=1, mode="plain", prewavelet_c=0.5)
+        kern = gsr_kernel(g, m=1, prewavelet_c=0.5)
         # sqrt(r^2+c^2) never reaches zero, so no singularity anywhere
         for r in (0.0, 1e-8, 0.1, 1.0):
             assert math.isfinite(kern.eval(r))
-
-    def test_neumann_mode_scales_by_datum(self):
-        g = modified_helmholtz2d(1.0)
-        kern = gsr_kernel(g, m=0, mode="neumann", value=3.0)
-        for r in (0.0, 0.7, 2.0):
-            assert kern.eval(r) == pytest.approx(3.0 * g.eval(r), rel=1e-15)
-
-    def test_dirichlet_mode_uses_radial_derivative(self):
-        g = modified_helmholtz2d(1.0)
-        kern = gsr_kernel(g, m=0, mode="dirichlet", value=2.0)
-        for r in (0.3, 1.1):
-            assert kern.eval(r) == pytest.approx(2.0 * g.deriv(r), rel=1e-15)
-
-    def test_forcing_mode_with_remaining_operator_term(self):
-        g = helmholtz2d(1.0)
-        kern = gsr_kernel(g, m=0, mode="forcing", value=1.5, rho=lambda r: 0.25)
-        for r in (0.4, 1.2):
-            assert kern.eval(r) == pytest.approx(1.75 * g.eval(r), rel=1e-15)
 
     def test_negative_smoothing_exponent_rejected(self):
         with pytest.raises(ValueError):
             gsr_kernel(helmholtz2d(1.0), m=-1)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            gsr_kernel(helmholtz2d(1.0), mode="robin")
-
+    @pytest.mark.parametrize("prewavelet_c", [None, 0.8])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("g", [biharmonic_mfs_pair()[0], helmholtz2d(1.3)], ids=["ln1", "j0"])
     @given(st.floats(min_value=0.05, max_value=4.0))
     @settings(max_examples=40)
-    def test_derivative_matches_finite_differences(self, r):
-        ln1 = biharmonic_mfs_pair()[0]
-        kern = gsr_kernel(ln1, m=1, mode="plain", prewavelet_c=0.8)
+    def test_derivative_matches_finite_differences(self, g, m, prewavelet_c, r):
+        kern = gsr_kernel(g, m=m, prewavelet_c=prewavelet_c)
         h = 1e-6
         fd = (kern.eval(r + h) - kern.eval(r - h)) / (2.0 * h)
         assert kern.deriv(r) == pytest.approx(fd, rel=1e-6, abs=1e-7)
@@ -427,10 +407,6 @@ def _catalog() -> dict:
         "mq_phi": pair.phi,
         "mq_phi_split": split.phi,
         "gsr_plain_m1": gsr_kernel(g, m=1),
-        "gsr_forcing_fd": gsr_kernel(g, m=1, mode="forcing", value=1.5, rho=lambda r: 0.25 * r),
-        "gsr_forcing": gsr_kernel(g, m=0, mode="forcing", value=1.5),
-        "gsr_dirichlet_fd": gsr_kernel(g, m=1, mode="dirichlet", value=2.0),
-        "gsr_neumann": gsr_kernel(g, m=0, mode="neumann", value=3.0),
         "gsr_prewavelet": gsr_kernel(g, m=1, prewavelet_c=0.8),
         "mtps": gsr_kernel(ln1, m=1),
         "mtps_prewavelet": gsr_kernel(ln1, m=1, prewavelet_c=0.8),
@@ -472,7 +448,7 @@ class TestArrayContract:
 
     def test_zero_limits_on_arrays(self):
         r = np.array([0.0, 0.5, 0.0])
-        for name in ("gsr_plain_m1", "mtps", "gsr_dirichlet_fd", "gsr_forcing_fd"):
+        for name in ("gsr_plain_m1", "mtps"):
             for fn in (CATALOG[name].eval, CATALOG[name].deriv):
                 assert fn(r)[0] == 0.0 and fn(r)[2] == 0.0
         assert np.array_equal(CATALOG["helmholtz3d"].eval(r)[[0, 2]], [1.0, 1.0])
