@@ -300,6 +300,32 @@ class TestGsrKernel:
         for r in (0.0, 1e-8, 0.1, 1.0):
             assert math.isfinite(kern.eval(r))
 
+    @pytest.mark.parametrize("prewavelet_c", [None, 0.8])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_value_is_radius_power_times_g(self, m, prewavelet_c):
+        g = helmholtz2d(1.3)
+        kern = gsr_kernel(g, m=m, prewavelet_c=prewavelet_c)
+        for r in (0.3, 1.0, 2.5):
+            s = r if prewavelet_c is None else math.hypot(r, prewavelet_c)
+            assert kern.eval(r) == pytest.approx(s ** (2 * m) * g.eval(s), rel=1e-14)
+
+    def test_m0_prewavelet_shifts_the_radius(self):
+        g = modified_helmholtz2d(0.7)
+        kern = gsr_kernel(g, m=0, prewavelet_c=0.8)
+        for r in (0.0, 0.4, 1.7):
+            s = math.hypot(r, 0.8)
+            assert kern.eval(r) == pytest.approx(g.eval(s), rel=1e-14)
+            assert kern.deriv(r) == pytest.approx(g.deriv(s) * r / s, rel=1e-14, abs=1e-300)
+
+    def test_label_and_params(self):
+        g = helmholtz2d(1.3)
+        plain = gsr_kernel(g, m=2)
+        assert plain.label == f"gsr[m=2]({g.label})"
+        assert plain.params == {"m": 2.0, **g.params}
+        shifted = gsr_kernel(g, m=1, prewavelet_c=0.8)
+        assert shifted.label == f"gsr[m=1,prewavelet]({g.label})"
+        assert shifted.params == {"m": 1.0, "prewavelet_c": 0.8, **g.params}
+
     def test_negative_smoothing_exponent_rejected(self):
         with pytest.raises(ValueError):
             gsr_kernel(helmholtz2d(1.0), m=-1)
