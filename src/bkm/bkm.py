@@ -20,7 +20,8 @@ one interpolation/PDE solve and then one collocation solve for lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .geometry import (
     squared_distances,
 )
 from .kernels import RadialKernel, directional_derivative, helmholtz2d, mq_pair
-from .linalg import cond_1norm, solve_and_invert
+from .linalg import cond_1norm_unchecked, lu_solve
 from .problems import ProblemSpec
 
 __all__ = [
@@ -106,36 +107,51 @@ class Diagnostics:
     """Conditioning and residual of the dense solves.
 
     ``cond_interp`` and ``cond_bkm`` are exact 1-norm condition numbers,
-    ||A||_1 ||A^-1||_1 with A^-1 from the same LU factorization that
-    solved A (see ``linalg.solve_and_invert``), so no matrix is factored
-    twice: Burger's u_x interpolant comes from that one factorization of
-    A_phi too (``drm.burger_alpha``).
+    ||A||_1 ||A^-1||_1, of the matrices kept as ``interp_matrix`` and
+    ``bkm_matrix``.  A solve forms no A^-1 for them, so each is computed
+    when first read, by one more factorization of its matrix
+    (``linalg.cond_1norm_unchecked``), and then kept; a read never raises.
+    The matrices stay alive as long as this object does.  ``==`` and
+    ``repr`` mean the three numbers.
 
     A solve with unknown u (Neumann or interior knots) and rho{u} = s u,
-    s != 0, is coupled: c and lambda come from one block system (see
-    ``_solve``).  Both ``cond_interp`` and ``cond_bkm`` then hold kappa_1
-    of that one (m + 3 + n) matrix, and ``residual_inf`` is its max-norm
-    residual.
-
-    Every other solve is two solves in turn.  ``cond_interp`` is that of
-    the DRM matrix that was solved: the interpolation matrix, bordered
-    with the linear tail for a linear rho kind and bare for Burger.
-    ``cond_bkm`` is that of the n x n collocation matrix for lambda, the
-    value and flux rows of v, and ``residual_inf`` is the max-norm
-    residual of the lambda solve.  For an all-Dirichlet solve without
-    interior knots these are the interpolation matrix itself and J0 alone.
+    s != 0, is coupled: c and lambda come from one (m + 3 + n) block
+    system (see ``_solve``).  Both readings are then its kappa_1, computed
+    once, and ``residual_inf`` is its max-norm residual.  Every other
+    solve is two solves in turn: ``cond_interp`` is that of the DRM
+    matrix (bordered with the linear tail for a linear rho kind, bare for
+    Burger), ``cond_bkm`` that of the n x n collocation matrix for lambda,
+    and ``residual_inf`` the max-norm residual of the lambda solve.
 
     ``residual_inf`` is unscaled, about eps ||A|| ||x||, and does not
-    track the error: it reads 1e-15 to 1e-14 on the c = 25 Laplace solves
-    with Neumann and interior knots, whose error is at round-off, and
-    1.7e-7 on the coupled rho = identity manufactured solve with 20
-    Dirichlet and 93 interior knots, whose error is 4.1e-7.  No check
-    should read it as an accuracy measure.
+    track the error: 1e-15 to 1e-14 on the c = 25 Laplace Neumann and
+    interior solves, whose error is at round-off, and 1.7e-7 on the
+    coupled rho = identity manufactured solve with 20 + 93 knots, whose
+    error is 4.1e-7.  No check should read it as an accuracy measure.
     """
 
-    cond_interp: float
-    cond_bkm: float
     residual_inf: float
+    interp_matrix: np.ndarray = field(repr=False, compare=False)
+    bkm_matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def cond_bkm(self) -> float:
+        return cond_1norm_unchecked(self.bkm_matrix)
+
+    @cached_property
+    def cond_interp(self) -> float:
+        if self.interp_matrix is self.bkm_matrix:
+            return self.cond_bkm
+        return cond_1norm_unchecked(self.interp_matrix)
+
+    def _numbers(self) -> tuple[float, float, float]:
+        return self.cond_interp, self.cond_bkm, self.residual_inf
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Diagnostics) and self._numbers() == other._numbers()
+
+    def __repr__(self) -> str:
+        return "Diagnostics(cond_interp={!r}, cond_bkm={!r}, residual_inf={!r})".format(*self._numbers())
 
 
 def assemble_bkm_matrix(
@@ -297,13 +313,13 @@ def _solve(
     if scale is None:
         # Burger: u is known at every point, and one factorization gives both
         # its interpolant (for u_x) and c.
-        c, system_inv = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
+        c = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
     else:
         system = bordered_matrix(a_phi, xy)
         rep = np.hstack([rep, system[:m, m:] / pair.wavenumber**2])
         rhs = np.concatenate([rhs + scale * known_u, np.zeros(3)])
         if not coupled:
-            c, system_inv = solve_and_invert(system, rhs)
+            c = lu_solve(system, rhs)
 
     # One row per boundary knot, in knot order: u = v + u_p at a Dirichlet
     # knot, its normal derivative at a Neumann knot.
@@ -321,11 +337,10 @@ def _solve(
         target = np.concatenate([rhs, values])
     else:
         matrix, target = bc_lam, values - bc_rep @ c
-    x, inverse = solve_and_invert(matrix, target)
+    x = lu_solve(matrix, target)
     c, lam = (x[: m + 3], x[m + 3 :]) if coupled else (c, x)
-    cond_bkm = cond_1norm(matrix, inverse)
-    cond_interp = cond_bkm if coupled else cond_1norm(system, system_inv)
-    diagnostics = Diagnostics(cond_interp, cond_bkm, float(np.abs(matrix @ x - target).max()))
+    residual = float(np.abs(matrix @ x - target).max())
+    diagnostics = Diagnostics(residual, matrix if coupled else system, matrix)
 
     tail = c[m:] / pair.wavenumber**2 if scale is not None else None
     expansion = DrmExpansion(points, pair, c[:m], tail)

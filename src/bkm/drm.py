@@ -223,16 +223,16 @@ def _burger_rho(
 
 def burger_alpha(
     pair: KernelPair, xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, f, u
-) -> tuple[np.ndarray, np.ndarray]:
-    """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, and A_phi^-1, from one
-    factorization of A_phi.
+) -> np.ndarray:
+    """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, from one factorization
+    of A_phi.
 
     One ``solve_and_invert`` of A_phi [X | Y] = [f u | I] gives u's
-    interpolant coefficients X[:, 1], hence u_x and rho{u}; rho{u} then
-    enters alpha = X[:, 0] + Y rho{u} through the inverse.
+    interpolant coefficients X[:, 1], hence u_x and rho{u}, which is known
+    only after the solve and enters alpha = X[:, 0] + Y rho{u} through Y.
     """
     x, a_inv = solve_and_invert(a_phi, np.column_stack([f, u]))
-    return x[:, 0] + a_inv @ _burger_rho(pair.phi, xy, distances, u, x[:, 1]), a_inv
+    return x[:, 0] + a_inv @ _burger_rho(pair.phi, xy, distances, u, x[:, 1])
 
 
 def rho_matrix(
@@ -291,7 +291,7 @@ def solve_alpha(
     f = np.asarray(f_at_knots, dtype=float)
     if rho.linear_scale is None and not linear_tail:
         u = _u_values(rho, n, u_at_knots)
-        return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u)[0])
+        return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u))
     rhs = f + rho_matrix(rho, knots, pair, u_at_knots)
     if not linear_tail:
         return DrmExpansion(knots, pair, lu_solve(a_phi, rhs))

@@ -1,19 +1,15 @@
 """Dense real linear algebra: LAPACK-backed solves and the exact 1-norm
 condition number.
 
-Matrices are 2D float ndarrays in row-major semantics.  There is one solve
-path: every function here reaches LAPACK through one private
-``numpy.linalg.solve`` call (one getrf and its getrs), behind one check of
-the inputs and one error for a singular matrix.  There is no refinement
-sweep, so every matrix is factored once.
-
-- ``lu_solve`` solves A X = B.
-- ``solve_and_invert`` serves every matrix whose condition number a
-  solver driver reports.  One solve of A [X | Y] = [B | I] gives X from
-  the LU factors, so the solve is backward stable, and Y = A^-1 from the
-  same factors gives the exact kappa_1 = ||A||_1 ||A^-1||_1
-  (``cond_1norm``).
-- ``cond_estimate_1norm`` is kappa_1 from the solve of A Y = I alone.
+Matrices are 2D float ndarrays in row-major semantics.  Every solve here
+is one private ``numpy.linalg.solve`` call (one getrf and its getrs) with
+no refinement sweep, behind one check of the inputs and one error for a
+singular matrix.  ``lu_solve`` solves A X = B for the caller's
+right-hand sides alone; ``solve_and_invert`` solves A [X | Y] = [B | I],
+for a caller that applies A^-1 to a right-hand side known only after the
+solve.  The exact kappa_1 = ||A||_1 ||A^-1||_1 takes one LAPACK inverse,
+a second factorization: ``cond_1norm_unchecked`` of a matrix a solve
+has already checked, ``cond_estimate_1norm`` of any input.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name
@@ -31,7 +27,7 @@ __all__ = [
     "SingularMatrixError",
     "lu_solve",
     "solve_and_invert",
-    "cond_1norm",
+    "cond_1norm_unchecked",
 ]
 # ``lu_factor`` (called here only to name a failing pivot) and
 # ``cond_estimate_1norm`` stay defined but unexported: outside this module only
@@ -154,17 +150,8 @@ def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B and invert A with one LU factorization.
 
     One solve of A [X | Y] = [B | I]: X has the shape of B, and Y = A^-1
-    is returned as is, also when it is non-finite (``cond_1norm`` then
-    reads infinity).  A caller that holds Y can apply A^-1 to a right-hand
-    side it only knows after the solve without factoring A again.
-
-    Raises
-    ------
-    SingularMatrixError
-        If A is singular (a pivot at or below the zero floor) or X comes
-        out non-finite.
-    ValueError
-        If shapes do not conform or entries are non-finite.
+    is returned as is, also when it is non-finite.  Raises as ``lu_solve``
+    does, checking X alone.
     """
     shape = np.shape(b)
     a, b = _as_system(a, b)
@@ -175,29 +162,26 @@ def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
     return solved[:, :k].reshape(shape).copy(), solved[:, k:]
 
 
-def cond_1norm(a: np.ndarray, a_inv: np.ndarray) -> float:
-    """kappa_1(A) = ||A||_1 ||A^-1||_1 from A and its computed inverse.
+def cond_1norm_unchecked(a: np.ndarray) -> float:
+    """kappa_1(A) = ||A||_1 ||A^-1||_1, exact, from one LAPACK inverse.
 
-    Never below 1; a non-finite inverse returns ``math.inf``.
+    A is a square float ndarray with finite entries, such as a matrix
+    ``lu_solve`` has solved; it is not checked again.  Never below 1; a
+    singular A or a non-finite inverse returns ``math.inf``.
     """
     if a.shape[0] == 0:
         return 1.0
-    with np.errstate(all="ignore"):
-        norm_inv = float(np.abs(a_inv).sum(axis=0).max())
+    try:
+        with np.errstate(all="ignore"):
+            norm_inv = float(np.abs(np.linalg.inv(a)).sum(axis=0).max())
+    except np.linalg.LinAlgError:
+        return math.inf
     if not math.isfinite(norm_inv):
         return math.inf
     return max(1.0, float(np.abs(a).sum(axis=0).max()) * norm_inv)
 
 
 def cond_estimate_1norm(a) -> float:
-    """The 1-norm condition number kappa_1(A) = ||A||_1 ||A^-1||_1.
-
-    Exact, from A^-1 solved for explicitly; never below 1.  Singular
-    input, or an inverse that comes out non-finite, returns ``math.inf``.
-    """
-    a = _as_square(a)
-    try:
-        a_inv = _solve(a, np.eye(a.shape[0]), 0)
-    except SingularMatrixError:
-        return math.inf
-    return cond_1norm(a, a_inv)
+    """``cond_1norm_unchecked`` of any input: ValueError unless A is square
+    and finite."""
+    return cond_1norm_unchecked(_as_square(a))

@@ -1031,55 +1031,77 @@ class TestSharedDistanceMatrices:
         assert squared_distance_calls == [(m, rows), (m, rows), (m, 5)]
 
 
+def _half_neumann_solve(problem):
+    """(problem, knots, interior, bc): 8 knots, every other one Neumann,
+    and three interior knots."""
+    knots = ellipse_knots(problem.ellipse, 8)
+    bc = [
+        BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
+        for i in range(len(knots))
+    ]
+    return problem, knots, [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)], bc
+
+
 class TestOneFactorizationPerMatrix:
-    """Each solved matrix is factored once: the solve and the inverse behind
-    its exact condition number come from one ``numpy.linalg.solve`` call,
-    and no solve makes a refinement sweep."""
+    """Each solved matrix is factored once, for its own right-hand side
+    alone, and no solve makes a refinement sweep.  Only Burger's A_phi is
+    solved with identity columns beside its right-hand sides, because
+    rho{u} needs A_phi^-1 after the solve.  The inverse behind an exact
+    condition number is a second factorization, made when ``Diagnostics``
+    is first read."""
 
     @pytest.fixture
     def lapack_calls(self, monkeypatch):
-        calls = {"solve": 0, "inv": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
+        """numpy.linalg calls: "solve" lists each solve's right-hand-side
+        column count, in call order, and "inv" counts inverses."""
+        calls = {"solve": [], "inv": 0}
+        solve, inv = np.linalg.solve, np.linalg.inv
 
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
+        def counted_solve(a, b):
+            calls["solve"].append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return solve(a, b)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        def counted_inv(a):
+            calls["inv"] += 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         return calls
 
     @pytest.mark.parametrize(
         "factory, n", [(laplace_benchmark, 5), (helmholtz_benchmark, 7), (burger_benchmark, 5)]
     )
     def test_boundary_only_solve(self, lapack_calls, factory, n):
+        """Burger's A_phi solve carries [f u | I]; every other solve one column."""
         solve_boundary_only(factory(), n)
-        assert lapack_calls == {"solve": 2, "inv": 0}
+        first = 2 + n if factory is burger_benchmark else 1
+        assert lapack_calls == {"solve": [first, 1], "inv": 0}
 
     @pytest.mark.parametrize(
-        "rho, linear_tail",
-        [(RhoSpec.zero(), False), (RhoSpec.zero(), True), (RhoSpec.burger(), False)],
+        "rho, linear_tail, columns",
+        [(RhoSpec.zero(), False, [1]), (RhoSpec.zero(), True, [1]), (RhoSpec.burger(), False, [2 + 9])],
         ids=["zero", "zero_with_tail", "burger"],
     )
-    def test_solve_alpha(self, lapack_calls, rho, linear_tail):
+    def test_solve_alpha(self, lapack_calls, rho, linear_tail, columns):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         u = [1.0 + p.x * p.y for p in knots]
         solve_alpha(knots, mq_pair(3.0), [math.sin(p.x) for p in knots], rho, u, linear_tail)
-        assert lapack_calls == {"solve": 1, "inv": 0}
+        assert lapack_calls == {"solve": columns, "inv": 0}
 
     def test_burger_rho_matrix(self, lapack_calls):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
-        assert lapack_calls == {"solve": 1, "inv": 0}
+        assert lapack_calls == {"solve": [1], "inv": 0}
 
     def test_rbf_interpolate(self, lapack_calls):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat)
-        assert lapack_calls == {"solve": 1, "inv": 0}
+        assert lapack_calls == {"solve": [1], "inv": 0}
 
     def test_condition_estimate(self, lapack_calls):
         cond_estimate_1norm(np.eye(4) + 0.1)
-        assert lapack_calls == {"solve": 1, "inv": 0}
+        assert lapack_calls == {"solve": [], "inv": 1}
 
     def test_lu_solve_has_no_refinement_option(self):
         assert list(inspect.signature(lu_solve).parameters) == ["a", "b"]
@@ -1097,28 +1119,47 @@ class TestOneFactorizationPerMatrix:
         assert np.abs(sol.expansion.alpha - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_coupled_solve(self, lapack_calls):
-        problem = helmholtz_benchmark()
-        knots = ellipse_knots(problem.ellipse, 8)
-        bc = [
-            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
-            for i in range(len(knots))
-        ]
-        interior = [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)]
-        solve_mixed_linear(problem, knots, interior, bc)
-        assert lapack_calls == {"solve": 2, "inv": 0}
+        """Helmholtz has rho = 0: the DRM system, then lambda, in turn."""
+        solve_mixed_linear(*_half_neumann_solve(helmholtz_benchmark()))
+        assert lapack_calls == {"solve": [1, 1], "inv": 0}
 
     def test_coupled_solve_with_rho_in_the_drm_rows(self, lapack_calls):
         """rho{u} = u (Laplace) puts lambda in the unknown points' DRM rows:
         one factorization of the joint system gives c and lambda."""
-        problem = laplace_benchmark()
-        knots = ellipse_knots(problem.ellipse, 8)
-        bc = [
-            BoundaryCondition("neumann", 0.0) if i % 2 else BoundaryCondition("dirichlet", 0.0)
-            for i in range(len(knots))
-        ]
-        interior = [Point(0.0, 0.0), Point(0.5, 0.25), Point(-0.7, -0.2)]
-        solve_mixed_linear(problem, knots, interior, bc)
-        assert lapack_calls == {"solve": 1, "inv": 0}
+        solve_mixed_linear(*_half_neumann_solve(laplace_benchmark()))
+        assert lapack_calls == {"solve": [1], "inv": 0}
+
+    @pytest.mark.parametrize(
+        "solve, matrices",
+        [
+            (lambda: solve_boundary_only(laplace_benchmark(), 5), 2),
+            (lambda: solve_boundary_only(helmholtz_benchmark(), 7), 2),
+            (lambda: solve_boundary_only(burger_benchmark(), 5), 2),
+            (lambda: solve_mixed_linear(*_half_neumann_solve(helmholtz_benchmark())), 2),
+            (lambda: solve_mixed_linear(*_half_neumann_solve(laplace_benchmark())), 1),
+        ],
+        ids=["laplace", "helmholtz", "burger", "mixed_rho_zero", "coupled"],
+    )
+    def test_condition_numbers_are_computed_on_first_read(self, lapack_calls, solve, matrices):
+        """The solve inverts nothing; the first reads of ``cond_bkm`` and
+        ``cond_interp`` invert each distinct matrix once (a coupled solve's
+        one joint matrix once in all), and later reads, ``==`` and ``repr``
+        invert nothing more."""
+        _, diag = solve()
+        assert lapack_calls["inv"] == 0
+        assert diag.cond_bkm >= 1.0
+        assert lapack_calls["inv"] == 1
+        assert diag.cond_interp >= 1.0
+        assert lapack_calls["inv"] == matrices
+        assert (diag.cond_bkm, diag.cond_interp) == (diag.cond_bkm, diag.cond_interp)
+        assert diag == diag and "cond_interp=" in repr(diag)
+        assert lapack_calls["inv"] == matrices
+
+    def test_condition_read_never_raises(self):
+        """A singular matrix, or one whose inverse overflows, reads infinity."""
+        overflow = np.array([[1.0, 1e200], [0.0, 1e-200]])
+        diag = Diagnostics(0.0, np.zeros((3, 3)), overflow)
+        assert (diag.cond_interp, diag.cond_bkm) == (math.inf, math.inf)
 
     def test_condition_number_stays_exact(self):
         problem = helmholtz_benchmark()

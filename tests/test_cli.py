@@ -21,8 +21,8 @@ from bkm.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 # The printed table rows of `bkm solve` for the three paper tables, pinned
 # so that a change to the solve keeps the same values at printed precision.
-# The footers (condition numbers, residual) are not pinned: they move with
-# round-off.
+# Of the footers, the condition numbers are pinned too (``PAPER_CONDS``);
+# the residual is not: it moves with round-off.
 LAPLACE_5_ROWS = [
     "       x        y      Exact     BKM(5)     err%",
     "   1.500    0.000      1.500      1.500     0.00",
@@ -60,6 +60,13 @@ BURGER_5_ROWS = [
     "   2.700    0.000      0.741      0.726    -2.04",
     "   2.100    0.000      0.952      0.918    -3.57",
 ]
+
+# The `# cond_interp` and `# cond_bkm` footers of the three paper tables.
+PAPER_CONDS = {
+    "laplace": ["# cond_interp 4.785e+08", "# cond_bkm 1.486e+01"],
+    "helmholtz": ["# cond_interp 2.059e+04", "# cond_bkm 1.921e+02"],
+    "burger": ["# cond_interp 6.325e+02", "# cond_bkm 1.486e+01"],
+}
 
 
 def _rows(text: str) -> list[dict]:
@@ -152,6 +159,7 @@ class TestSolveOutput:
         assert main(["solve", "--problem", problem, "--n", n]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if not line.startswith("#")] == want
+        assert [line for line in lines if line.startswith("# cond_")] == PAPER_CONDS[problem]
 
     def test_values_rounding_to_zero_print_unsigned(self, capsys, monkeypatch):
         """Computed values a hair below exact print as 0.000 and 0.00, not
