@@ -122,6 +122,8 @@ class Diagnostics:
     matrix (bordered with the linear tail for a linear rho kind, bare for
     Burger), ``cond_bkm`` that of the n x n collocation matrix for lambda,
     and ``residual_inf`` the max-norm residual of the lambda solve.
+    Burger's DRM solve is a 2n block system with A_phi on its diagonal
+    (``drm.burger_alpha``); ``cond_interp`` stays that of A_phi.
 
     ``residual_inf`` is unscaled, about eps ||A|| ||x||, and does not
     track the error: 1e-15 to 1e-14 on the c = 25 Laplace Neumann and
@@ -253,8 +255,8 @@ def _solve(
     and the moment rows P^T alpha = 0 close the system.  Where u is known
     (Dirichlet knots) rho{u} goes to the right-hand side: s u for a linear
     kind.  Burger's u - u_x u reads u_x off the interpolant of u, whose
-    coefficients come from the one factorization of A_phi that also gives
-    c (``drm.burger_alpha``).  Where u is not known (Neumann and interior
+    coefficients are solved together with c in one block system
+    (``drm.burger_alpha``).  Where u is not known (Neumann and interior
     knots), u = v + u_p and rho{u} = s u turn the row into a PDE
     collocation row, ([A_phi | P] - s rep) c - s J lambda = f.  The
     boundary rows (value or flux of v + u_p) close the system:
@@ -311,7 +313,7 @@ def _solve(
     # rho{u} = scale (v + u_p) at the unknown points puts lam in their DRM rows.
     coupled = bool(unknown) and bool(scale)
     if scale is None:
-        # Burger: u is known at every point, and one factorization gives both
+        # Burger: u is known at every point, and one block system gives both
         # its interpolant (for u_x) and c.
         c = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
     else:
@@ -355,8 +357,9 @@ def solve_boundary_only(
 
     Because u is known on the whole collocation set, the rho term is
     evaluated explicitly - even the nonlinear Burger remainder - and the
-    whole solve stays a single linear pass: one interpolation solve for
-    alpha, one collocation solve for lambda.
+    whole solve stays a single linear pass: one DRM solve for alpha (for
+    Burger, one block system that also gives u's interpolant), one
+    collocation solve for lambda.
 
     Raises
     ------
@@ -445,8 +448,9 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     size however many points there are.
 
     Each block has one (m, b) matrix of squared distances from the
-    expansion's knots, on which both kernels are evaluated with no square
-    root; every numpy pass runs along a row of b points, and the field is
+    expansion's knots, on which both kernels are evaluated through
+    ``eval_sq`` (with no square root for J0 and the multiquadric phi_hat);
+    every numpy pass runs along a row of b points, and the field is
     summed as lam @ J0 + alpha @ phi_hat.  ``_solve`` puts the
     collocation knots first among the knots, so v reads the first
     ``len(sol.knots)`` rows and u_p all of them.  A solution whose

@@ -30,10 +30,10 @@ to be a finite unit vector.
 
 The rho formulas live in ``RhoSpec``: s u for the linear kinds (a solve
 driver adds s u to its right-hand side) and Burger's u - u_x u, whose u_x
-at the knots one private helper shares between ``rho_matrix`` and
-``burger_alpha``.  ``burger_alpha`` factors A_phi once for Burger: one
-solve gives u's interpolant coefficients, hence u_x, and rho{u} enters
-alpha through the inverse from the same factorization.
+at the knots is D_x w for u's interpolant coefficients w; one private
+helper builds D_x for ``rho_matrix`` and ``burger_alpha``.  With u known,
+Burger's rho{u} is affine in w, so ``burger_alpha`` solves for alpha and w
+together as one linear block system of order 2n: no solve forms A_phi^-1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .geometry import Point, as_xy, checked_xy, coincident_pair, distance_matrix, squared_distances
 from .kernels import KernelPair, RadialKernel, directional_derivative
-from .linalg import lu_solve, solve_and_invert
+from .linalg import lu_solve
 
 __all__ = [
     "RhoSpec",
@@ -210,29 +210,34 @@ def _u_values(rho: RhoSpec, n: int, u_at_knots) -> np.ndarray:
     return u
 
 
-def _burger_rho(
-    phi: RadialKernel, xy: np.ndarray, distances: np.ndarray, u: np.ndarray, u_coef: np.ndarray
-) -> np.ndarray:
-    """Burger's rho{u} at the knots ``xy``, with u_x = D_x u_coef from the
-    phi-interpolant of u, whose coefficients are u_coef = A_phi^-1 u.
-    D_x has entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r,
-    diagonal 0, from the knots' distance matrix."""
-    d_x = directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
-    return _BURGER(u, d_x @ u_coef)
+def _d_x(phi: RadialKernel, xy: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """D_x with entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r,
+    diagonal 0, from the knots ``xy`` and their distance matrix: u_x at the
+    knots is D_x w for the phi-interpolant of u with coefficients w."""
+    return directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
 
 
 def burger_alpha(
     pair: KernelPair, xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, f, u
 ) -> np.ndarray:
-    """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, from one factorization
-    of A_phi.
+    """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, from one linear solve.
 
-    One ``solve_and_invert`` of A_phi [X | Y] = [f u | I] gives u's
-    interpolant coefficients X[:, 1], hence u_x and rho{u}, which is known
-    only after the solve and enters alpha = X[:, 0] + Y rho{u} through Y.
+    With u known, rho{u} is affine in u's interpolant coefficients
+    w = A_phi^-1 u, because u_x = D_x w: rho(u, u_x) = rho(u, 0) + sigma u_x
+    with sigma = rho(u, 1) - rho(u, 0).  So alpha and w solve one system of
+    order 2n,
+
+        [[A_phi, -sigma D_x], [0, A_phi]] (alpha, w) = (f + rho(u, 0), u),
+
+    one ``lu_solve`` with one right-hand side and no inverse formed.
     """
-    x, a_inv = solve_and_invert(a_phi, np.column_stack([f, u]))
-    return x[:, 0] + a_inv @ _burger_rho(pair.phi, xy, distances, u, x[:, 1])
+    n = len(u)
+    rho_0 = _BURGER(u, 0.0)
+    sigma = _BURGER(u, 1.0) - rho_0
+    system = np.zeros((2 * n, 2 * n))
+    system[:n, :n] = system[n:, n:] = a_phi
+    system[:n, n:] = -sigma[:, None] * _d_x(pair.phi, xy, distances)
+    return lu_solve(system, np.concatenate([f + rho_0, u]))[:n]
 
 
 def rho_matrix(
@@ -264,7 +269,7 @@ def rho_matrix(
         return rho(u)
     xy = as_xy(knots)
     distances = knot_distances(xy)
-    return _burger_rho(pair.phi, xy, distances, u, lu_solve(pair.phi.eval(distances), u))
+    return rho(u, _d_x(pair.phi, xy, distances) @ lu_solve(pair.phi.eval(distances), u))
 
 
 def solve_alpha(
@@ -280,8 +285,9 @@ def solve_alpha(
     With ``linear_tail`` the interpolant gains beta . (1, x, y) and the
     bordered system of ``bordered_matrix`` is solved with the moment
     conditions P^T alpha = 0; the expansion then carries beta as its tail.
-    Every matrix is factored once: without a tail, Burger's u_x and alpha
-    come from one factorization of A_phi (``burger_alpha``).
+    Every matrix is factored once: without a tail, Burger's alpha and u's
+    interpolant coefficients (for u_x) come from one block system
+    (``burger_alpha``).
     """
     knots = tuple(knots)
     n = len(knots)

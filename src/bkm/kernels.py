@@ -11,8 +11,9 @@ Every radial kernel's ``eval`` and ``deriv`` work elementwise: a float
 radius gives a float, an ndarray of radii (typically a whole distance
 matrix) gives an array of the same shape, and an element's value does not
 depend on the rest of its array.  Collocation matrices are therefore one
-kernel call on one distance matrix.  J0 of ``helmholtz2d`` and phi_hat
-of ``mq_pair`` also take squared distances (``eval_sq``), with no sqrt.
+kernel call on one distance matrix.  Every radial kernel also takes
+squared distances (``eval_sq``); J0 of ``helmholtz2d`` and phi_hat of
+``mq_pair`` do so with no sqrt, the others through eval(sqrt(t)).
 The convection-diffusion kernel, a function of the displacement rather
 than the distance, takes one displacement per call.
 
@@ -71,16 +72,22 @@ class RadialKernel:
         Short identifier used in diagnostics and CLI output.
     params : mapping
         Named parameters (wavenumber, shape, exponent) for reporting.
-    eval_sq : callable or None
-        Value at the squared radius t = r^2, elementwise on arrays, for the
-        kernels ``bkm.evaluate`` sums (J0 and phi_hat); None for the others.
+    sq : callable or None
+        Value at the squared radius t = r^2, elementwise on arrays, with no
+        square root (J0 and phi_hat); None for the others.  Read it
+        through ``eval_sq``.
     """
 
     eval: Callable
     deriv: Callable
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
-    eval_sq: Callable | None = None
+    sq: Callable | None = None
+
+    def eval_sq(self, t):
+        """Value at the squared radius t = r^2, elementwise on arrays: ``sq``
+        where the kernel has it, else eval(sqrt(t))."""
+        return self.eval(np.sqrt(t)) if self.sq is None else self.sq(t)
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ def _scaled(
     lam: float, f: Callable, df: Callable, label: str, sq: Callable | None = None
 ) -> RadialKernel:
     """The kernel f(lam*r) with derivative lam*f'(lam*r), for a finite positive
-    wavenumber lam; ``sq(lam)``, when given, builds its ``eval_sq``."""
+    wavenumber lam; ``sq(lam)``, when given, builds its ``sq``."""
     lam = _require_positive(lam, "wavenumber")
 
     def ev(r):

@@ -1,15 +1,14 @@
-"""Dense real linear algebra: LAPACK-backed solves and the exact 1-norm
+"""Dense real linear algebra: a LAPACK-backed solve and the exact 1-norm
 condition number.
 
-Matrices are 2D float ndarrays in row-major semantics.  Every solve here
-is one private ``numpy.linalg.solve`` call (one getrf and its getrs) with
-no refinement sweep, behind one check of the inputs and one error for a
-singular matrix.  ``lu_solve`` solves A X = B for the caller's
-right-hand sides alone; ``solve_and_invert`` solves A [X | Y] = [B | I],
-for a caller that applies A^-1 to a right-hand side known only after the
-solve.  The exact kappa_1 = ||A||_1 ||A^-1||_1 takes one LAPACK inverse,
-a second factorization: ``cond_1norm_unchecked`` of a matrix a solve
-has already checked, ``cond_estimate_1norm`` of any input.
+Matrices are 2D float ndarrays in row-major semantics.  ``lu_solve``
+solves A X = B for the caller's right-hand sides alone: one
+``numpy.linalg.solve`` call (one getrf and its getrs) with no refinement
+sweep, behind one check of the inputs and one error for a singular
+matrix.  No solve forms A^-1.  The exact kappa_1 = ||A||_1 ||A^-1||_1
+takes one LAPACK inverse, a second factorization, and is the only place
+an inverse is formed: ``cond_1norm_unchecked`` of a matrix a solve has
+already checked, ``cond_estimate_1norm`` of any input.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name
@@ -26,7 +25,6 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "lu_solve",
-    "solve_and_invert",
     "cond_1norm_unchecked",
 ]
 # ``lu_factor`` (called here only to name a failing pivot) and
@@ -95,33 +93,6 @@ def _singular(a: np.ndarray) -> SingularMatrixError:
     return SingularMatrixError(int(np.argmin(np.abs(np.diag(lu)))))
 
 
-def _as_system(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """A as a square matrix and B as its (n, k) block of right-hand sides."""
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side entries must be finite")
-    return a, b.reshape(a.shape[0], 1 if b.ndim == 1 else b.shape[1])
-
-
-def _solve(a: np.ndarray, rhs: np.ndarray, checked: int) -> np.ndarray:
-    """numpy.linalg.solve(a, rhs), the one LAPACK call of this module.
-
-    Raises SingularMatrixError if LAPACK finds A singular or any of the
-    first ``checked`` columns of the solution is not finite.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise _singular(a) from None
-    if not np.all(np.isfinite(x[:, :checked])):
-        raise _singular(a)
-    return x
-
-
 def lu_solve(a, b) -> np.ndarray:
     """Solve A X = B by partial-pivoted LU (LAPACK getrf/getrs), once.
 
@@ -141,25 +112,20 @@ def lu_solve(a, b) -> np.ndarray:
     ValueError
         If shapes do not conform or entries are non-finite.
     """
-    shape = np.shape(b)
-    a, b = _as_system(a, b)
-    return _solve(a, b, b.shape[1]).reshape(shape)
-
-
-def solve_and_invert(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A X = B and invert A with one LU factorization.
-
-    One solve of A [X | Y] = [B | I]: X has the shape of B, and Y = A^-1
-    is returned as is, also when it is non-finite.  Raises as ``lu_solve``
-    does, checking X alone.
-    """
-    shape = np.shape(b)
-    a, b = _as_system(a, b)
-    n, k = b.shape
-    rhs = np.eye(n, k + n, k)
-    rhs[:, :k] = b
-    solved = _solve(a, rhs, k)
-    return solved[:, :k].reshape(shape).copy(), solved[:, k:]
+    a = _as_square(a)
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side entries must be finite")
+    try:
+        with np.errstate(all="ignore"):
+            x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise _singular(a) from None
+    if not np.all(np.isfinite(x)):
+        raise _singular(a)
+    return x
 
 
 def cond_1norm_unchecked(a: np.ndarray) -> float:

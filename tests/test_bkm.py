@@ -39,7 +39,13 @@ from bkm.geometry import (
     interior_grid,
     squared_distances,
 )
-from bkm.kernels import helmholtz2d, mq_pair, normal_derivative
+from bkm.kernels import (
+    helmholtz2d,
+    helmholtz3d,
+    modified_helmholtz2d,
+    mq_pair,
+    normal_derivative,
+)
 from bkm.linalg import SingularMatrixError, cond_estimate_1norm, lu_solve
 from bkm.problems import (
     burger_benchmark,
@@ -332,6 +338,17 @@ class TestSolveBoundaryOnly:
         sol, _ = solve_boundary_only(burger_benchmark(), 5)
         got = float(evaluate(sol, [Point(3.0, -0.45)])[0])
         assert got == pytest.approx(0.666, abs=0.01)
+
+    @pytest.mark.parametrize("n, c", [(120, 1.0), (200, 1.0), (80, 2.0)])
+    def test_burger_holds_its_plateau_at_large_n(self, n, c):
+        """Burger's max table error stays on its boundary-sampling plateau
+        as knots are added.  Measured: 0.346, 0.349 and 0.711; applying an
+        explicit A_phi^-1 to rho{u} after the solve erred 5.08, 10.5 and
+        12.4."""
+        problem = dataclasses.replace(burger_benchmark(), mq_shape_c=c)
+        sol, _ = solve_boundary_only(problem, n)
+        exact = np.array([problem.exact(p) for p in problem.table_points])
+        assert np.abs(evaluate(sol, problem.table_points) - exact).max() < 1.0
 
     @pytest.mark.parametrize(
         "factory,n",
@@ -731,19 +748,22 @@ class TestEvaluate:
             assert got == pytest.approx(problem.dirichlet(k.position), abs=1e-8)
 
     @pytest.mark.parametrize(
-        "factory, n_interior",
+        "factory, n_interior, reverse",
         [
-            pytest.param(helmholtz_benchmark, 0, id="helmholtz_benchmark"),
-            pytest.param(burger_benchmark, 0, id="burger_benchmark"),
-            pytest.param(helmholtz_benchmark, 5, id="helmholtz_mixed_interior"),
+            pytest.param(helmholtz_benchmark, 0, False, id="helmholtz_benchmark"),
+            pytest.param(burger_benchmark, 0, False, id="burger_benchmark"),
+            pytest.param(helmholtz_benchmark, 5, False, id="helmholtz_mixed_interior"),
+            pytest.param(helmholtz_benchmark, 5, True, id="expansion_not_led_by_knots"),
         ],
     )
-    def test_blocked_evaluation_equals_pointwise_sum(self, factory, n_interior):
+    def test_blocked_evaluation_equals_pointwise_sum(self, factory, n_interior, reverse):
         """2 blocks and 37 points: sum_k lam_k J0(||x - x_k||) + u_p, the
         tail included when the expansion has one (every linear rho kind;
         Burger has none), summed point by point with scalar kernel calls.
         The coupled solve's expansion runs over the boundary and the
-        interior knots, a strict superset of sol.knots."""
+        interior knots, a strict superset of sol.knots; with its knots
+        reversed it no longer starts with sol.knots, and ``evaluate``
+        prepends them."""
         problem = factory()
         if n_interior:
             lattice = interior_grid(problem.ellipse, 0.25)
@@ -751,6 +771,14 @@ class TestEvaluate:
             knots = ellipse_knots(problem.ellipse, 7)
             sol, _ = solve_mixed_linear(problem, knots, [lattice[i] for i in idx])
             assert len(sol.expansion.knots) == len(sol.knots) + n_interior
+            if reverse:
+                exp = sol.expansion
+                sol = dataclasses.replace(
+                    sol,
+                    expansion=dataclasses.replace(
+                        exp, knots=exp.knots[::-1], alpha=exp.alpha[::-1]
+                    ),
+                )
         else:
             sol, _ = solve_boundary_only(problem, 7)
         rng = np.random.RandomState(11)
@@ -780,6 +808,37 @@ class TestEvaluate:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # An (n, 2) coordinate array is evaluated exactly like the points.
         assert np.array_equal(evaluate(sol, np.array(pts)), got)
+
+    @pytest.mark.parametrize(
+        "kernel, phi_hat",
+        [
+            (modified_helmholtz2d(1.0), None),
+            (helmholtz3d(1.0), None),
+            (helmholtz2d(1.0), dataclasses.replace(mq_pair(1.0).phi_hat, sq=None)),
+        ],
+        ids=["modified_helmholtz2d", "helmholtz3d", "phi_hat_without_sq"],
+    )
+    def test_kernel_without_squared_form_evaluates_through_eval(self, kernel, phi_hat):
+        """A kernel with no ``sq`` is summed as eval(sqrt(t)), matching a
+        scalar sum of ``eval`` point by point."""
+        sol = dataclasses.replace(_synthetic_solution(9), kernel=kernel)
+        if phi_hat is not None:
+            pair = dataclasses.replace(sol.expansion.pair, phi_hat=phi_hat)
+            sol = dataclasses.replace(sol, expansion=dataclasses.replace(sol.expansion, pair=pair))
+        exp = sol.expansion
+        pts = [Point(*xy) for xy in _points_in_ellipse(40, 3)]
+        want = np.array(
+            [
+                sum(lam * kernel.eval(math.dist(p, k.position)) for lam, k in zip(sol.lam, sol.knots))
+                + sum(a * exp.pair.phi_hat.eval(math.dist(p, q)) for a, q in zip(exp.alpha, exp.knots))
+                + exp.tail[0]
+                + exp.tail[1] * p.x
+                + exp.tail[2] * p.y
+                for p in pts
+            ]
+        )
+        got = evaluate(sol, pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_split_wavenumber_blocks_mixing_both_j0_forms(self):
         """lam = 2.5 on the 2 x 1 ellipse puts lam*r on both sides of 5 in
@@ -1044,21 +1103,21 @@ def _half_neumann_solve(problem):
 
 class TestOneFactorizationPerMatrix:
     """Each solved matrix is factored once, for its own right-hand side
-    alone, and no solve makes a refinement sweep.  Only Burger's A_phi is
-    solved with identity columns beside its right-hand sides, because
-    rho{u} needs A_phi^-1 after the solve.  The inverse behind an exact
-    condition number is a second factorization, made when ``Diagnostics``
-    is first read."""
+    alone, and no solve makes a refinement sweep or forms an inverse;
+    Burger's alpha and u's interpolant come from one block system of order
+    2n.  The inverse behind an exact condition number is a second
+    factorization, made when ``Diagnostics`` is first read."""
 
     @pytest.fixture
     def lapack_calls(self, monkeypatch):
-        """numpy.linalg calls: "solve" lists each solve's right-hand-side
-        column count, in call order, and "inv" counts inverses."""
+        """numpy.linalg calls: "solve" lists each solve's (matrix order,
+        right-hand-side column count), in call order, and "inv" counts
+        inverses."""
         calls = {"solve": [], "inv": 0}
         solve, inv = np.linalg.solve, np.linalg.inv
 
         def counted_solve(a, b):
-            calls["solve"].append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            calls["solve"].append((len(a), 1 if np.ndim(b) == 1 else np.shape(b)[1]))
             return solve(a, b)
 
         def counted_inv(a):
@@ -1073,14 +1132,19 @@ class TestOneFactorizationPerMatrix:
         "factory, n", [(laplace_benchmark, 5), (helmholtz_benchmark, 7), (burger_benchmark, 5)]
     )
     def test_boundary_only_solve(self, lapack_calls, factory, n):
-        """Burger's A_phi solve carries [f u | I]; every other solve one column."""
+        """One column each: the DRM system (Burger's 2n block, else A_phi
+        bordered with the linear tail), then lambda."""
         solve_boundary_only(factory(), n)
-        first = 2 + n if factory is burger_benchmark else 1
-        assert lapack_calls == {"solve": [first, 1], "inv": 0}
+        drm = 2 * n if factory is burger_benchmark else n + 3
+        assert lapack_calls == {"solve": [(drm, 1), (n, 1)], "inv": 0}
 
     @pytest.mark.parametrize(
         "rho, linear_tail, columns",
-        [(RhoSpec.zero(), False, [1]), (RhoSpec.zero(), True, [1]), (RhoSpec.burger(), False, [2 + 9])],
+        [
+            (RhoSpec.zero(), False, [(9, 1)]),
+            (RhoSpec.zero(), True, [(12, 1)]),
+            (RhoSpec.burger(), False, [(18, 1)]),
+        ],
         ids=["zero", "zero_with_tail", "burger"],
     )
     def test_solve_alpha(self, lapack_calls, rho, linear_tail, columns):
@@ -1092,12 +1156,12 @@ class TestOneFactorizationPerMatrix:
     def test_burger_rho_matrix(self, lapack_calls):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
-        assert lapack_calls == {"solve": [1], "inv": 0}
+        assert lapack_calls == {"solve": [(9, 1)], "inv": 0}
 
     def test_rbf_interpolate(self, lapack_calls):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat)
-        assert lapack_calls == {"solve": [1], "inv": 0}
+        assert lapack_calls == {"solve": [(10, 1)], "inv": 0}
 
     def test_condition_estimate(self, lapack_calls):
         cond_estimate_1norm(np.eye(4) + 0.1)
@@ -1107,7 +1171,7 @@ class TestOneFactorizationPerMatrix:
         assert list(inspect.signature(lu_solve).parameters) == ["a", "b"]
 
     def test_burger_alpha_matches_two_solve_route(self):
-        """One factorization gives the c of A_phi c = f + u - u_x u with u_x
+        """The block system gives the c of A_phi c = f + u - u_x u with u_x
         from A_phi^-1 u solved on its own, to round-off."""
         problem = burger_benchmark()
         sol, _ = solve_boundary_only(problem, 12)
@@ -1121,13 +1185,13 @@ class TestOneFactorizationPerMatrix:
     def test_coupled_solve(self, lapack_calls):
         """Helmholtz has rho = 0: the DRM system, then lambda, in turn."""
         solve_mixed_linear(*_half_neumann_solve(helmholtz_benchmark()))
-        assert lapack_calls == {"solve": [1, 1], "inv": 0}
+        assert lapack_calls == {"solve": [(11 + 3, 1), (8, 1)], "inv": 0}
 
     def test_coupled_solve_with_rho_in_the_drm_rows(self, lapack_calls):
         """rho{u} = u (Laplace) puts lambda in the unknown points' DRM rows:
         one factorization of the joint system gives c and lambda."""
         solve_mixed_linear(*_half_neumann_solve(laplace_benchmark()))
-        assert lapack_calls == {"solve": [1], "inv": 0}
+        assert lapack_calls == {"solve": [(11 + 3 + 8, 1)], "inv": 0}
 
     @pytest.mark.parametrize(
         "solve, matrices",
@@ -1141,12 +1205,14 @@ class TestOneFactorizationPerMatrix:
         ids=["laplace", "helmholtz", "burger", "mixed_rho_zero", "coupled"],
     )
     def test_condition_numbers_are_computed_on_first_read(self, lapack_calls, solve, matrices):
-        """The solve inverts nothing; the first reads of ``cond_bkm`` and
-        ``cond_interp`` invert each distinct matrix once (a coupled solve's
-        one joint matrix once in all), and later reads, ``==`` and ``repr``
-        invert nothing more."""
+        """The solve inverts nothing, neither by ``inv`` nor by identity
+        columns beside a right-hand side; the first reads of ``cond_bkm``
+        and ``cond_interp`` invert each distinct matrix once (a coupled
+        solve's one joint matrix once in all), and later reads, ``==`` and
+        ``repr`` invert nothing more."""
         _, diag = solve()
         assert lapack_calls["inv"] == 0
+        assert {columns for _, columns in lapack_calls["solve"]} == {1}
         assert diag.cond_bkm >= 1.0
         assert lapack_calls["inv"] == 1
         assert diag.cond_interp >= 1.0
