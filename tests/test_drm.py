@@ -268,6 +268,19 @@ class TestSolveAlpha:
         backward = np.abs(a_phi).sum(axis=1).max() * np.abs(exp.alpha).max()
         assert resid <= max(1e-9 * np.abs(f).max(), 100.0 * n * eps * backward)
 
+    @pytest.mark.parametrize("n, c", [(9, 3.0), (24, 1.0)])
+    def test_burger_alpha_satisfies_drm_equations(self, n, c):
+        """Burger's block solve gives the alpha of A_phi alpha = f + u - u_x u,
+        with u_x = D_x A_phi^-1 u taken by ``rho_matrix`` on its own."""
+        pts = ring(n)
+        pair = mq_pair(c)
+        u = np.array([math.cos(p.x) * p.y + 2.0 for p in pts])
+        f = np.array([p.x - p.y * p.y for p in pts])
+        exp = solve_alpha(pts, pair, f, RhoSpec.burger(), u)
+        rhs = f + rho_matrix(RhoSpec.burger(), pts, pair, u)
+        resid = np.abs(interp_matrix(pts, pair) @ exp.alpha - rhs).max()
+        assert resid <= 1e-9 * np.abs(rhs).max()
+
 
 class TestUpAt:
     def test_zero_alpha_gives_zero(self):

@@ -559,6 +559,16 @@ class TestSquaredRadius:
         assert np.array_equal(phi_hat.eval(self.R), phi_hat.eval_sq(self.R * self.R))
         assert phi_hat.eval_sq(np.array([0.0]))[0] == c**3
 
+    @pytest.mark.parametrize("name", sorted(n for n, k in CATALOG.items() if k.sq is None))
+    def test_kernel_without_sq_is_eval_of_sqrt(self, name):
+        """A kernel with no squared form takes t through eval(sqrt(t)), on
+        arrays and on floats."""
+        kern = CATALOG[name]
+        # The singular pair is defined for r > 0 only.
+        t = self.R[1:] ** 2 if name.startswith("mfs") else self.R * self.R
+        assert np.array_equal(kern.eval_sq(t), kern.eval(np.sqrt(t)))
+        assert kern.eval_sq(t[7]) == kern.eval(math.sqrt(t[7]))
+
 
 class TestParameterRule:
     """A parameter a factory takes as positive must be finite and positive,
