@@ -211,14 +211,13 @@ def _spans_plane(xy: np.ndarray) -> bool:
     """Whether the points are not all on one line (and at least three)."""
     if len(xy) < 3:
         return False
-    d = xy - xy[0]
-    dx, dy = d[:, 0], d[:, 1]
+    dx, dy = (xy - xy[0]).T
     far = (dx * dx + dy * dy).argmax()  # the first farthest point
     # (x - x0, y - y0) . normal is |normal| times (x, y)'s distance from the
     # line through point 0 and the point farthest from it.
     nx, ny = float(dy[far]), -float(dx[far])
     tol = 1e-12 * (nx * nx + ny * ny)
-    return bool((abs(dx * nx + dy * ny) > tol).any())
+    return bool(np.maximum.reduce(abs(dx * nx + dy * ny)) > tol)
 
 
 def _check_inside(ellipse: Ellipse, xy: np.ndarray) -> None:
@@ -306,8 +305,9 @@ def _solve(
 
     a_phi = pair.phi.eval(distances)
     rhs = np.array([problem.forcing(p) for p in points], dtype=float)
-    # At every point v = j_values @ lam and u_p = rep @ c.
-    j_values = kernel.eval(distances[:, :n])
+    # At every point v = j_values @ lam and u_p = rep @ c.  J0 from r^2 skips
+    # eval's checks; at wavenumber 1 its values are eval's, bit for bit.
+    j_values = kernel.eval_sq(np.square(distances[:, :n]))
     rep = pair.phi_hat.eval(distances)
     system = a_phi
     # rho{u} = scale (v + u_p) at the unknown points puts lam in their DRM rows.
@@ -318,7 +318,7 @@ def _solve(
         c = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
     else:
         system = bordered_matrix(a_phi, xy)
-        rep = np.hstack([rep, system[:m, m:] / pair.wavenumber**2])
+        rep = np.concatenate([rep, system[:m, m:] / pair.wavenumber**2], axis=1)
         rhs = np.concatenate([rhs + scale * known_u, np.zeros(3)])
         if not coupled:
             c = lu_solve(system, rhs)
@@ -335,13 +335,13 @@ def _solve(
         # [[system, 0], [bc_rep, bc_lam]] (c, lam) = (rhs, values), with
         # system - scale rep and -scale J in the unknown points' rows.
         matrix = np.block([[system, np.zeros((m + 3, n))], [bc_rep, bc_lam]])
-        matrix[unknown] -= scale * np.hstack([rep[unknown], j_values[unknown]])
+        matrix[unknown] -= scale * np.concatenate([rep[unknown], j_values[unknown]], axis=1)
         target = np.concatenate([rhs, values])
     else:
         matrix, target = bc_lam, values - bc_rep @ c
     x = lu_solve(matrix, target)
     c, lam = (x[: m + 3], x[m + 3 :]) if coupled else (c, x)
-    residual = float(np.abs(matrix @ x - target).max())
+    residual = float(np.maximum.reduce(np.abs(matrix @ x - target)))
     diagnostics = Diagnostics(residual, matrix if coupled else system, matrix)
 
     tail = c[m:] / pair.wavenumber**2 if scale is not None else None
@@ -461,12 +461,11 @@ def evaluate(sol: BkmSolution, points) -> np.ndarray:
     """
     xy = checked_xy(points, "evaluation points")
     n = len(sol.knots)
-    knot_xy = as_xy([knot.position for knot in sol.knots])
+    positions = [knot.position for knot in sol.knots]
     sources = as_xy(sol.expansion.knots)
-    first_drm = 0
-    if not np.array_equal(sources[:n], knot_xy):
-        sources = np.concatenate([knot_xy, sources])
-        first_drm = n
+    first_drm = 0 if list(map(tuple, sources[:n].tolist())) == positions else n
+    if first_drm:
+        sources = np.concatenate([as_xy(positions), sources])
     out = np.empty(len(xy))
     rows = _eval_rows(len(sources))
     for start in range(0, len(xy), rows):

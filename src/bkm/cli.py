@@ -238,7 +238,7 @@ def _solve_table(problem, n: int, interior: list[Point]):
         sol, diag = solve_boundary_only(problem, n)
     computed = evaluate(sol, problem.table_points)
     exact = np.array([problem.exact(p) for p in problem.table_points])
-    if not (np.all(np.isfinite(computed)) and np.all(np.isfinite(exact))):
+    if not (np.isfinite(computed).all() and np.isfinite(exact).all()):
         raise ValueError("non-finite solution values")
     return computed, exact, diag
 

@@ -141,7 +141,7 @@ class DrmExpansion:
 
 
 def knot_distances(knots) -> np.ndarray:
-    """Distance matrix of a knot set with itself, entries ||x_i - x_j||.
+    """Distance matrix of a knot set with itself, entries ||x_i - x_j||, in float64.
 
     Raises
     ------
@@ -152,7 +152,7 @@ def knot_distances(knots) -> np.ndarray:
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
-    xy = checked_xy(knots, "knots")
+    xy = np.asarray(checked_xy(knots, "knots"), dtype=float)
     distances = distance_matrix(xy, xy)
     pair = coincident_pair(distances)
     if pair is not None:

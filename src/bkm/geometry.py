@@ -167,7 +167,8 @@ def checked_xy(points: Sequence[Point] | np.ndarray, what: str) -> np.ndarray:
             f"{what} need an (n, 2) array of real coordinates, "
             f"got shape {xy.shape} of dtype {xy.dtype}"
         )
-    if not (np.abs(xy) < _COORD_LIMIT).all():  # NaN compares False
+    # As a float, not cast to a float32 or float16 array's dtype; NaN fails.
+    if not float(np.maximum.reduce(np.abs(xy), axis=None, initial=0.0)) < _COORD_LIMIT:
         raise ValueError(f"{what} need finite coordinates below {_COORD_LIMIT:g} in magnitude")
     return xy
 

@@ -47,7 +47,8 @@ def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # One ufunc reduction: np.all and ndarray.all add wrappers that cost more.
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -116,14 +117,13 @@ def lu_solve(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix order {a.shape[0]}")
-    if not np.all(np.isfinite(b)):
+    if not np.logical_and.reduce(np.isfinite(b), axis=None):
         raise ValueError("right-hand side entries must be finite")
     try:
-        with np.errstate(all="ignore"):
-            x = np.linalg.solve(a, b)
+        x = np.linalg.solve(a, b)  # in its own errstate: singular raises LinAlgError
     except np.linalg.LinAlgError:
         raise _singular(a) from None
-    if not np.all(np.isfinite(x)):
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise _singular(a)
     return x
 

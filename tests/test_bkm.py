@@ -1232,3 +1232,35 @@ class TestOneFactorizationPerMatrix:
         sol, diag = solve_boundary_only(problem, 7)
         a = assemble_bkm_matrix(sol.knots, sol.kernel, dirichlet_bcs(sol.knots))
         assert diag.cond_bkm == pytest.approx(cond_estimate_1norm(a), rel=1e-12)
+
+
+class TestErrorState:
+    """A solve sets no numpy error state: ``numpy.linalg.solve`` runs under
+    its own, where a singular matrix raises and overflow stays silent.  A
+    kappa_1 read enters one, because the norms of a near-singular inverse
+    can overflow."""
+
+    @pytest.fixture
+    def errstate_entries(self, monkeypatch):
+        """Entries of ``numpy.errstate`` made through the ``numpy`` module;
+        numpy.linalg binds its own copy, so only bkm's count."""
+        entries = []
+
+        class Counted(np.errstate):
+            def __enter__(self):
+                entries.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", Counted)
+        return entries
+
+    @pytest.mark.parametrize(
+        "factory, n", [(laplace_benchmark, 5), (helmholtz_benchmark, 7), (burger_benchmark, 5)]
+    )
+    def test_paper_solve_enters_none_and_each_condition_read_one(self, errstate_entries, factory, n):
+        _, diagnostics = solve_boundary_only(factory(), n)
+        assert len(errstate_entries) == 0
+        diagnostics.cond_bkm
+        assert len(errstate_entries) == 1
+        diagnostics.cond_interp
+        assert len(errstate_entries) == 2

@@ -1,12 +1,14 @@
 """Dual-reciprocity layer: interpolation matrices, rho pathways, particular solutions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bkm.bkm import evaluate, solve_boundary_only
 from bkm.drm import (
     DrmExpansion,
     RhoSpec,
@@ -22,6 +24,7 @@ from bkm.drm import (
 from bkm.geometry import Ellipse, Point, ellipse_knots
 from bkm.kernels import biharmonic_mfs_pair, gsr_kernel, mq_pair
 from bkm.linalg import lu_solve
+from bkm.problems import helmholtz_benchmark
 
 from oracles import fd_laplacian_2d
 
@@ -400,6 +403,27 @@ class TestEvaluationPointChecks:
         itp = rbf_interpolate(pts, [p.x for p in pts], mtps)
         with pytest.raises(ValueError, match="finite"):
             itp.at(np.array([[0.1, 0.2], bad]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_low_precision_points_give_their_float64_values(self, dtype):
+        """float32 and float16 coordinates pass the magnitude check with no
+        overflow warning (the limit 1e150 is not cast to their dtype) and
+        give the values of their float64 cast."""
+        xy = np.array([[0.1, 0.2], [-1.3, 0.45], [1.7, -0.3]], dtype=dtype)
+        exact = xy.astype(float)
+        sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
+        pts = ring(6)
+        itp = rbf_interpolate(pts, [p.x for p in pts], gsr_kernel(biharmonic_mfs_pair()[0], m=1))
+        for f in (
+            lambda xy: evaluate(sol, xy),
+            lambda xy: u_p_at(sol.expansion, xy),
+            lambda xy: particular_matrix(xy, ring(5), mq_pair(1.0)),
+            itp.at,
+            knot_distances,
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(f(xy), f(exact))
 
 
 class TestRbfInterpolate:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkm.geometry import Point
+from bkm.drm import knot_distances
+from bkm.geometry import Ellipse, Point, ellipse_knots
 from bkm.kernels import (
     RadialKernel,
     _dsinc,
@@ -527,6 +528,10 @@ class TestMqPairWavenumber:
             mq_pair(3.0, 0.0)
 
 
+# The 2:1 ellipse of the paper's Laplace and Helmholtz problems.
+PAPER_ELLIPSE = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
+
+
 class TestSquaredRadius:
     """eval_sq gives a kernel of r^2 alone from the squared radius t = r^2."""
 
@@ -558,6 +563,23 @@ class TestSquaredRadius:
         phi_hat = mq_pair(c, k).phi_hat
         assert np.array_equal(phi_hat.eval(self.R), phi_hat.eval_sq(self.R * self.R))
         assert phi_hat.eval_sq(np.array([0.0]))[0] == c**3
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            pytest.param(np.linspace(0.0, 5.0, 2001), id="radii_0_to_5"),
+            pytest.param(
+                knot_distances([k.position for k in ellipse_knots(PAPER_ELLIPSE, 40)]),
+                id="knot_distances",
+            ),
+        ],
+    )
+    def test_unit_j0_of_squared_radius_is_eval(self, r):
+        """On r in [0, 5], where J0 is its polynomial in r^2 and squares r
+        itself, eval_sq(r^2) at wavenumber 1 is eval(r) bit for bit: the
+        solve builds its collocation matrix that way."""
+        kern = helmholtz2d(1.0)
+        assert np.array_equal(kern.eval_sq(np.square(r)), kern.eval(r))
 
     @pytest.mark.parametrize("name", sorted(n for n, k in CATALOG.items() if k.sq is None))
     def test_kernel_without_sq_is_eval_of_sqrt(self, name):
