@@ -46,7 +46,7 @@ from .geometry import (
     squared_distances,
 )
 from .kernels import RadialKernel, directional_derivative, helmholtz2d, mq_pair
-from .linalg import cond_1norm_unchecked, lu_solve
+from .linalg import cond_estimate_1norm, lu_solve
 from .problems import ProblemSpec
 
 __all__ = [
@@ -110,7 +110,7 @@ class Diagnostics:
     ||A||_1 ||A^-1||_1, of the matrices kept as ``interp_matrix`` and
     ``bkm_matrix``.  A solve forms no A^-1 for them, so each is computed
     when first read, by one more factorization of its matrix
-    (``linalg.cond_1norm_unchecked``), and then kept; a read never raises.
+    (``linalg.cond_estimate_1norm``), and then kept; a read never raises.
     The matrices stay alive as long as this object does.  ``==`` and
     ``repr`` mean the three numbers.
 
@@ -138,13 +138,13 @@ class Diagnostics:
 
     @cached_property
     def cond_bkm(self) -> float:
-        return cond_1norm_unchecked(self.bkm_matrix)
+        return cond_estimate_1norm(self.bkm_matrix)
 
     @cached_property
     def cond_interp(self) -> float:
         if self.interp_matrix is self.bkm_matrix:
             return self.cond_bkm
-        return cond_1norm_unchecked(self.interp_matrix)
+        return cond_estimate_1norm(self.interp_matrix)
 
     def _numbers(self) -> tuple[float, float, float]:
         return self.cond_interp, self.cond_bkm, self.residual_inf
@@ -407,10 +407,11 @@ def solve_mixed_linear(
         on one line: all points, or only the Dirichlet knots when
         rho{u} = k^2 u.
     ValueError
-        If an interior point lies outside the ellipse (level function above
-        1 + 1e-12), a coordinate is not finite or not below 1e150 in
-        magnitude, or a Neumann knot's normal is not finite or its length
-        is not within 1e-9 of 1 (Dirichlet knots' normals are not used).
+        If there is no boundary knot, an interior point lies outside the
+        ellipse (level function above 1 + 1e-12), a coordinate is not finite
+        or not below 1e150 in magnitude, or a Neumann knot's normal is not
+        finite or its length is not within 1e-9 of 1 (Dirichlet knots'
+        normals are not used).
     SingularMatrixError
         Propagated if either dense system is singular.
     """
@@ -420,6 +421,8 @@ def solve_mixed_linear(
             f"use solve_boundary_only with full Dirichlet data instead"
         )
     knots = tuple(boundary_knots)
+    if not knots:
+        raise ValueError("at least one boundary knot is required")
     if bc is None:
         bc = [BoundaryCondition("dirichlet", problem.dirichlet(k.position)) for k in knots]
     if len(bc) != len(knots):

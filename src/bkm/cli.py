@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve a built-in problem and print its table")
-    solve.add_argument("--problem", required=True, help="laplace | helmholtz | burger")
+    solve.add_argument("--problem", required=True, choices=_PROBLEMS)
     solve.add_argument("--n", type=_positive_int, default=5, help="number of boundary knots")
     solve.add_argument(
         "--interior", type=_non_negative_int, default=0, help="number of interior knots"
@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(handler=_cmd_solve)
 
     conv = sub.add_parser("convergence", help="sweep knot counts and shape parameters")
-    conv.add_argument("--problem", required=True)
+    conv.add_argument("--problem", required=True, choices=_PROBLEMS)
     conv.add_argument(
         "--n", type=_list_of(_positive_int), default="3,5,7", help="comma-separated knot counts"
     )
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(handler=_cmd_convergence)
 
     kern = sub.add_parser("kernels", help="print kernel values and operator residuals")
-    kern.add_argument("name", help=" | ".join(_KERNEL_NAMES))
+    kern.add_argument("name", choices=_CATALOG)
     kern.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     kern.add_argument("--r", type=_radius, default=None, help="evaluate at this radius only")
     kern.add_argument("--D", type=_finite_float, default=1.0, help="diffusivity (convection2d)")
@@ -219,14 +219,6 @@ def _interior_points(ellipse: Ellipse, count: int) -> list[Point]:
     return [lattice[i] for i in idx]
 
 
-def _problem(name: str):
-    """The named built-in problem, or None after an error on stderr."""
-    if name not in _PROBLEMS:
-        print(f"error: unknown problem: {name!r}", file=sys.stderr)
-        return None
-    return _PROBLEMS[name]()
-
-
 def _solve_table(problem, n: int, interior: list[Point]):
     """(computed, exact, diagnostics) at the table points of a solve on n
     boundary knots plus ``interior``.  A failed solve (SingularMatrixError
@@ -244,9 +236,7 @@ def _solve_table(problem, n: int, interior: list[Point]):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    problem = _problem(args.problem)
-    if problem is None:
-        return EXIT_USAGE
+    problem = _PROBLEMS[args.problem]()
     if args.c is not None:
         problem = dataclasses.replace(problem, mq_shape_c=args.c)
     try:
@@ -286,9 +276,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    problem = _problem(args.problem)
-    if problem is None:
-        return EXIT_USAGE
+    problem = _PROBLEMS[args.problem]()
     out = _Output(args.out)
     out.add("n,c,max_err,cond_bkm")
     for c in args.c or [problem.mq_shape_c]:
@@ -380,7 +368,6 @@ _CATALOG = {
         _convection_check,
     ),
 }
-_KERNEL_NAMES = tuple(_CATALOG)
 
 
 def _value_at(kernel, r: float) -> float:
@@ -389,31 +376,28 @@ def _value_at(kernel, r: float) -> float:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    if args.name not in _CATALOG:
-        print(f"error: unknown kernel: {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
     build, check = _CATALOG[args.name]
-    try:
-        kernels = build(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     out = _Output(None)
-    if args.r is not None:
-        for kernel in kernels:
-            out.add(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
-        return out.emit()
-
     radii = np.linspace(0.1, 5.0, 50)
     max_residual = 0.0
-    for kernel in kernels:
-        out.add(f"kernel {kernel.label}  params {dict(kernel.params)}")
-        for r in radii[::7]:
-            out.add(f"  r={r:7.4f}  value={_value_at(kernel, float(r)): .10g}")
-        for r in radii:
-            residual, value = check(kernel, args.lam, float(r))
-            max_residual = max(max_residual, abs(residual) / (1.0 + abs(value)))
+    # Options out of range (ValueError), or a lam * r past a Bessel function's
+    # range (bessel_i0 raises OverflowError past 100): usage errors, no output.
+    try:
+        for kernel in build(args):
+            if args.r is not None:
+                out.add(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
+                continue
+            out.add(f"kernel {kernel.label}  params {dict(kernel.params)}")
+            for r in radii[::7]:
+                out.add(f"  r={r:7.4f}  value={_value_at(kernel, float(r)): .10g}")
+            for r in radii:
+                residual, value = check(kernel, args.lam, float(r))
+                max_residual = max(max_residual, abs(residual) / (1.0 + abs(value)))
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.r is not None:
+        return out.emit()
     verdict = "<" if max_residual < _RESIDUAL_GATE else ">="
     out.add(f"max_residual {max_residual:.3e} {verdict} {_RESIDUAL_GATE:g}")
     return out.emit() or (EXIT_OK if max_residual < _RESIDUAL_GATE else EXIT_NUMERICAL)

@@ -158,11 +158,12 @@ def _near_zero(s, threshold: float, series, closed):
     """``series(s)`` where |s| < threshold, ``closed(s)`` elsewhere, elementwise.
 
     The closed form is evaluated with 1 in place of the small arguments, so
-    it never sees its removable singularity at 0.
+    it never sees its removable singularity at 0, and the series with 0 in
+    place of the others, so it never overflows on them.
     """
     s = np.asarray(s, dtype=float)
     small = np.abs(s) < threshold
-    return np.where(small, series(s), closed(np.where(small, 1.0, s)))[()]
+    return np.where(small, series(np.where(small, s, 0.0)), closed(np.where(small, 1.0, s)))[()]
 
 
 def _sin_over(s, sign: float):

@@ -7,8 +7,8 @@ solves A X = B for the caller's right-hand sides alone: one
 sweep, behind one check of the inputs and one error for a singular
 matrix.  No solve forms A^-1.  The exact kappa_1 = ||A||_1 ||A^-1||_1
 takes one LAPACK inverse, a second factorization, and is the only place
-an inverse is formed: ``cond_1norm_unchecked`` of a matrix a solve has
-already checked, ``cond_estimate_1norm`` of any input.
+an inverse is formed: ``cond_estimate_1norm``, behind the same input
+check as ``lu_solve``.
 
 ``lu_factor`` is the one hand-written elimination.  It runs only when
 LAPACK reports a singular matrix or returns a non-finite result, to name
@@ -25,11 +25,11 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "lu_solve",
-    "cond_1norm_unchecked",
+    "cond_estimate_1norm",
 ]
-# ``lu_factor`` (called here only to name a failing pivot) and
-# ``cond_estimate_1norm`` stay defined but unexported: outside this module only
-# tests use them, and perfbench/tracing.py looks them up by name here.
+# ``lu_factor`` (called here only to name a failing pivot) stays defined but
+# unexported: outside this module only tests use it, and perfbench/tracing.py
+# looks it up by name here.
 
 # Pivots at or below this magnitude are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
@@ -128,13 +128,13 @@ def lu_solve(a, b) -> np.ndarray:
     return x
 
 
-def cond_1norm_unchecked(a: np.ndarray) -> float:
+def cond_estimate_1norm(a) -> float:
     """kappa_1(A) = ||A||_1 ||A^-1||_1, exact, from one LAPACK inverse.
 
-    A is a square float ndarray with finite entries, such as a matrix
-    ``lu_solve`` has solved; it is not checked again.  Never below 1; a
-    singular A or a non-finite inverse returns ``math.inf``.
+    Never below 1; a singular A or a non-finite inverse returns
+    ``math.inf``.  ValueError unless A is square and finite.
     """
+    a = _as_square(a)
     if a.shape[0] == 0:
         return 1.0
     try:
@@ -145,9 +145,3 @@ def cond_1norm_unchecked(a: np.ndarray) -> float:
     if not math.isfinite(norm_inv):
         return math.inf
     return max(1.0, float(np.abs(a).sum(axis=0).max()) * norm_inv)
-
-
-def cond_estimate_1norm(a) -> float:
-    """``cond_1norm_unchecked`` of any input: ValueError unless A is square
-    and finite."""
-    return cond_1norm_unchecked(_as_square(a))

@@ -102,7 +102,8 @@ _QP = (
     -5.14105326766599330220e1,
     -6.05014350600728481186e0,
 )
-_QQ = (  # leading coefficient 1.0 handled by _p1evl
+_QQ = (
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -142,7 +143,8 @@ _QP1 = (
     2.11688757100572135698e2,
     2.52070205858023719784e1,
 )
-_QQ1 = (  # leading coefficient 1.0 handled by _p1evl
+_QQ1 = (
+    1.0,
     7.42373277035675149943e1,
     1.05644886038262816351e3,
     4.98641058337653607651e3,
@@ -163,15 +165,6 @@ def _polevl(x, coef: tuple[float, ...]):
     ans = x * coef[0]
     ans += coef[1]
     for c in coef[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _p1evl(x, coef: tuple[float, ...]):
-    """Evaluate x^N + coef[0]*x^(N-1) + ... + coef[N-1] (implicit leading 1)."""
-    ans = x + coef[0]
-    for c in coef[1:]:
         ans *= x
         ans += c
     return ans
@@ -202,9 +195,10 @@ def _result(values: np.ndarray, arg: np.ndarray):
 def _hankel(ax, pp, pq, qp, qq, phase: float):
     """Cephes asymptotic form for ax > 5: sqrt(2/(pi ax)) (P cos(xn) - (5/ax) Q sin(xn))."""
     w = 5.0 / ax
-    z = 25.0 / (ax * ax)
+    with np.errstate(over="ignore"):  # ax * ax is inf past 1.3e154, where z -> 0 is right
+        z = 25.0 / (ax * ax)
     p = _polevl(z, pp) / _polevl(z, pq)
-    q = _polevl(z, qp) / _p1evl(z, qq)
+    q = _polevl(z, qp) / _polevl(z, qq)
     xn = ax - phase
     return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(ax)
 

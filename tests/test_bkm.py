@@ -493,6 +493,18 @@ class TestSolveMixedLinear:
         err_without = np.abs(evaluate(without, pts) - exact).max()
         assert err_with <= err_without
 
+    @pytest.mark.parametrize(
+        "problem",
+        [helmholtz_benchmark(), manufactured(lambda p: p.x, 2.0, RhoSpec.identity())],
+        ids=["rho_zero", "rho_identity"],
+    )
+    def test_no_boundary_knot_rejected(self, problem):
+        # rho = 0 once failed in a max() of no elements; rho = s u, s != k^2,
+        # once returned a field fitted to no boundary data.
+        interior = [Point(0.0, 0.0), Point(0.5, 0.1), Point(0.1, 0.4)]
+        with pytest.raises(ValueError, match="at least one boundary knot is required"):
+            solve_mixed_linear(problem, [], interior)
+
     def test_interior_points_that_are_not_pairs_rejected(self):
         problem = laplace_benchmark()
         knots = ellipse_knots(problem.ellipse, 8)

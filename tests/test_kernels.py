@@ -1,6 +1,7 @@
 """Kernel catalog: values, derivatives, and governing-operator residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestSincHelpersParity:
         assert modified_helmholtz3d(1.0).eval(-3.0) == pytest.approx(
             math.sinh(3.0) / 3.0, rel=1e-15
         )
+
+    def test_huge_arguments_warn_nothing(self):
+        # The series is not evaluated where the closed form is taken, so s * s
+        # cannot overflow there.
+        s = np.array([1e-5, 1e200, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _sinc(s)
+        assert values[0] == 1.0 - 1e-10 / 6.0 + 1e-20 / 120.0
+        assert values[1:].tolist() == [math.sin(1e200) / 1e200, math.sin(-1e300) / -1e300]
 
     def test_arrays_mixing_signs(self):
         s = np.array([-3.0, -1e-2, -1e-5, 0.0, 1e-5, 1e-2, 3.0])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bkm.linalg import (
     SingularMatrixError,
-    cond_1norm_unchecked,
     cond_estimate_1norm,
     lu_factor,
     lu_solve,
@@ -148,19 +147,6 @@ class TestLuFactor:
         assert sorted(perm.tolist()) == list(range(7))
 
 
-class TestCond1normUnchecked:
-    """The condition number ``Diagnostics`` reads of a matrix already solved."""
-
-    def test_non_finite_inverse_alone_reads_infinite_condition(self):
-        # x = (1, 0) is finite, but the inverse's entry -1e200 / 1e-200 overflows.
-        a = np.array([[1.0, 1e200], [0.0, 1e-200]])
-        assert lu_solve(a, [1.0, 0.0]) == pytest.approx([1.0, 0.0])
-        assert cond_1norm_unchecked(a) == math.inf
-
-    def test_singular_reads_infinity(self):
-        assert cond_1norm_unchecked(np.zeros((3, 3))) == math.inf
-
-
 class TestCondEstimate:
     def test_identity(self):
         assert cond_estimate_1norm(np.eye(4)) == 1.0
@@ -187,6 +173,12 @@ class TestCondEstimate:
     def test_singular_returns_infinity(self):
         assert cond_estimate_1norm(np.zeros((3, 3))) == math.inf
         assert cond_estimate_1norm([[1.0, 2.0], [2.0, 4.0]]) == math.inf
+
+    def test_non_finite_inverse_of_a_solved_matrix_returns_infinity(self):
+        # x = (1, 0) is finite, but the inverse's entry -1e200 / 1e-200 overflows.
+        a = np.array([[1.0, 1e200], [0.0, 1e-200]])
+        assert lu_solve(a, [1.0, 0.0]) == pytest.approx([1.0, 0.0])
+        assert cond_estimate_1norm(a) == math.inf
 
     def test_subnormal_pivot_returns_infinity(self):
         # The inverse overflows; max(1.0, nan) would read 1.0.

@@ -53,7 +53,7 @@ MODULE_ONLY = {
     "bkm": ("assemble_bkm_matrix",),
     "drm": ("interp_matrix", "particular_matrix", "rho_matrix", "solve_alpha", "u_p_at"),
     "kernels": ("normal_derivative",),
-    "linalg": ("cond_estimate_1norm", "lu_factor"),
+    "linalg": ("lu_factor",),
 }
 
 
