@@ -40,8 +40,6 @@ from .geometry import (
     Point,
     as_xy,
     checked_xy,
-    coincident_pair,
-    distance_matrix,
     ellipse_knots,
     squared_distances,
 )
@@ -162,27 +160,22 @@ def assemble_bkm_matrix(
     bc: Sequence[BoundaryCondition],
 ) -> np.ndarray:
     """Collocation matrix: row i is kernel values (Dirichlet) or normal
-    derivatives (Neumann) of the kernel centered at each knot.
+    derivatives (Neumann) of the kernel centered at each knot, admitted and
+    evaluated as ``_solve`` does, so that it is the solve's bit for bit.
 
     Raises
     ------
     ValueError
-        If a knot coordinate is not finite or not below 1e150 in
-        magnitude, knots (nearly) coincide, bc does not match the knots or
+        If bc does not match the knots, they fail ``drm.knot_distances`` or
         a Neumann knot's normal is not a finite unit vector.
     """
-    n = len(knots)
-    if n < 1:
-        raise ValueError("at least one boundary knot is required")
-    if len(bc) != n:
-        raise ValueError(f"expected {n} boundary conditions, got {len(bc)}")
-    positions = checked_xy([k.position for k in knots], "boundary knots")
-    distances = distance_matrix(positions, positions)
-    pair = coincident_pair(distances)
-    if pair is not None:
-        raise ValueError(f"duplicate boundary knots at indices {pair[0]} and {pair[1]}")
+    if len(bc) != len(knots):
+        raise ValueError(f"expected {len(knots)} boundary conditions, got {len(bc)}")
+    xy = as_xy([k.position for k in knots])
+    distances = knot_distances(xy)
     neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
-    return _boundary_rows(knots, neumann, positions, distances, (kernel, kernel.eval(distances)))[0][0]
+    block = kernel, kernel.eval_sq(np.square(distances))
+    return _boundary_rows(knots, neumann, xy, distances, block)[0][0]
 
 
 def _boundary_rows(knots, neumann, xy, distances, *blocks):
@@ -305,10 +298,11 @@ def _solve(
 
     a_phi = pair.phi.eval(distances)
     rhs = np.array([problem.forcing(p) for p in points], dtype=float)
-    # At every point v = j_values @ lam and u_p = rep @ c.  J0 from r^2 skips
-    # eval's checks; at wavenumber 1 its values are eval's, bit for bit.
-    j_values = kernel.eval_sq(np.square(distances[:, :n]))
-    rep = pair.phi_hat.eval(distances)
+    # At every point v = j_values @ lam and u_p = rep @ c, both from r^2 (J0's
+    # skips eval's checks; at wavenumber 1 its values are eval's, bit for bit).
+    sq_distances = np.square(distances)
+    j_values = kernel.eval_sq(sq_distances[:, :n])
+    rep = pair.phi_hat.eval_sq(sq_distances)
     system = a_phi
     # rho{u} = scale (v + u_p) at the unknown points puts lam in their DRM rows.
     coupled = bool(unknown) and bool(scale)

@@ -380,8 +380,8 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     out = _Output(None)
     radii = np.linspace(0.1, 5.0, 50)
     max_residual = 0.0
-    # Options out of range (ValueError), or a lam * r past a Bessel function's
-    # range (bessel_i0 raises OverflowError past 100): usage errors, no output.
+    # Options out of range (ValueError), or a lam * r past a kernel's range
+    # (OverflowError: I0 past 100, sinh past 710): usage errors, no output.
     try:
         for kernel in build(args):
             if args.r is not None:

@@ -12,8 +12,8 @@ such as the modified thin plate spline need.
 The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
 definite of order 2, so its interpolant is well posed only with a linear
-tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0.
-``solve_alpha(..., linear_tail=True)`` solves that bordered system.  For
+tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0, as
+every solve with a linear rho kind has it (and ``solve_alpha``).  For
 linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
 enters u_p.
 
@@ -278,16 +278,11 @@ def solve_alpha(
     f_at_knots: Sequence[float],
     rho: RhoSpec,
     u_at_knots: Sequence[float] | None = None,
-    linear_tail: bool = False,
 ) -> DrmExpansion:
-    """Solve A_phi alpha = f + rho-term for the particular-solution coefficients.
-
-    With ``linear_tail`` the interpolant gains beta . (1, x, y) and the
-    bordered system of ``bordered_matrix`` is solved with the moment
-    conditions P^T alpha = 0; the expansion then carries beta as its tail.
-    Every matrix is factored once: without a tail, Burger's alpha and u's
-    interpolant coefficients (for u_x) come from one block system
-    (``burger_alpha``).
+    """The DRM step of a boundary-only solve on these knots, as ``bkm._solve``
+    takes it: for a linear rho kind, the bordered system of ``bordered_matrix``
+    with right-hand side (f + s u, 0) and beta / k^2 as the tail; for Burger,
+    the bare interpolant from one block system (``burger_alpha``).
     """
     knots = tuple(knots)
     n = len(knots)
@@ -295,12 +290,10 @@ def solve_alpha(
     distances = knot_distances(xy)
     a_phi = pair.phi.eval(distances)
     f = np.asarray(f_at_knots, dtype=float)
-    if rho.linear_scale is None and not linear_tail:
+    if rho.linear_scale is None:
         u = _u_values(rho, n, u_at_knots)
         return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u))
     rhs = f + rho_matrix(rho, knots, pair, u_at_knots)
-    if not linear_tail:
-        return DrmExpansion(knots, pair, lu_solve(a_phi, rhs))
     solution = lu_solve(bordered_matrix(a_phi, xy), np.concatenate([rhs, np.zeros(3)]))
     return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
 

@@ -166,10 +166,21 @@ def _near_zero(s, threshold: float, series, closed):
     return np.where(small, series(np.where(small, s, 0.0)), closed(np.where(small, 1.0, s)))[()]
 
 
+def _check_sinh_range(s) -> None:
+    """OverflowError naming the first |s| > 710: sinh and cosh overflow past 710.47."""
+    s = np.asarray(s, dtype=float)
+    big = np.abs(s) > 710.0
+    if big.any():
+        raise OverflowError(f"sinh argument out of range: |{float(s[big][0])!r}| > 710.0")
+
+
 def _sin_over(s, sign: float):
     """sin(s)/s for sign = -1, sinh(s)/s for sign = +1 (the sign of the s^2
-    term of its series), with the removable singularity filled in."""
+    term of its series), with the removable singularity filled in; the sinh
+    form raises OverflowError past |s| = 710."""
     sin = np.sinh if sign > 0 else np.sin
+    if sign > 0:
+        _check_sinh_range(s)
 
     def series(s):
         s2 = s * s
@@ -179,14 +190,17 @@ def _sin_over(s, sign: float):
 
 
 def _d_sin_over(s, sign: float):
-    """d/ds of ``_sin_over``; the series near 0 avoids cancellation."""
+    """d/ds of ``_sin_over``, (cos s - sin(s)/s)/s, which never forms s*s;
+    the series near 0 avoids cancellation."""
     sin, cos = (np.sinh, np.cosh) if sign > 0 else (np.sin, np.cos)
+    if sign > 0:
+        _check_sinh_range(s)
 
     def series(s):
         s2 = s * s
         return s * (sign / 3.0 + s2 / 30.0 + sign * s2 * s2 / 840.0)
 
-    return _near_zero(s, 2e-2, series, lambda s: (s * cos(s) - sin(s)) / (s * s))
+    return _near_zero(s, 2e-2, series, lambda s: (cos(s) - sin(s) / s) / s)
 
 
 # The inputs of the 3D kernels, by name, as the kernel tests import them.
@@ -202,7 +216,8 @@ def helmholtz3d(lam: float) -> RadialKernel:
 
 
 def modified_helmholtz3d(lam: float) -> RadialKernel:
-    """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2."""
+    """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2;
+    value and derivative raise OverflowError where |lam*r| > 710 (``_check_sinh_range``)."""
     return _scaled(lam, _sinhc, _dsinhc, "sinh3d")
 
 
@@ -270,12 +285,15 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
     ------
     ValueError
         If the shape parameter ``c`` or the wavenumber is not finite and
-        positive.
+        positive, or c * c underflows to 0 (c below about 1.5e-162), which
+        would make phi(0) = 0/0.
     """
     c = _require_positive(c, "shape parameter")
     k = _require_positive(wavenumber, "wavenumber")
     k_sq = k * k
     c_sq = c * c
+    if c_sq == 0.0:
+        raise ValueError(f"shape parameter c = {c!r} is too small: c * c underflows to 0")
 
     # In place: an evaluation block allocates and pages in one array fewer.
     def hat_sq(t):

@@ -29,7 +29,14 @@ import math
 import numpy as np
 
 from bkm.bkm import BoundaryCondition, evaluate, solve_boundary_only, solve_mixed_linear
-from bkm.drm import RhoSpec, interp_matrix, rbf_interpolate, rho_matrix, solve_alpha
+from bkm.drm import (
+    RhoSpec,
+    bordered_matrix,
+    interp_matrix,
+    rbf_interpolate,
+    rho_matrix,
+    solve_alpha,
+)
 from bkm.geometry import Point, ellipse_knots, interior_grid
 from bkm.kernels import (
     biharmonic2d,
@@ -153,8 +160,11 @@ def test_mq_pair_operator_consistency_across_shape_parameters():
 
 def test_rhs_interpolation_exact_and_feedback_paths():
     """Knot-collocation residual <= 1e-9 relative at the three benchmark
-    configurations; the identity feedback path returns u bit-for-bit; the
-    quadratic feedback evaluation error at least halves from 8 to 32 knots.
+    configurations, of the DRM interpolant a solve uses: A_phi alpha plus
+    the linear tail P beta for Laplace and Helmholtz (the bordered system),
+    A_phi alpha alone for Burger; the identity feedback path returns u
+    bit-for-bit; the quadratic feedback evaluation error at least halves
+    from 8 to 32 knots.
     """
     for problem, n in (
         (laplace_benchmark(), 5),
@@ -162,12 +172,17 @@ def test_rhs_interpolation_exact_and_feedback_paths():
         (burger_benchmark(), 5),
     ):
         knots = [k.position for k in ellipse_knots(problem.ellipse, n)]
-        pair = mq_pair(problem.mq_shape_c)
+        pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
         f = np.array([problem.forcing(p) for p in knots])
         u = np.array([problem.exact(p) for p in knots])
         expansion = solve_alpha(knots, pair, f, problem.rho, u)
         target = f + rho_matrix(problem.rho, knots, pair, u)
-        residual = np.abs(interp_matrix(knots, pair) @ expansion.alpha - target).max()
+        a_phi = interp_matrix(knots, pair)
+        interpolant = a_phi @ expansion.alpha
+        if expansion.tail is not None:
+            p_rows = bordered_matrix(a_phi, knots)[:n, n:]
+            interpolant += p_rows @ (expansion.tail * pair.wavenumber**2)
+        residual = np.abs(interpolant - target).max()
         assert residual <= 1e-9 * max(1.0, float(np.abs(target).max()))
 
     knots = [k.position for k in ellipse_knots(laplace_benchmark().ellipse, 6)]

@@ -299,8 +299,27 @@ class TestAssembleBkmMatrix:
     def test_duplicate_message_names_first_pair(self):
         k = ellipse_knots(ELLIPSE, 5)
         knots = [k[0], k[1], k[2], k[1], k[2]]
-        with pytest.raises(ValueError, match=r"^duplicate boundary knots at indices 1 and 3$"):
+        with pytest.raises(ValueError, match=r"^duplicate knots at indices 1 and 3: "):
             assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
+
+    def test_duplicates_rejected_as_the_solve_rejects_them(self):
+        problem = helmholtz_benchmark()
+        k = ellipse_knots(problem.ellipse, 5)
+        knots = [k[0], k[1], k[2], k[1], k[4]]
+        with pytest.raises(ValueError) as solve_error:
+            solve_mixed_linear(problem, knots)
+        with pytest.raises(ValueError) as assemble_error:
+            assemble_bkm_matrix(knots, helmholtz2d(1.0), dirichlet_bcs(knots))
+        assert str(assemble_error.value) == str(solve_error.value)
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, 1.3])
+    def test_equals_the_solves_collocation_matrix(self, k):
+        """Admitted and evaluated as the solve does, bit for bit; J0 from r
+        and J0 from r^2 differ in the last bit at k = 1.3."""
+        problem = dataclasses.replace(helmholtz_benchmark(), split_wavenumber=k)
+        sol, diag = solve_boundary_only(problem, 9)
+        a = assemble_bkm_matrix(sol.knots, sol.kernel, dirichlet_bcs(sol.knots))
+        assert np.array_equal(a, diag.bkm_matrix)
 
     def test_neumann_rows_are_normal_derivatives(self):
         knots = ellipse_knots(ELLIPSE, 6)
@@ -1151,18 +1170,14 @@ class TestOneFactorizationPerMatrix:
         assert lapack_calls == {"solve": [(drm, 1), (n, 1)], "inv": 0}
 
     @pytest.mark.parametrize(
-        "rho, linear_tail, columns",
-        [
-            (RhoSpec.zero(), False, [(9, 1)]),
-            (RhoSpec.zero(), True, [(12, 1)]),
-            (RhoSpec.burger(), False, [(18, 1)]),
-        ],
-        ids=["zero", "zero_with_tail", "burger"],
+        "rho, columns",
+        [(RhoSpec.zero(), [(12, 1)]), (RhoSpec.burger(), [(18, 1)])],
+        ids=["zero", "burger"],
     )
-    def test_solve_alpha(self, lapack_calls, rho, linear_tail, columns):
+    def test_solve_alpha(self, lapack_calls, rho, columns):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         u = [1.0 + p.x * p.y for p in knots]
-        solve_alpha(knots, mq_pair(3.0), [math.sin(p.x) for p in knots], rho, u, linear_tail)
+        solve_alpha(knots, mq_pair(3.0), [math.sin(p.x) for p in knots], rho, u)
         assert lapack_calls == {"solve": columns, "inv": 0}
 
     def test_burger_rho_matrix(self, lapack_calls):

@@ -121,6 +121,19 @@ class TestExitCodes:
         assert "error: the linear tail (1, x, y) needs three knots" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_shape_whose_square_underflows_fails_numerically(self, capsys):
+        # c * c = 0 once made phi(0) = 0/0: a RuntimeWarning, then a
+        # non-finite matrix.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--problem", "helmholtz", "--c", "1e-200"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: shape parameter c = 1e-200 is too small: c * c underflows to 0\n"
+        )
+
     def test_convergence_over_two_knots_fails_numerically(self, capsys):
         assert main(["convergence", "--problem", "laplace", "--n", "2,5"]) == EXIT_NUMERICAL
         assert "error: n=2" in capsys.readouterr().err
@@ -424,6 +437,21 @@ class TestKernels:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: [^\n]*(out of range|must be finite)[^\n]*\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sinh3d", "--r", "800"], ["biharmonic3d", "--r", "800"], ["sinh3d", "--lambda", "150"]],
+        ids=" ".join,
+    )
+    def test_argument_past_sinh_range_is_usage_error(self, capsys, argv):
+        # sinh3d once printed inf and exited 0, or warned and exited 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = r"error: sinh argument out of range: \|\d+\.0\| > 710\.0\n"
+        assert re.fullmatch(message, captured.err)
 
     @pytest.mark.parametrize(
         "name, line",

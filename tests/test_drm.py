@@ -23,8 +23,8 @@ from bkm.drm import (
 )
 from bkm.geometry import Ellipse, Point, ellipse_knots
 from bkm.kernels import biharmonic_mfs_pair, gsr_kernel, mq_pair
-from bkm.linalg import lu_solve
-from bkm.problems import helmholtz_benchmark
+from bkm.linalg import SingularMatrixError, lu_solve
+from bkm.problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
 from oracles import fd_laplacian_2d
 
@@ -233,23 +233,31 @@ class TestRhoMatrix:
             assert dx_interp[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+def bordered_residual(pts, pair, exp, f) -> tuple[np.ndarray, np.ndarray, float]:
+    """The bordered DRM matrix, its solution (alpha, beta) read off the
+    expansion (beta = k^2 tail) and the max-norm residual against (f, 0)."""
+    system = bordered_matrix(interp_matrix(pts, pair), pts)
+    x = np.concatenate([exp.alpha, exp.tail * pair.wavenumber**2])
+    return system, x, float(np.abs(system @ x - np.append(f, np.zeros(3))).max())
+
+
 class TestSolveAlpha:
     def test_zero_forcing_zero_rho_gives_zero_alpha(self):
         pts = ring(7)
         exp = solve_alpha(pts, mq_pair(3.0), np.zeros(7), RhoSpec.zero())
         assert np.array_equal(exp.alpha, np.zeros(7))
 
-    def test_single_knot_unit_alpha(self):
-        exp = solve_alpha([Point(0.0, 0.0)], mq_pair(3.0), [45.0], RhoSpec.zero())
-        assert exp.alpha == pytest.approx([1.0], rel=1e-15)
+    def test_single_knot_is_singular(self):
+        # The linear tail's three columns need three knots off one line.
+        with pytest.raises(SingularMatrixError):
+            solve_alpha([Point(0.0, 0.0)], mq_pair(3.0), [45.0], RhoSpec.zero())
 
     def test_linear_forcing_residual(self):
         pts = ring(5)
         pair = mq_pair(3.0)
         f = [p.x for p in pts]
         exp = solve_alpha(pts, pair, f, RhoSpec.zero())
-        resid = np.abs(interp_matrix(pts, pair) @ exp.alpha - np.array(f)).max()
-        assert resid <= 1e-10
+        assert bordered_residual(pts, pair, exp, f)[2] <= 1e-10
 
     @pytest.mark.parametrize("c", [1.0, 3.0, 25.0])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -264,11 +272,10 @@ class TestSolveAlpha:
         pts = ring(n)
         pair = mq_pair(c)
         f = rng.uniform(-2.0, 2.0, n)
-        a_phi = interp_matrix(pts, pair)
         exp = solve_alpha(pts, pair, f, RhoSpec.zero())
-        resid = np.abs(a_phi @ exp.alpha - f).max()
+        system, x, resid = bordered_residual(pts, pair, exp, f)
         eps = np.finfo(float).eps
-        backward = np.abs(a_phi).sum(axis=1).max() * np.abs(exp.alpha).max()
+        backward = np.abs(system).sum(axis=1).max() * np.abs(x).max()
         assert resid <= max(1e-9 * np.abs(f).max(), 100.0 * n * eps * backward)
 
     @pytest.mark.parametrize("n, c", [(9, 3.0), (24, 1.0)])
@@ -283,6 +290,27 @@ class TestSolveAlpha:
         rhs = f + rho_matrix(RhoSpec.burger(), pts, pair, u)
         resid = np.abs(interp_matrix(pts, pair) @ exp.alpha - rhs).max()
         assert resid <= 1e-9 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("n", [5, 7, 12])
+    @pytest.mark.parametrize(
+        "factory",
+        [laplace_benchmark, helmholtz_benchmark, burger_benchmark],
+        ids=["laplace", "helmholtz", "burger"],
+    )
+    def test_equals_boundary_only_expansion(self, factory, n):
+        """The DRM step of a boundary-only solve, bit for bit: the bordered
+        system with its tail for a linear rho kind, the bare one for Burger."""
+        problem = factory()
+        sol, _ = solve_boundary_only(problem, n)
+        knots, pair = sol.expansion.knots, sol.expansion.pair
+        f = [problem.forcing(p) for p in knots]
+        u = [problem.dirichlet(p) for p in knots]
+        exp = solve_alpha(knots, pair, f, problem.rho, u)
+        assert np.array_equal(exp.alpha, sol.expansion.alpha)
+        if problem.rho.linear_scale is None:
+            assert exp.tail is None and sol.expansion.tail is None
+        else:
+            assert np.array_equal(exp.tail, sol.expansion.tail)
 
 
 class TestUpAt:
@@ -300,8 +328,10 @@ class TestUpAt:
         pts = ring(8)
         pair = mq_pair(3.0)
         exp = solve_alpha(pts, pair, [math.sin(p.x) for p in pts], RhoSpec.zero())
-        # u_p_at sums over knots x points blocks: alpha @ that matrix.
+        # u_p_at sums over knots x points blocks: alpha @ that matrix, then the tail.
         direct = exp.alpha @ np.ascontiguousarray(particular_matrix(pts, pts, pair).T)
+        direct += exp.tail[0]
+        direct += np.array(pts) @ exp.tail[1:]
         assert np.array_equal(u_p_at(exp, pts), direct)
 
     @pytest.mark.parametrize("c", [1.0, 3.0])
@@ -335,7 +365,7 @@ class TestLinearTail:
         pts = ring(9)
         pair = mq_pair(c)
         f = np.array([self.data(p) for p in pts])
-        exp = solve_alpha(pts, pair, f, RhoSpec.zero(), linear_tail=True)
+        exp = solve_alpha(pts, pair, f, RhoSpec.zero())
         p_rows = self.linear_rows(pts)
         interpolant = interp_matrix(pts, pair) @ exp.alpha + p_rows @ exp.tail
         assert np.abs(interpolant - f).max() <= 1e-9 * np.abs(f).max()
@@ -359,7 +389,7 @@ class TestLinearTail:
         pts = ring(8)
         pair = mq_pair(3.0, k)
         f = np.array([1.0 + 2.0 * p.x - p.y for p in pts])
-        exp = solve_alpha(pts, pair, f, RhoSpec.zero(), linear_tail=True)
+        exp = solve_alpha(pts, pair, f, RhoSpec.zero())
         assert np.abs(exp.alpha).max() <= 1e-10
         assert exp.tail == pytest.approx(np.array([1.0, 2.0, -1.0]) / (k * k), rel=1e-9)
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,12 +172,51 @@ class TestSincHelpersParity:
         assert values[0] == 1.0 - 1e-10 / 6.0 + 1e-20 / 120.0
         assert values[1:].tolist() == [math.sin(1e200) / 1e200, math.sin(-1e300) / -1e300]
 
+    def test_derivative_past_the_square_root_of_max_float_warns_nothing(self):
+        # (cos s - sin(s)/s)/s forms no s * s, which once overflowed past
+        # |s| = 1.3e154 and gave 0.0; the value is mpmath's.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _dsinc(1e200) == 7.650518214752429e-201
+            assert helmholtz3d(1.0).deriv(1e200) == 7.650518214752429e-201
+
+    def test_derivative_at_three_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            s = mpmath.mpf(3)
+            want = float(mpmath.cos(s) / s - mpmath.sin(s) / (s * s))
+        assert _dsinc(3.0) == want
+
     def test_arrays_mixing_signs(self):
         s = np.array([-3.0, -1e-2, -1e-5, 0.0, 1e-5, 1e-2, 3.0])
         for helper in (_sinc, _sinhc):
             assert np.array_equal(helper(s), helper(s[::-1]))
         for helper in (_dsinc, _dsinhc):
             assert np.array_equal(helper(s), -helper(s[::-1]))
+
+
+class TestSinhRange:
+    """sinh and cosh overflow past |s| = 710.47: the sinh kernels raise
+    OverflowError past 710, as bessel_i0 does past 100."""
+
+    KERNELS = [modified_helmholtz3d(1.0), biharmonic3d(1.0)[1], modified_helmholtz3d(2.0)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["sinh3d", "biharmonic3d", "sinh3d_lambda2"])
+    @pytest.mark.parametrize(
+        "r", [800.0, -800.0, np.array([1.0, 800.0])], ids=["scalar", "negative", "array"]
+    )
+    def test_past_710_raises(self, kernel, r):
+        message = rf"^sinh argument out of range: \|-?{800.0 * kernel.params['lambda']}\| > 710.0$"
+        for f in (kernel.eval, kernel.deriv):
+            with pytest.raises(OverflowError, match=message):
+                f(r)
+
+    def test_up_to_710_is_finite_and_warns_nothing(self):
+        kernel = modified_helmholtz3d(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [kernel.eval(355.0), kernel.deriv(355.0), _sinhc(-710.0), _dsinhc(710.0)]
+        assert np.isfinite(values).all()
+        assert values[0] == pytest.approx(math.sinh(710.0) / 710.0, rel=1e-15)
 
 
 class TestBiharmonic:
@@ -259,6 +299,17 @@ class TestMqPair:
             mq_pair(0.0)
         with pytest.raises(ValueError):
             mq_pair(-2.0)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-163])
+    def test_shape_whose_square_underflows_rejected(self, c):
+        # c * c = 0 would make phi(0) = 0/0.
+        with pytest.raises(ValueError, match=rf"^shape parameter c = {c!r} is too small"):
+            mq_pair(c)
+
+    def test_shape_with_subnormal_square_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mq_pair(1e-160).phi.eval(0.0) > 0.0
 
     @pytest.mark.parametrize("c", [1.0, 3.0, 25.0])
     def test_phi_is_operator_image_of_phi_hat(self, c):
