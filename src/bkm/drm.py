@@ -12,8 +12,8 @@ such as the modified thin plate spline need.
 The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
 definite of order 2, so its interpolant is well posed only with a linear
-tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0, as
-every solve with a linear rho kind has it (and ``solve_alpha``).  For
+tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0: the
+bordered system of every linear-rho solve and of ``solve_alpha``.  For
 linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
 enters u_p.
 

@@ -112,7 +112,7 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", ["laplace", "helmholtz"])
-    def test_linear_tail_on_two_knots_fails_numerically(self, capsys, problem):
+    def test_tail_on_two_knots_fails_numerically(self, capsys, problem):
         # The bordered DRM matrix is singular by construction: Laplace once
         # printed 6.6e15 at (1.2, -0.35) and exited 0.
         assert main(["solve", "--problem", problem, "--n", "2"]) == EXIT_NUMERICAL
