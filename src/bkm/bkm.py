@@ -271,10 +271,11 @@ def _solve(
     positions = tuple(k.position for k in knots)
     xy = as_xy(positions + tuple(interior))
     distances = knot_distances(xy)
-    points = positions + tuple(map(Point._make, xy[n:].tolist()))
-    m = len(points)
+    m = len(xy)
+    points = positions
     if m > n:
         _check_inside(problem.ellipse, xy[n:])
+        points += tuple(map(Point._make, xy[n:].tolist()))
     pair = mq_pair(problem.mq_shape_c, problem.split_wavenumber)
     kernel = helmholtz2d(problem.split_wavenumber)
     scale = problem.rho.linear_scale
@@ -294,7 +295,8 @@ def _solve(
             )
     known_u = np.zeros(m)
     known_u[:n] = values
-    known_u[neumann] = 0.0
+    if neumann:
+        known_u[neumann] = 0.0
 
     a_phi = pair.phi.eval(distances)
     rhs = np.array([problem.forcing(p) for p in points], dtype=float)
@@ -438,37 +440,40 @@ def _eval_rows(m: int) -> int:
 def evaluate(sol: BkmSolution, points) -> np.ndarray:
     """Evaluate u = v + u_p = sum_k lambda_k kernel(||x - x_k||) + u_p(x).
 
-    ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array.
-    The points are taken in blocks of b = max(256, 16384 // m) points, m
-    being the knots of the block's matrices (``_eval_rows``): about 16k
-    entries up to 64 knots, 256 points beyond.  The matrices stay the same
-    size however many points there are.
-
-    Each block has one (m, b) matrix of squared distances from the
-    expansion's knots, on which both kernels are evaluated through
-    ``eval_sq`` (with no square root for J0 and the multiquadric phi_hat);
-    every numpy pass runs along a row of b points, and the field is
-    summed as lam @ J0 + alpha @ phi_hat.  ``_solve`` puts the
-    collocation knots first among the knots, so v reads the first
-    ``len(sol.knots)`` rows and u_p all of them.  A solution whose
-    expansion does not start with its collocation knots gets them
-    prepended as extra rows of the same matrix.  Points that fail
-    ``checked_xy`` (not (n, 2) and real, or a coordinate that is not finite
-    or whose square would overflow) raise ValueError.
+    ``points`` is a sequence of ``Point`` or an (n, 2) coordinate array,
+    taken in blocks of b = max(256, 16384 // m) points for m knots
+    (``_eval_rows``).  Each block works in one 2m x b array, allocated once
+    per call: the squared distances from the expansion's knots
+    (``squared_distances``) fill its first m rows, J0 and then phi_hat
+    (``eval_sq``) its other m.  phi_hat's s = r^2 + c^2 takes over the rows
+    of r^2, so the solution's kernel must leave them intact, as J0 and
+    eval(sqrt(t)) do.  The field is alpha @ phi_hat + tail + lam @ J0.
+    ``_solve`` puts the collocation knots first among the knots, so v reads
+    the first ``len(sol.knots)`` rows and u_p all of them; otherwise they
+    are prepended as extra rows.  Points that fail ``checked_xy`` (not
+    (n, 2) and real, or a coordinate that is not finite or whose square
+    would overflow) raise ValueError.
     """
     xy = checked_xy(points, "evaluation points")
     n = len(sol.knots)
-    positions = [knot.position for knot in sol.knots]
+    positions = tuple(knot.position for knot in sol.knots)
+    first_drm = 0 if sol.expansion.knots[:n] == positions else n
     sources = as_xy(sol.expansion.knots)
-    first_drm = 0 if list(map(tuple, sources[:n].tolist())) == positions else n
     if first_drm:
         sources = np.concatenate([as_xy(positions), sources])
+    m = len(sources)
+    rows = _eval_rows(m)
+    # Freed below the ``out`` the caller keeps, the work array stays in the
+    # heap: glibc does not trim it and fault its pages back in next call.
+    work = np.empty(2 * m * min(rows, len(xy)))
     out = np.empty(len(xy))
-    rows = _eval_rows(len(sources))
     for start in range(0, len(xy), rows):
         block = xy[start : start + rows]
-        sq_distances = squared_distances(sources, block)
-        u = u_p_from_distances(sol.expansion, sq_distances[first_drm:], block)
-        u += sol.lam @ sol.kernel.eval_sq(sq_distances[:n])
-        out[start : start + len(block)] = u
+        b = len(block)
+        scratch = work[: 2 * m * b].reshape(2 * m, b)
+        sq_distances = squared_distances(sources, block, scratch)
+        v = sol.lam @ sol.kernel.eval_sq(sq_distances[:n], scratch[m : m + n])
+        u = out[start : start + b]
+        u_p_from_distances(sol.expansion, sq_distances[first_drm:], block, u, scratch[m + first_drm :])
+        u += v
     return out

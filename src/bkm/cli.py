@@ -300,11 +300,18 @@ def _radial_laplacian(f: Callable[[float], float], r: float, h: float, dim: int)
 
 
 def _helmholtz_check(dim: int, sign: float):
-    """(residual, value) of (lap + sign lam^2) on a radial kernel in dim dimensions."""
+    """(residual, value) of (lap + sign lam^2) / lam^2 on a radial kernel in
+    dim dimensions: lap g + sign g, g(s) = kernel(s / lam), with FD step
+    1e-4 in s = lam r.  A step in r errs like h^2 lam^4.  Where the step is
+    below 1e6 ulps of s (s above about 5e5) the FD would read round-off, or
+    0 once s + h rounds to s: the residual is then inf."""
 
     def check(kernel, lam: float, r: float) -> tuple[float, float]:
         value = kernel.eval(r)
-        return _radial_laplacian(kernel.eval, r, 1e-4, dim) + sign * lam * lam * value, value
+        if math.ulp(lam * r) > 1e-10:
+            return math.inf, value
+        lap = _radial_laplacian(lambda s: kernel.eval(s / lam), lam * r, 1e-4, dim)
+        return lap + sign * value, value
 
     return check
 

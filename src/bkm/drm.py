@@ -304,10 +304,14 @@ def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:
     return u_p_from_distances(expansion, squared_distances(as_xy(expansion.knots), xy), xy)
 
 
-def u_p_from_distances(expansion: DrmExpansion, sq_distances: np.ndarray, xy: np.ndarray) -> np.ndarray:
+def u_p_from_distances(
+    expansion: DrmExpansion, sq_distances: np.ndarray, xy: np.ndarray, out=None, work=None
+) -> np.ndarray:
     """``u_p_at`` the points ``xy`` from the squared distances of the
-    expansion's knots to them (one row per knot, one column per point)."""
-    u_p = expansion.alpha @ expansion.pair.phi_hat.eval_sq(sq_distances)
+    expansion's knots to them (one row per knot, one column per point);
+    phi_hat goes into ``work`` and u_p into ``out`` when given
+    (``RadialKernel.eval_sq``)."""
+    u_p = np.matmul(expansion.alpha, expansion.pair.phi_hat.eval_sq(sq_distances, work), out=out)
     if expansion.tail is not None:
         u_p += expansion.tail[0]
         u_p += xy @ expansion.tail[1:]

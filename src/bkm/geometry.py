@@ -5,9 +5,10 @@ t = 0; this is the simplest reproducible placement and every consumer of
 the knots treats the choice as opaque.
 
 Kernel matrices are built from point sets as (n, 2) coordinate arrays
-(``as_xy``) and one broadcast matrix of their squared distances
-(``squared_distances``) or distances (``distance_matrix``).  Knot sets and
-evaluation points from callers are admitted by one check, ``checked_xy``.
+(``as_xy``) and one matrix of their squared distances, one exact BLAS
+product (``squared_distances``), or distances (``distance_matrix``).
+Knot sets and evaluation points from callers are admitted by one check,
+``checked_xy``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
 _INTERIOR_MARGIN = 1e-9
 _COORD_LIMIT = 1e150  # squares of smaller coordinates do not overflow
 _COINCIDENT_TOL = 1e-12  # closer points make radial kernel matrices rank-deficient
+# ``squared_distances``' lifted rows and columns, but for the coordinates.
+_LIFT = np.array([[[0.0, -1.0, 0.0]], [[0.0, 0.0, -1.0]]])
+_ONE = np.array([[1.0], [0.0], [0.0]])
 
 
 class Point(NamedTuple):
@@ -173,15 +177,26 @@ def checked_xy(points: Sequence[Point] | np.ndarray, what: str) -> np.ndarray:
     return xy
 
 
-def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is dx*dx + dy*dy between rows[i] and cols[j], both (n, 2)
-    arrays.  No overflow guard: coordinates are expected to stay far below 1e150."""
-    dx = rows[:, 0, None] - cols[None, :, 0]
-    dy = rows[:, 1, None] - cols[None, :, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
+def squared_distances(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
+    """Entry (i, j) is dx*dx + dy*dy between rows[i] and cols[j], for (m, 2)
+    rows and (b, 2) cols: the first m rows of a (2m, b) float64 array, or
+    of ``out``, a C-contiguous one the caller holds.
+
+    dx and dy are one BLAS product, [[x_i, -1, 0], [y_i, 0, -1]] @
+    [1; x_j; y_j], squared and summed in place.  Its products are by 1, -1
+    or 0, so each entry is x_i - x_j rounded once, as a subtraction gives.
+    No overflow guard: coordinates are expected to stay far below 1e150.
+    """
+    m = len(rows)
+    lift = _LIFT.repeat(m, axis=1)
+    lift[..., 0] = rows.T
+    lifted = _ONE.repeat(len(cols), axis=1)
+    lifted[1:] = cols.T
+    work = np.dot(lift.reshape(2 * m, 3), lifted, out=out)
+    np.square(work, out=work)
+    t = work[:m]
+    t += work[m:]
+    return t
 
 
 def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ depend on the rest of its array.  Collocation matrices are therefore one
 kernel call on one distance matrix.  Every radial kernel also takes
 squared distances (``eval_sq``); J0 of ``helmholtz2d`` and phi_hat of
 ``mq_pair`` do so with no sqrt, the others through eval(sqrt(t)).
+``eval_sq`` writes into a caller's array when given one (``out``).
 The convection-diffusion kernel, a function of the displacement rather
 than the distance, takes one displacement per call.
 
@@ -74,8 +75,8 @@ class RadialKernel:
         Named parameters (wavenumber, shape, exponent) for reporting.
     sq : callable or None
         Value at the squared radius t = r^2, elementwise on arrays, with no
-        square root (J0 and phi_hat); None for the others.  Read it
-        through ``eval_sq``.
+        square root (J0 and phi_hat); None for the others.  Called as
+        sq(t, out) by ``eval_sq``, whose ``out`` it takes, None included.
     """
 
     eval: Callable
@@ -84,10 +85,18 @@ class RadialKernel:
     params: Mapping[str, float] = field(default_factory=dict)
     sq: Callable | None = None
 
-    def eval_sq(self, t):
+    def eval_sq(self, t, out=None):
         """Value at the squared radius t = r^2, elementwise on arrays: ``sq``
-        where the kernel has it, else eval(sqrt(t))."""
-        return self.eval(np.sqrt(t)) if self.sq is None else self.sq(t)
+        where the kernel has it, else eval(sqrt(t)).  With ``out`` (float64,
+        of t's shape, not overlapping t, which is float64 too) the values go
+        there, and phi_hat of ``mq_pair`` leaves s = t + c^2 in t; the other
+        kernels leave t as it is."""
+        if self.sq is not None:
+            return self.sq(t, out)
+        if out is None:
+            return self.eval(np.sqrt(t))
+        out[...] = self.eval(np.sqrt(t, out=out))
+        return out
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ def _j0_sq(lam: float) -> Callable:
     """t -> J0(lam*sqrt(t)): at lam = 1, which every built-in problem uses,
     ``bessel_j0_sq`` itself, with no scaling pass."""
     lam_sq = lam * lam
-    return bessel_j0_sq if lam_sq == 1.0 else lambda t: bessel_j0_sq(lam_sq * t)
+    return bessel_j0_sq if lam_sq == 1.0 else lambda t, out=None: bessel_j0_sq(lam_sq * t, out)
 
 
 def helmholtz2d(lam: float) -> RadialKernel:
@@ -295,10 +304,10 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
     if c_sq == 0.0:
         raise ValueError(f"shape parameter c = {c!r} is too small: c * c underflows to 0")
 
-    # In place: an evaluation block allocates and pages in one array fewer.
-    def hat_sq(t):
-        s = t + c_sq
-        value = np.sqrt(s)
+    # In place; with ``out`` (``RadialKernel.eval_sq``) s takes t's array.
+    def hat_sq(t, out=None):
+        s = t + c_sq if out is None else np.add(t, c_sq, out=t)
+        value = np.sqrt(s, out=out)
         value *= s
         return value
 

@@ -160,9 +160,10 @@ _QQ1 = (
 # and on arrays alike; ``x *= y`` is in place on arrays and rebinds scalars.
 
 
-def _polevl(x, coef: tuple[float, ...]):
-    """Evaluate coef[0]*x^N + ... + coef[N] by Horner's rule, in place."""
-    ans = x * coef[0]
+def _polevl(x, coef: tuple[float, ...], out=None):
+    """Evaluate coef[0]*x^N + ... + coef[N] by Horner's rule, in place (in
+    ``out`` when given)."""
+    ans = x * coef[0] if out is None else np.multiply(x, coef[0], out=out)
     ans += coef[1]
     for c in coef[2:]:
         ans *= x
@@ -240,12 +241,16 @@ def _j_far(x, ax, order: int, hankel: tuple):
     return np.where(x < 0.0, -far, far) if order else far
 
 
-def bessel_j0_sq(x_sq):
+def bessel_j0_sq(x_sq, out=None):
     """J0(sqrt(x_sq)) of squared arguments, elementwise, with no square root
     where x_sq <= 25; a float for a scalar argument.  Unchecked: x_sq must
     be finite and >= 0.
 
-    An array with no element above 25 is one polynomial pass, with no mask."""
+    An array with no element above 25 is one polynomial pass, with no mask.
+    With ``out`` (float64, of x_sq's shape, not overlapping x_sq, which is
+    float64 too) the values go there."""
+    if out is not None and x_sq.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
+        return _polevl(x_sq, _J0_SMALL, out)
     arr = np.asarray(x_sq, dtype=float)
     if arr.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
         return _result(_polevl(arr, _J0_SMALL), arr)
@@ -255,7 +260,10 @@ def bessel_j0_sq(x_sq):
         lambda x_sq: _j_far(None, np.sqrt(x_sq), 0, _J0_HANKEL),
         arr,
     )
-    return _result(values, arr)
+    if out is None:
+        return _result(values, arr)
+    out[...] = values
+    return out
 
 
 def bessel_j0(x):

@@ -151,3 +151,44 @@ def count_lattice_in_ellipse(a: float, b: float, spacing: float) -> int:
 def solve_ref(a: Sequence[Sequence[float]], b) -> np.ndarray:
     """Reference dense solve through numpy's LAPACK binding."""
     return np.linalg.solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+# --------------------------------------------------------------------------
+# distance and field references: the broadcast formulas ``evaluate`` used
+# before its squared distances became one BLAS product per block.  The
+# kernels are the solution's own, called without a work array.
+
+
+def squared_distances_broadcast(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dx*dx + dy*dy between rows[i] and cols[j], from two broadcast subtractions."""
+    dx = rows[:, 0, None] - cols[None, :, 0]
+    dy = rows[:, 1, None] - cols[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def evaluate_broadcast(sol, xy: np.ndarray) -> np.ndarray:
+    """u = v + u_p at the (n, 2) points ``xy`` in blocks of max(256, 16384 // m)
+    points, m knots (the collocation knots prepended when the expansion does
+    not start with them): alpha @ phi_hat, plus the tail, plus lam @ J0."""
+    expansion = sol.expansion
+    n = len(sol.knots)
+    positions = [tuple(k.position) for k in sol.knots]
+    sources = np.array([tuple(p) for p in expansion.knots], dtype=float)
+    first_drm = 0 if [tuple(p) for p in sources[:n].tolist()] == positions else n
+    if first_drm:
+        sources = np.concatenate([np.array(positions, dtype=float), sources])
+    rows = max(256, 16384 // len(sources))
+    out = np.empty(len(xy))
+    for start in range(0, len(xy), rows):
+        block = xy[start : start + rows]
+        t = squared_distances_broadcast(sources, block)
+        u = expansion.alpha @ expansion.pair.phi_hat.eval_sq(t[first_drm:])
+        if expansion.tail is not None:
+            u += expansion.tail[0]
+            u += block @ expansion.tail[1:]
+        u += sol.lam @ sol.kernel.eval_sq(t[:n])
+        out[start : start + len(block)] = u
+    return out

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bkm.geometry import (
     BoundaryKnot,
     Ellipse,
     Point,
+    as_xy,
     distance_matrix,
     ellipse_knots,
     interior_grid,
@@ -55,7 +57,12 @@ from bkm.problems import (
 )
 from bkm.specfun import bessel_j0
 
-from oracles import cond_1norm_explicit, fd_laplacian_2d
+from oracles import (
+    cond_1norm_explicit,
+    evaluate_broadcast,
+    fd_laplacian_2d,
+    squared_distances_broadcast,
+)
 
 ELLIPSE = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
 
@@ -840,6 +847,71 @@ class TestEvaluate:
         # An (n, 2) coordinate array is evaluated exactly like the points.
         assert np.array_equal(evaluate(sol, np.array(pts)), got)
 
+    @pytest.mark.parametrize("m", [5, 12, 63, 64, 65, 71, 400])
+    @pytest.mark.parametrize(
+        "variant", ["plain", "reversed", "wavenumber_1.3", "no_sq", "phi_hat_no_sq", "far"]
+    )
+    def test_equals_broadcast_oracle_bit_for_bit(self, m, variant):
+        """Two full blocks and a partial one, bit for bit the broadcast
+        formula: with the expansion reversed (knots prepended), at split
+        wavenumber 1.3, with kernels without a squared form, and with points
+        so far out that t > 25 takes J0's Hankel branch."""
+        sol = _synthetic_solution(m)
+        exp = sol.expansion
+        if variant == "reversed":
+            exp = dataclasses.replace(exp, knots=exp.knots[::-1], alpha=exp.alpha[::-1])
+        elif variant == "wavenumber_1.3":
+            exp = dataclasses.replace(exp, pair=mq_pair(1.0, 1.3))
+            sol = dataclasses.replace(sol, kernel=helmholtz2d(1.3))
+        elif variant == "no_sq":
+            sol = dataclasses.replace(sol, kernel=dataclasses.replace(sol.kernel, sq=None))
+        elif variant == "phi_hat_no_sq":
+            phi_hat = dataclasses.replace(exp.pair.phi_hat, sq=None)
+            exp = dataclasses.replace(exp, pair=dataclasses.replace(exp.pair, phi_hat=phi_hat))
+        sol = dataclasses.replace(sol, expansion=exp)
+        count = 2 * _eval_rows(m + (m if variant == "reversed" else 0)) + 37
+        xy = _points_in_ellipse(count, m)
+        if variant == "far":
+            xy = xy * 4.0 + [6.0, 0.0]
+            assert squared_distances_broadcast(as_xy(exp.knots), xy).max() > 25.0
+        assert evaluate(sol, xy).tobytes() == evaluate_broadcast(sol, xy).tobytes()
+
+    @pytest.mark.parametrize("m", [12, 71])
+    def test_blocks_allocate_no_matrix_beyond_one_work_array(self, m):
+        """Over three blocks, evaluate's peak allocation is its 2m x b work
+        array, the coordinates and the output, plus less than one (m, b)
+        matrix: what a block allocates besides is O(b)."""
+        sol = _synthetic_solution(m)
+        rows = _eval_rows(m)
+        xy = _points_in_ellipse(3 * rows, m)
+        evaluate(sol, xy)
+        tracemalloc.start()
+        try:
+            evaluate(sol, xy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * (2 * m * rows + len(xy)) < 8 * m * rows
+
+    @pytest.mark.parametrize("factory", [laplace_benchmark, helmholtz_benchmark, burger_benchmark])
+    @pytest.mark.parametrize("n", [5, 7, 12, 40])
+    def test_solutions_equal_broadcast_oracle_bit_for_bit(self, factory, n):
+        problem = factory()
+        sol, _ = solve_boundary_only(problem, n)
+        e = problem.ellipse
+        xy = _points_in_ellipse(300, n) * [e.semi_major / 2.0, e.semi_minor] + e.center
+        assert evaluate(sol, xy).tobytes() == evaluate_broadcast(sol, xy).tobytes()
+        table = np.array(problem.table_points, dtype=float)
+        got = evaluate(sol, problem.table_points)
+        assert got.tobytes() == evaluate_broadcast(sol, table).tobytes()
+
+    @pytest.mark.parametrize("factory", [laplace_benchmark, helmholtz_benchmark])
+    def test_coupled_solution_equals_broadcast_oracle_bit_for_bit(self, factory):
+        problem, knots, interior, bc = _half_neumann_solve(factory())
+        sol, _ = solve_mixed_linear(problem, knots, interior, bc)
+        xy = np.array(interior_grid(problem.ellipse, 0.05), dtype=float)
+        assert evaluate(sol, xy).tobytes() == evaluate_broadcast(sol, xy).tobytes()
+
     @pytest.mark.parametrize(
         "kernel, phi_hat",
         [
@@ -1023,9 +1095,9 @@ class TestSharedDistanceMatrices:
         package that binds it."""
         calls = []
 
-        def counted(rows, cols):
+        def counted(rows, cols, *work):
             calls.append((len(rows), len(cols)))
-            return fn(rows, cols)
+            return fn(rows, cols, *work)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("bkm.") and getattr(module, fn.__name__, None) is fn:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and round-trips."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -402,6 +403,46 @@ class TestKernels:
         assert main(["kernels", name, "--lambda", "1.3"]) == EXIT_OK
         verdict = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"max_residual \d\.\d{3}e[+-]\d{2} < 1e-05", verdict)
+
+    @pytest.mark.parametrize(
+        "name, lam",
+        [("j0", "30"), ("j0", "100"), ("sinc3d", "30"), ("sinc3d", "100"),
+         ("sinh3d", "30"), ("sinh3d", "140"), ("i0", "15")],
+    )
+    def test_exact_kernel_passes_gate_at_large_wavenumber(self, capsys, name, lam):
+        # A fixed FD step in r read 1.1e-4 for j0 at lambda = 30 and exited 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", name, "--lambda", lam]) == EXIT_OK
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert float(verdict.split()[1]) <= 1e-5 / 1.5
+
+    @pytest.mark.parametrize("name, lam", [("j0", "1e300"), ("sinc3d", "1e10"), ("j0", "2e5")])
+    def test_step_below_the_precision_of_the_scaled_radius_fails(self, capsys, name, lam):
+        # Where s + h rounds to s the FD Laplacian reads 0, a pass for any kernel.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", name, "--lambda", lam]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out.splitlines()[-1] == "max_residual inf >= 1e-05"
+
+    @pytest.mark.parametrize(
+        "name, lam",
+        [(name, lam) for name in ("j0", "sinc3d", "sinh3d") for lam in (1.0, 1.3, 30.0)]
+        + [("i0", 1.0), ("i0", 1.3), ("i0", 15.0)],
+    )
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_wrong_wavenumber_fails_gate(self, capsys, monkeypatch, name, lam, factor):
+        """A kernel 1 % off the wavenumber it is checked against exits 1."""
+        build, check = cli._CATALOG[name]
+
+        def off_build(args):
+            return build(argparse.Namespace(lam=args.lam * factor))
+
+        monkeypatch.setitem(cli._CATALOG, name, (off_build, check))
+        assert main(["kernels", name, "--lambda", str(lam)]) == EXIT_NUMERICAL
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"max_residual \d\.\d{3}e[+-]\d{2} >= 1e-05", verdict)
+        assert float(verdict.split()[1]) >= 4e-4
 
     def test_convection_sweep_passes_gate(self, capsys):
         code = main(

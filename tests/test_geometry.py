@@ -17,9 +17,10 @@ from bkm.geometry import (
     distance_matrix,
     ellipse_knots,
     interior_grid,
+    squared_distances,
 )
 
-from oracles import count_lattice_in_ellipse
+from oracles import count_lattice_in_ellipse, squared_distances_broadcast
 
 ELLIPSE_21 = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
 
@@ -222,3 +223,65 @@ class TestArrayHelpers:
         near = as_xy([Point(0.0, 0.0), Point(1e-13, 0.0), Point(1e-11, 0.0)])
         assert coincident_pair(distance_matrix(near, near)) == (0, 1)
         assert coincident_pair(distance_matrix(near[::2], near[::2])) is None
+
+
+class TestSquaredDistances:
+    """One BLAS product of lifted coordinates, bit for bit two broadcast
+    subtractions squared and summed."""
+
+    @staticmethod
+    def _mixed_signs(count, scale, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, (count, 2)) * scale
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e8, 1e-160, 1e-310, 9.9e149])
+    @pytest.mark.parametrize("m, b", [(1, 1), (5, 7), (12, 1365), (71, 256), (400, 3)])
+    def test_equals_broadcast_subtraction_bit_for_bit(self, scale, m, b):
+        rows = self._mixed_signs(m, scale, m)
+        cols = self._mixed_signs(b, scale, b + 1)
+        got = squared_distances(rows, cols)
+        assert got.shape == (m, b)
+        assert got.tobytes() == squared_distances_broadcast(rows, cols).tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-9.99e149, 9.99e149, allow_subnormal=True)] * 2),
+            min_size=1,
+            max_size=9,
+        ),
+        st.lists(
+            st.tuples(*[st.floats(-9.99e149, 9.99e149, allow_subnormal=True)] * 2),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_coordinates_below_1e150_bit_for_bit(self, rows, cols):
+        rows, cols = as_xy(rows), as_xy(cols)
+        got = squared_distances(rows, cols)
+        assert got.tobytes() == squared_distances_broadcast(rows, cols).tobytes()
+
+    def test_coincident_points_give_exact_zero_never_negative(self):
+        pts = self._mixed_signs(30, 7.0, 3)
+        pts = np.concatenate([pts, pts[::3], -pts[:4]])
+        t = squared_distances(pts, pts)
+        assert np.array_equal(np.diag(t), np.zeros(len(pts)))
+        assert not np.signbit(t).any()
+        assert t[0, 30] == 0.0 and t[3, 31] == 0.0
+        assert t.tobytes() == squared_distances_broadcast(pts, pts).tobytes()
+
+    def test_mixed_dtypes_promote_as_subtraction_does(self):
+        rows = np.array([[3, -4], [0, 0], [7, 1]])
+        cols = self._mixed_signs(5, 10.0, 1).astype(np.float32)
+        for a, b in ((rows, self._mixed_signs(5, 10.0, 2)), (self._mixed_signs(4, 3.0, 4), cols)):
+            got = squared_distances(a, b)
+            want = squared_distances_broadcast(a, b)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_work_array_receives_the_product(self):
+        rows, cols = self._mixed_signs(6, 2.0, 5), self._mixed_signs(11, 2.0, 6)
+        work = np.full((12, 11), np.nan)
+        got = squared_distances(rows, cols, work)
+        assert np.shares_memory(got, work) and got.base is work
+        assert got.tobytes() == squared_distances_broadcast(rows, cols).tobytes()

@@ -654,6 +654,34 @@ class TestSquaredRadius:
         assert kern.eval_sq(t[7]) == kern.eval(math.sqrt(t[7]))
 
 
+class TestSquaredRadiusIntoOut:
+    """eval_sq(t, out) writes eval_sq(t) into ``out`` bit for bit; J0 and the
+    eval(sqrt(t)) fallback leave t as it is, phi_hat leaves s = t + c^2."""
+
+    T = np.linspace(0.0, 40.0, 60).reshape(6, 10)
+
+    @pytest.mark.parametrize(
+        "kern",
+        [helmholtz2d(1.0), helmholtz2d(1.3), helmholtz3d(1.0), modified_helmholtz2d(0.7)],
+        ids=["j0", "j0_lambda_1.3", "sinc3d", "i0"],
+    )
+    def test_kernel_leaves_t(self, kern):
+        t = self.T.copy()
+        out = np.full(t.shape, np.nan)
+        assert kern.eval_sq(t, out) is out
+        assert np.array_equal(out, kern.eval_sq(self.T))
+        assert np.array_equal(t, self.T)
+
+    @pytest.mark.parametrize("c, k", [(1.0, 1.0), (3.0, 1.3)])
+    def test_phi_hat_leaves_s_in_t(self, c, k):
+        phi_hat = mq_pair(c, k).phi_hat
+        t = self.T.copy()
+        out = np.full(t.shape, np.nan)
+        assert phi_hat.eval_sq(t, out) is out
+        assert np.array_equal(out, phi_hat.eval_sq(self.T))
+        assert np.array_equal(t, self.T + c * c)
+
+
 class TestParameterRule:
     """A parameter a factory takes as positive must be finite and positive,
     and the convection-diffusion velocity and reaction finite; anything else

@@ -296,3 +296,16 @@ class TestSquaredArgument:
         assert np.array_equal(bessel_j0_sq(both), one_side_each.reshape(2, 3))
         assert np.array_equal(bessel_j0_sq(near), bessel_j0(np.sqrt(near)))
         assert np.array_equal(bessel_j0_sq(far), bessel_j0(np.sqrt(far)))
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.array([[0.0, 4.0, 25.0]]), np.array([[25.5, 100.0, 2500.0]]),
+         np.array([[3.0, 30.0, 0.5], [2500.0, 24.9, 25.1]])],
+        ids=["near", "far", "both"],
+    )
+    def test_out_receives_the_values_and_leaves_the_argument(self, t):
+        arg = t.copy()
+        out = np.full(t.shape, np.nan)
+        assert bessel_j0_sq(arg, out) is out
+        assert np.array_equal(out, bessel_j0_sq(t))
+        assert np.array_equal(arg, t)
