@@ -32,6 +32,7 @@ from .kernels import (
     modified_helmholtz2d,
     modified_helmholtz3d,
 )
+from .problems import _fd_dx, _fd_dy, _fd_laplacian
 from .problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
 __all__ = ["main"]
@@ -316,63 +317,53 @@ def _helmholtz_check(dim: int, sign: float):
     return check
 
 
-def _biharmonic_check(dim: int):
-    """(residual, value) of FD (lap^2 - lam^4), Richardson-extrapolated nested Laplacian."""
-
-    def check(kernel, lam: float, r: float) -> tuple[float, float]:
-        def nested(h: float) -> float:
-            def lap(s: float) -> float:
-                return _radial_laplacian(kernel.eval, s, h, dim)
-
-            return _radial_laplacian(lap, r, h, dim)
-
-        fine, coarse = nested(0.02), nested(0.04)
-        value = kernel.eval(r)
-        return (4.0 * fine - coarse) / 3.0 - lam**4 * value, value
-
-    return check
-
-
 def _convection_check(kernel: DisplacementKernel, lam: float, r: float) -> tuple[float, float]:
-    """(residual, value) of FD D lap(phi) + v . grad(phi) + (k + |v|^2/(2D)) phi
-    at displacement (r, r) / sqrt(2).
+    """(residual, value) of (D lap + v . grad + k + |v|^2/(2D)) phi / (D a^2),
+    the operator the kernel annihilates, at displacement (r, r) / sqrt(2).
+    With g(s) = phi(s / a) and c = v / (2D a) that is
+    lap g + 2 c . grad g + (k / (D a^2) + 2 |c|^2) g, with FD step 1e-4 in
+    s = a delta and a = max(mu, |v|/(2D)) (1 where both are 0); no product
+    of D and a is formed, so none underflows.  As in ``_helmholtz_check``,
+    the residual is inf where the step is below 1e6 ulps of a r, or where
+    it overflows in delta."""
+    D, vx, vy, k, mu = (kernel.params[key] for key in ("D", "vx", "vy", "k", "mu"))
+    a = max(mu, math.hypot(vx, vy) / (2.0 * D)) or 1.0
+    cx, cy = vx / (2.0 * D) / a, vy / (2.0 * D) / a
 
-    The kernel exp(-v . delta / (2D)) J0(mu r), mu^2 = |v|^2/(4D^2) + k/D,
-    annihilates that operator: its effective reaction is
-    k_eff = k + |v|^2 / (2D), the plain reaction k at v = 0.
-    """
-    D = kernel.params["D"]
-    vx, vy = kernel.params["vx"], kernel.params["vy"]
-    k = kernel.params["k"]
-    k_eff = k + (vx * vx + vy * vy) / (2.0 * D)
+    def g(p: Point) -> float:
+        return kernel.eval((p.x / a, p.y / a))
+
     h = 1e-4
-    dx = dy = r / math.sqrt(2.0)
-
-    def ev(ax: float, ay: float) -> float:
-        return kernel.eval((ax, ay))
-
-    lap = (
-        ev(dx + h, dy) + ev(dx - h, dy) + ev(dx, dy + h) + ev(dx, dy - h) - 4.0 * ev(dx, dy)
-    ) / (h * h)
-    gx = (ev(dx + h, dy) - ev(dx - h, dy)) / (2.0 * h)
-    gy = (ev(dx, dy + h) - ev(dx, dy - h)) / (2.0 * h)
-    value = ev(dx, dy)
-    return D * lap + vx * gx + vy * gy + k_eff * value, value
+    s = Point(a * r / math.sqrt(2.0), a * r / math.sqrt(2.0))
+    value = g(s)
+    if math.ulp(a * r) > 1e-10 or h / a == math.inf:
+        return math.inf, value
+    drift = 2.0 * (cx * _fd_dx(g, s, h) + cy * _fd_dy(g, s, h))
+    reaction = k / D / a / a + 2.0 * (cx * cx + cy * cy)
+    return _fd_laplacian(g, s, h) + drift + reaction * value, value
 
 
 # The general-solution catalog of `bkm kernels`: name -> (the kernels built
-# from the parsed options, the (residual, value) of one kernel at a radius).
-# --help lists the names in this order.
+# from the parsed options, one check per kernel, which gives its (residual,
+# value) at a radius).  Each member of a biharmonic pair is checked against
+# the factor of lap^2 - lam^4 that annihilates it.  --help lists the names
+# in this order.
 _CATALOG = {
-    "j0": (lambda a: (helmholtz2d(a.lam),), _helmholtz_check(2, 1.0)),
-    "i0": (lambda a: (modified_helmholtz2d(a.lam),), _helmholtz_check(2, -1.0)),
-    "sinc3d": (lambda a: (helmholtz3d(a.lam),), _helmholtz_check(3, 1.0)),
-    "sinh3d": (lambda a: (modified_helmholtz3d(a.lam),), _helmholtz_check(3, -1.0)),
-    "biharmonic2d": (lambda a: biharmonic2d(a.lam), _biharmonic_check(2)),
-    "biharmonic3d": (lambda a: biharmonic3d(a.lam), _biharmonic_check(3)),
+    "j0": (lambda a: (helmholtz2d(a.lam),), (_helmholtz_check(2, 1.0),)),
+    "i0": (lambda a: (modified_helmholtz2d(a.lam),), (_helmholtz_check(2, -1.0),)),
+    "sinc3d": (lambda a: (helmholtz3d(a.lam),), (_helmholtz_check(3, 1.0),)),
+    "sinh3d": (lambda a: (modified_helmholtz3d(a.lam),), (_helmholtz_check(3, -1.0),)),
+    "biharmonic2d": (
+        lambda a: biharmonic2d(a.lam),
+        (_helmholtz_check(2, 1.0), _helmholtz_check(2, -1.0)),
+    ),
+    "biharmonic3d": (
+        lambda a: biharmonic3d(a.lam),
+        (_helmholtz_check(3, 1.0), _helmholtz_check(3, -1.0)),
+    ),
     "convection2d": (
         lambda a: (convection_diffusion2d(a.D, (a.vx, a.vy), a.k),),
-        _convection_check,
+        (_convection_check,),
     ),
 }
 
@@ -383,14 +374,14 @@ def _value_at(kernel, r: float) -> float:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    build, check = _CATALOG[args.name]
+    build, checks = _CATALOG[args.name]
     out = _Output(None)
     radii = np.linspace(0.1, 5.0, 50)
     max_residual = 0.0
     # Options out of range (ValueError), or a lam * r past a kernel's range
     # (OverflowError: I0 past 100, sinh past 710): usage errors, no output.
     try:
-        for kernel in build(args):
+        for kernel, check in zip(build(args), checks):
             if args.r is not None:
                 out.add(f"{kernel.label} value {_value_at(kernel, args.r):.12g}")
                 continue

@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
+from .specfun import _check_range, bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
 
 __all__ = [
     "RadialKernel",
@@ -175,21 +175,13 @@ def _near_zero(s, threshold: float, series, closed):
     return np.where(small, series(np.where(small, s, 0.0)), closed(np.where(small, 1.0, s)))[()]
 
 
-def _check_sinh_range(s) -> None:
-    """OverflowError naming the first |s| > 710: sinh and cosh overflow past 710.47."""
-    s = np.asarray(s, dtype=float)
-    big = np.abs(s) > 710.0
-    if big.any():
-        raise OverflowError(f"sinh argument out of range: |{float(s[big][0])!r}| > 710.0")
-
-
 def _sin_over(s, sign: float):
     """sin(s)/s for sign = -1, sinh(s)/s for sign = +1 (the sign of the s^2
     term of its series), with the removable singularity filled in; the sinh
-    form raises OverflowError past |s| = 710."""
+    form raises OverflowError past |s| = 710, where sinh and cosh overflow."""
     sin = np.sinh if sign > 0 else np.sin
     if sign > 0:
-        _check_sinh_range(s)
+        _check_range(s, 710.0, "sinh")
 
     def series(s):
         s2 = s * s
@@ -203,7 +195,7 @@ def _d_sin_over(s, sign: float):
     the series near 0 avoids cancellation."""
     sin, cos = (np.sinh, np.cosh) if sign > 0 else (np.sin, np.cos)
     if sign > 0:
-        _check_sinh_range(s)
+        _check_range(s, 710.0, "sinh")
 
     def series(s):
         s2 = s * s
@@ -226,7 +218,7 @@ def helmholtz3d(lam: float) -> RadialKernel:
 
 def modified_helmholtz3d(lam: float) -> RadialKernel:
     """Non-singular general solution sinh(lam*r)/(lam*r) of the 3D operator lap - lam^2;
-    value and derivative raise OverflowError where |lam*r| > 710 (``_check_sinh_range``)."""
+    value and derivative raise OverflowError where |lam*r| > 710."""
     return _scaled(lam, _sinhc, _dsinhc, "sinh3d")
 
 

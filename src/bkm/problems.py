@@ -196,6 +196,10 @@ def _fd_dx(g: Callable[[Point], float], p: Point, h: float) -> float:
     return (g(Point(p.x + h, p.y)) - g(Point(p.x - h, p.y))) / (2.0 * h)
 
 
+def _fd_dy(g: Callable[[Point], float], p: Point, h: float) -> float:
+    return (g(Point(p.x, p.y + h)) - g(Point(p.x, p.y - h))) / (2.0 * h)
+
+
 def _probe_points(e: Ellipse) -> list[Point]:
     """Deterministic 5x5 probe lattice inside the ellipse (smoothness screen)."""
     points = []

@@ -180,12 +180,12 @@ def _finite_array(x) -> np.ndarray:
     return arr
 
 
-def _check_i_range(arr: np.ndarray, name: str) -> None:
-    too_big = np.abs(arr) > _I_RANGE_MAX
+def _check_range(x, limit: float, name: str) -> None:
+    """OverflowError naming the first |x| > limit, for the function ``name``."""
+    arr = np.asarray(x, dtype=float)
+    too_big = np.abs(arr) > limit
     if too_big.any():
-        raise OverflowError(
-            f"{name} argument out of range: |{float(arr[too_big][0])!r}| > {_I_RANGE_MAX}"
-        )
+        raise OverflowError(f"{name} argument out of range: |{float(arr[too_big][0])!r}| > {limit}")
 
 
 def _result(values: np.ndarray, arg: np.ndarray):
@@ -353,7 +353,7 @@ def bessel_i0(x):
         If any |x| > 100 (value would exceed the guarded range).
     """
     arr = _finite_array(x)
-    _check_i_range(arr, "bessel_i0")
+    _check_range(arr, _I_RANGE_MAX, "bessel_i0")
     return _result(_i_series(arr, 0), arr)
 
 
@@ -378,5 +378,5 @@ def bessel_i1(x):
         If any |x| > 100 (value would exceed the guarded range).
     """
     arr = _finite_array(x)
-    _check_i_range(arr, "bessel_i1")
+    _check_range(arr, _I_RANGE_MAX, "bessel_i1")
     return _result(0.5 * arr * _i_series(arr, 1), arr)

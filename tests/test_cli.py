@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import re
@@ -407,10 +408,14 @@ class TestKernels:
     @pytest.mark.parametrize(
         "name, lam",
         [("j0", "30"), ("j0", "100"), ("sinc3d", "30"), ("sinc3d", "100"),
-         ("sinh3d", "30"), ("sinh3d", "140"), ("i0", "15")],
+         ("sinh3d", "30"), ("sinh3d", "140"), ("i0", "15"),
+         ("biharmonic2d", "5"), ("biharmonic2d", "10"), ("biharmonic2d", "15"),
+         ("biharmonic3d", "5"), ("biharmonic3d", "30"), ("biharmonic3d", "100")],
     )
     def test_exact_kernel_passes_gate_at_large_wavenumber(self, capsys, name, lam):
-        # A fixed FD step in r read 1.1e-4 for j0 at lambda = 30 and exited 1.
+        # A fixed FD step in r read 1.1e-4 for j0 at lambda = 30 and exited 1;
+        # a nested biharmonic stencil with steps in r read 3.2e-3 for
+        # biharmonic2d at lambda = 5 and 5.7e3 for biharmonic3d at 30.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["kernels", name, "--lambda", lam]) == EXIT_OK
@@ -425,24 +430,65 @@ class TestKernels:
             assert main(["kernels", name, "--lambda", lam]) == EXIT_NUMERICAL
         assert capsys.readouterr().out.splitlines()[-1] == "max_residual inf >= 1e-05"
 
-    @pytest.mark.parametrize(
-        "name, lam",
-        [(name, lam) for name in ("j0", "sinc3d", "sinh3d") for lam in (1.0, 1.3, 30.0)]
-        + [("i0", 1.0), ("i0", 1.3), ("i0", 15.0)],
-    )
-    @pytest.mark.parametrize("factor", [0.99, 1.01])
-    def test_wrong_wavenumber_fails_gate(self, capsys, monkeypatch, name, lam, factor):
-        """A kernel 1 % off the wavenumber it is checked against exits 1."""
-        build, check = cli._CATALOG[name]
-
-        def off_build(args):
-            return build(argparse.Namespace(lam=args.lam * factor))
-
-        monkeypatch.setitem(cli._CATALOG, name, (off_build, check))
+    @staticmethod
+    def _assert_altered_build_fails_gate(capsys, monkeypatch, name, lam, alter):
+        """`bkm kernels name --lambda lam`, its kernels built by
+        alter(build, args), exits 1 with a residual of at least 4e-4."""
+        build, checks = cli._CATALOG[name]
+        monkeypatch.setitem(cli._CATALOG, name, (lambda args: alter(build, args), checks))
         assert main(["kernels", name, "--lambda", str(lam)]) == EXIT_NUMERICAL
         verdict = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"max_residual \d\.\d{3}e[+-]\d{2} >= 1e-05", verdict)
         assert float(verdict.split()[1]) >= 4e-4
+
+    @pytest.mark.parametrize(
+        "name, lam",
+        [(name, lam) for name in ("j0", "sinc3d", "sinh3d") for lam in (1.0, 1.3, 30.0)]
+        + [("i0", 1.0), ("i0", 1.3), ("i0", 15.0)]
+        + [(name, lam) for name in ("biharmonic2d", "biharmonic3d") for lam in (1.0, 1.3, 10.0)],
+    )
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_wrong_wavenumber_fails_gate(self, capsys, monkeypatch, name, lam, factor):
+        """A kernel 1 % off the wavenumber it is checked against exits 1."""
+
+        def off_build(build, args):
+            return build(argparse.Namespace(lam=args.lam * factor))
+
+        self._assert_altered_build_fails_gate(capsys, monkeypatch, name, lam, off_build)
+
+    @pytest.mark.parametrize(
+        "name, lam", [(name, lam) for name in ("biharmonic2d", "biharmonic3d") for lam in (1.0, 10.0)]
+    )
+    def test_swapped_pair_fails_gate(self, capsys, monkeypatch, name, lam):
+        """Each member of a pair is checked against its own factor of
+        lap^2 - lam^4, so a pair built in the other order exits 1; a check
+        of the whole fourth-order operator passed it."""
+
+        def swapped(build, args):
+            return build(args)[::-1]
+
+        self._assert_altered_build_fails_gate(capsys, monkeypatch, name, lam, swapped)
+
+    @pytest.mark.parametrize(
+        "argv, stdout_sha256",
+        [
+            ("j0 --lambda 1", "56a11008ad0d0810e774b91d1de4fe353b575009b207d7104c82d9784a19cb8d"),
+            ("j0 --lambda 1.3", "638497a8f6b01e5038ca46ba39dad059e8407569f24b62c15192c5425a3c7d96"),
+            ("i0 --lambda 1", "33aa3096c0e924b7b4162cba8ce73b7809f2e253d32036778439794e9a85cf69"),
+            ("i0 --lambda 1.3", "65d7a46376c25e2bc3e63bd0a74a52d6a475d6f311ea31d715457731665bf736"),
+            ("sinc3d --lambda 1", "1886980c5bc22c8744ed824bd52d71756528ccf0fffda3f83863762c3fe9f663"),
+            ("sinc3d --lambda 1.3", "94c4fd11bc1f4923f706cb933a8b2d7d1e39d4f7cef14638a7ec41b60287a032"),
+            ("sinh3d --lambda 1", "980070e22d1cae52306074e602c87f8d6f72750170774981b0aa1eee4e84f9f1"),
+            ("sinh3d --lambda 1.3", "b68252ea8249d96c602e7fe166b955d91614a5b1720b5d497480f81d83fbf8ec"),
+            ("convection2d", "e4f9d6b785118d455255f856bbadccfca38bb4ac1b006c5502f4b4bf18948e91"),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, stdout_sha256):
+        """The full stdout (value lines and residual line) of these runs, by
+        its sha256: the single-kernel checks keep their output byte for byte."""
+        assert main(["kernels", *argv.split()]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256, out
 
     def test_convection_sweep_passes_gate(self, capsys):
         code = main(
@@ -450,6 +496,30 @@ class TestKernels:
         )
         assert code == EXIT_OK
         assert " < 1e-05" in capsys.readouterr().out.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--k 900", "--k 10000", "--vx 40", "--vx 3 --vy 4 --k 400", "--D 1e-6 --k 1"],
+    )
+    def test_exact_convection_kernel_passes_gate(self, capsys, argv):
+        # With steps fixed in the displacement these read 1.2e-4, 8.7e-3,
+        # 9.6e-5, 2.6e-5 and 1.6e-5, and exited 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", "convection2d", *argv.split()]) == EXIT_OK
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"max_residual \d\.\d{3}e[+-]\d{2} < 1e-05", verdict)
+
+    @pytest.mark.parametrize("argv", ["--D 1e-300 --k 1", "--vx 1e-320 --k 0"])
+    def test_convection_step_out_of_scale_fails(self, capsys, argv):
+        # At D = 1e-300, mu = 1e150: a step of 1e-4 in the displacement spans
+        # about 1e146 radians of J0, and a residual not divided by D a^2 read
+        # 2.2e-75, a pass.  At v = 1e-320 and k = 0, a = 5e-321, and a step
+        # of 1e-4 in s = a delta is inf in delta.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", "convection2d", *argv.split()]) == EXIT_NUMERICAL
+        assert capsys.readouterr().out.splitlines()[-1] == "max_residual inf >= 1e-05"
 
     def test_convection_value_matches_product_form(self, capsys):
         # displacement (1, 0) with D=1, v=(1,0), k=0.75 gives
