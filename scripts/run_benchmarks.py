@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
-"""Reproduce the benchmark tables, the knot-count sweep, and the two
-property demonstrations (mixed boundary conditions, scattered MTPS
-interpolation).
+"""Reproduce the benchmark tables, the knot-count sweep and the mixed-BC demo.
 
 Usage:
     python scripts/run_benchmarks.py [--csv-dir DIR]
@@ -16,7 +14,6 @@ DIR/<problem>_sweep.csv).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -24,14 +21,10 @@ import numpy as np
 
 from bkm import (
     BoundaryCondition,
-    Point,
-    biharmonic_mfs_pair,
     ellipse_knots,
     evaluate,
-    gsr_kernel,
     interior_grid,
     laplace_benchmark,
-    rbf_interpolate,
     solve_mixed_linear,
 )
 from bkm.cli import main as bkm_main
@@ -77,34 +70,12 @@ def run_mixed_demo() -> None:
     print()
 
 
-def run_mtps_demo() -> None:
-    mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1)
-    rng = np.random.RandomState(42)
-    coords = rng.uniform(-1.0, 1.0, (25, 2))
-    points = [Point(x, y) for x, y in coords]
-    values = [math.sin(p.x) * math.cos(p.y) for p in points]
-    print("== MTPS r^2(ln r + 1) scattered interpolation of sin(x)cos(y) ==")
-    for count in (9, 25):
-        subset, subset_values = points[:count], values[:count]
-        interp = rbf_interpolate(subset, subset_values, mtps)
-        residual = float(np.abs(interp.at(subset) - np.array(subset_values)).max())
-        errs = []
-        for i in range(count):
-            rest = subset[:i] + subset[i + 1 :]
-            rest_values = subset_values[:i] + subset_values[i + 1 :]
-            fit = rbf_interpolate(rest, rest_values, mtps)
-            errs.append(abs(float(fit.at([subset[i]])[0]) - subset_values[i]))
-        print(f"n={count:2d}  node residual {residual:.3e}   mean leave-one-out err {np.mean(errs):.3e}")
-    print()
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--csv-dir", type=Path, default=None, help="write the CSVs here")
     args = parser.parse_args()
     run_cli(args.csv_dir)
     run_mixed_demo()
-    run_mtps_demo()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .bkm import (
     solve_boundary_only,
     solve_mixed_linear,
 )
-from .drm import DrmExpansion, RbfInterpolant, RhoSpec, rbf_interpolate
+from .drm import DrmExpansion, RhoSpec
 from .geometry import BoundaryKnot, Ellipse, Point, ellipse_knots, interior_grid
 from .kernels import (
     DisplacementKernel,
@@ -27,9 +27,7 @@ from .kernels import (
     RadialKernel,
     biharmonic2d,
     biharmonic3d,
-    biharmonic_mfs_pair,
     convection_diffusion2d,
-    gsr_kernel,
     helmholtz2d,
     helmholtz3d,
     modified_helmholtz2d,
@@ -58,7 +56,6 @@ __all__ = [
     "Point",
     "ProblemSpec",
     "RadialKernel",
-    "RbfInterpolant",
     "RhoSpec",
     "SingularMatrixError",
     "UnsupportedConfigurationError",
@@ -68,12 +65,10 @@ __all__ = [
     "bessel_j1",
     "biharmonic2d",
     "biharmonic3d",
-    "biharmonic_mfs_pair",
     "burger_benchmark",
     "convection_diffusion2d",
     "ellipse_knots",
     "evaluate",
-    "gsr_kernel",
     "helmholtz2d",
     "helmholtz3d",
     "helmholtz_benchmark",
@@ -84,7 +79,6 @@ __all__ = [
     "modified_helmholtz2d",
     "modified_helmholtz3d",
     "mq_pair",
-    "rbf_interpolate",
     "solve_boundary_only",
     "solve_mixed_linear",
 ]

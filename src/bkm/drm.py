@@ -5,9 +5,7 @@ operator image ``phi`` of a kernel pair; the same coefficients alpha then
 sum the approximate particular solutions ``phi_hat``, so that applying the
 operator to u_p reproduces the interpolant exactly at the knots.  The
 module also hosts the rho pathways (how the remaining operator acts on an
-interpolant of u) and an RBF interpolation driver, which always solves
-with the side condition sum_k beta_k = 0 and a constant term, as kernels
-such as the modified thin plate spline need.
+interpolant of u).
 
 The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
@@ -18,8 +16,8 @@ linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
 enters u_p.
 
 Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
-``knot_distances`` (hence every interpolation), ``particular_matrix``,
-``u_p_at`` and ``RbfInterpolant.at`` admit them through ``checked_xy``.
+``knot_distances`` (hence every interpolation), ``particular_matrix`` and
+``u_p_at`` admit them through ``checked_xy``.
 A knot set's distance matrix (``knot_distances``) is computed once per
 solve and every matrix over the set is one kernel call on it:
 ``bordered_matrix`` borders the caller's A_phi with the linear tail;
@@ -51,13 +49,11 @@ from .linalg import lu_solve
 __all__ = [
     "RhoSpec",
     "DrmExpansion",
-    "RbfInterpolant",
     "knot_distances",
     "bordered_matrix",
     "burger_alpha",
     "u_p_from_distances",
     "normal_projections",
-    "rbf_interpolate",
 ]
 # ``interp_matrix``, ``particular_matrix``, ``rho_matrix``, ``solve_alpha`` and
 # ``u_p_at`` stay defined but unexported: only tests use them, and
@@ -175,24 +171,18 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
     return pair.phi.eval(knot_distances(knots))
 
 
-def _bordered(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """[[A, P], [P^T, 0]] for an interpolation matrix A and the rows P of
-    its side-condition functions at the points."""
-    m, k = p.shape
-    system = np.zeros((m + k, m + k))
-    system[:m, :m] = a
-    system[:m, m:] = p
-    system[m:, :m] = p.T
-    return system
-
-
 def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
     """[[A_phi, P], [P^T, 0]] with rows P = (1, x, y) at the knots, from an
     A_phi the caller already holds."""
     xy = as_xy(knots)
-    p = np.ones((len(xy), 3))
+    n = len(xy)
+    p = np.ones((n, 3))
     p[:, 1:] = xy
-    return _bordered(a_phi, p)
+    system = np.zeros((n + 3, n + 3))
+    system[:n, :n] = a_phi
+    system[:n, n:] = p
+    system[n:, :n] = p.T
+    return system
 
 
 def particular_matrix(eval_points, knots, pair: KernelPair) -> np.ndarray:
@@ -345,45 +335,3 @@ def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]
     dy = positions[:, 1, None] - sources[None, :, 1]
     return dx * normals[:, 0, None] + dy * normals[:, 1, None], normals
 
-
-@dataclass(frozen=True)
-class RbfInterpolant:
-    """RBF interpolant sum_k beta_k kernel(||x - x_k||) + offset, with the
-    side condition sum_k beta_k = 0; ``offset`` is the coefficient of the
-    constant term that the side condition pairs with."""
-
-    points: tuple[Point, ...]
-    kernel: RadialKernel
-    beta: np.ndarray
-    offset: float
-
-    def at(self, eval_points) -> np.ndarray:
-        xy = checked_xy(eval_points, "evaluation points")
-        distances = distance_matrix(xy, as_xy(self.points))
-        values = self.kernel.eval(distances) @ self.beta
-        return values + self.offset
-
-
-def rbf_interpolate(
-    points: Sequence[Point], values: Sequence[float], kernel: RadialKernel
-) -> RbfInterpolant:
-    """Interpolate scattered data with a radial kernel.
-
-    The representation is augmented by a constant term and the constraint
-    sum_k beta_k = 0 (one extra row and column), which restores solvability
-    for conditionally positive definite kernels such as the modified thin
-    plate spline.
-
-    Raises
-    ------
-    ValueError
-        As ``knot_distances``, or if points and values disagree in length.
-    """
-    points = tuple(points)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (len(points),):
-        raise ValueError(f"expected {len(points)} values, got shape {vals.shape}")
-    a = kernel.eval(knot_distances(points))
-    n = len(points)
-    solution = lu_solve(_bordered(a, np.ones((n, 1))), np.append(vals, 0.0))
-    return RbfInterpolant(points, kernel, solution[:n], float(solution[n]))

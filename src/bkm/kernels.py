@@ -2,10 +2,8 @@
 
 Houses the non-singular general solutions of the common 2D/3D operators
 (Helmholtz and modified Helmholtz in the plane and in space, biharmonic
-pairs, steady convection-diffusion), the multiquadric pair used to build
-dual-reciprocity particular solutions, the general-solution RBF factory
-with its pre-wavelet variant, and the singular log pair used in
-completeness studies.
+pairs, steady convection-diffusion) and the multiquadric pair used to
+build dual-reciprocity particular solutions.
 
 Every radial kernel's ``eval`` and ``deriv`` work elementwise: a float
 radius gives a float, an ndarray of radii (typically a whole distance
@@ -21,9 +19,9 @@ than the distance, takes one displacement per call.
 The four wavenumber-scaled general solutions (J0, I0 and the 3D sin and
 sinh kernels) come from one factory: f(lam*r) with derivative
 lam*f'(lam*r).  Every parameter a factory takes as positive (wavenumber,
-shape, diffusivity, pre-wavelet shift) must be finite and positive, and
-the convection-diffusion velocity and reaction must be finite; anything
-else raises ValueError when the kernel is built.
+shape, diffusivity) must be finite and positive, and the
+convection-diffusion velocity and reaction must be finite; anything else
+raises ValueError when the kernel is built.
 
 Every radial kernel carries its analytic radial derivative, so collocation
 rows never fall back to numerical differentiation.
@@ -52,8 +50,6 @@ __all__ = [
     "biharmonic3d",
     "convection_diffusion2d",
     "mq_pair",
-    "gsr_kernel",
-    "biharmonic_mfs_pair",
     "directional_derivative",
 ]
 # ``normal_derivative`` stays defined but unexported: only tests use it, and
@@ -72,7 +68,7 @@ class RadialKernel:
     label : str
         Short identifier used in diagnostics and CLI output.
     params : mapping
-        Named parameters (wavenumber, shape, exponent) for reporting.
+        Named parameters (wavenumber, shape) for reporting.
     sq : callable or None
         Value at the squared radius t = r^2, elementwise on arrays, with no
         square root (J0 and phi_hat); None for the others.  Called as
@@ -323,112 +319,6 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
         RadialKernel(hat, hat_d, "mq_phi_hat", {"c": c}, hat_sq),
         RadialKernel(phi, phi_d, "mq_phi", {"c": c}),
         k,
-    )
-
-
-def gsr_kernel(g: RadialKernel, m: int = 0, *, prewavelet_c: float | None = None) -> RadialKernel:
-    """Build the RBF r^(2m) g(r) from a general solution ``g`` of the target operator.
-
-    Parameters
-    ----------
-    g : RadialKernel
-        General solution of the operator the RBF should serve.
-    m : int
-        Smoothing exponent; the kernel carries an r^(2m) factor.  With
-        m >= 1 the factor crushes any logarithmic singularity of ``g``,
-        and eval/deriv are defined as 0 at r = 0 by that limit.
-    prewavelet_c : float, optional
-        When set (finite and positive), every occurrence of r is replaced
-        by sqrt(r^2 + c^2), turning the kernel into its pre-wavelet variant.
-
-    Returns
-    -------
-    RadialKernel
-        With the analytic derivative from g and g'; with m = 0 and no
-        pre-wavelet, ``g`` itself.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` < 0 or ``prewavelet_c`` is not finite and positive.
-    """
-    if m < 0:
-        raise ValueError(f"smoothing exponent must be >= 0, got m={m}")
-    if prewavelet_c is not None:
-        prewavelet_c = _require_positive(prewavelet_c, "pre-wavelet shift c")
-    if m == 0 and prewavelet_c is None:
-        return g
-
-    pc_sq = None if prewavelet_c is None else prewavelet_c**2
-
-    def radius(r):
-        if pc_sq is None:
-            return r
-        return np.sqrt(r * r + pc_sq)
-
-    # Without the pre-wavelet shift, m >= 1 defines eval and deriv as 0 at
-    # r = 0; those radii are replaced by 1 before g sees them.
-    def with_zero_limit(f, r):
-        r = np.asarray(r, dtype=float)
-        if pc_sq is not None:
-            return f(r)
-        at_zero = r == 0.0
-        return np.where(at_zero, 0.0, f(np.where(at_zero, 1.0, r)))[()]
-
-    def ev(r):
-        s = radius(r)
-        return np.power(s, 2 * m) * g.eval(s)
-
-    def dv(r):
-        s = radius(r)
-        inner = np.power(s, 2 * m) * g.deriv(s)
-        if m >= 1:
-            inner = 2 * m * np.power(s, 2 * m - 1) * g.eval(s) + inner
-        return inner if pc_sq is None else inner * (r / s)
-
-    suffix = ",prewavelet" if prewavelet_c is not None else ""
-    params = {"m": float(m)}
-    if prewavelet_c is not None:
-        params["prewavelet_c"] = prewavelet_c
-    params.update(g.params)
-    return RadialKernel(
-        lambda r: with_zero_limit(ev, r),
-        lambda r: with_zero_limit(dv, r),
-        f"gsr[m={m}{suffix}]({g.label})",
-        params,
-    )
-
-
-def biharmonic_mfs_pair() -> tuple[RadialKernel, RadialKernel]:
-    """Singular log pair {ln(r)+1, r^2(ln(r)+1)} for completeness studies.
-
-    Intended for distinct source/response points only; both kernels raise
-    if any r <= 0 because of the logarithmic singularity.
-    """
-
-    def _check(r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise ValueError(f"kernel singular at r = 0, got r={float(r.min())}")
-        return r
-
-    def ln1(r):
-        return np.log(_check(r)) + 1.0
-
-    def ln1_d(r):
-        return 1.0 / _check(r)
-
-    def r2ln1(r):
-        r = _check(r)
-        return r * r * (np.log(r) + 1.0)
-
-    def r2ln1_d(r):
-        r = _check(r)
-        return r * (2.0 * np.log(r) + 3.0)
-
-    return (
-        RadialKernel(ln1, ln1_d, "mfs_ln", {}),
-        RadialKernel(r2ln1, r2ln1_d, "mfs_r2ln", {}),
     )
 
 

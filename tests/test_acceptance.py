@@ -19,9 +19,6 @@ checklist.  Guarantees covered:
 7. Laplace table error is non-increasing over 3, 5, 7, 9 knots, above a
    round-off floor derived from machine epsilon.
 8. A half-Dirichlet/half-Neumann solve recovers a linear field to 1e-2.
-9. Modified-thin-plate-spline scattered interpolation with the unisolvency
-   side condition reproduces its data to 1e-8 and the leave-one-out error
-   drops as the point set grows from 9 to 25.
 """
 
 import math
@@ -33,7 +30,6 @@ from bkm.drm import (
     RhoSpec,
     bordered_matrix,
     interp_matrix,
-    rbf_interpolate,
     rho_matrix,
     solve_alpha,
 )
@@ -41,9 +37,7 @@ from bkm.geometry import Point, ellipse_knots, interior_grid
 from bkm.kernels import (
     biharmonic2d,
     biharmonic3d,
-    biharmonic_mfs_pair,
     convection_diffusion2d,
-    gsr_kernel,
     helmholtz2d,
     helmholtz3d,
     modified_helmholtz2d,
@@ -245,31 +239,3 @@ def test_mixed_boundary_conditions_recover_linear_field():
     want = np.array([p.x + p.y for p in probes])
     assert float(np.abs(got - want).max()) <= 1e-2
 
-
-def test_mtps_interpolation_side_condition_and_loo_trend():
-    """MTPS r^2(ln r + 1) interpolation of sin(x)cos(y) on 25 scattered
-    points with the sum-to-zero side condition reproduces the data to 1e-8,
-    and the mean leave-one-out error decreases from the 9-point subset to
-    the full 25 points.  Measured: 2e-15 residual; LOO 7.8e-2 -> 2.3e-2.
-    """
-    mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1)
-    rng = np.random.RandomState(42)
-    coords = rng.uniform(-1.0, 1.0, (25, 2))
-    points = [Point(x, y) for x, y in coords]
-    values = [math.sin(p.x) * math.cos(p.y) for p in points]
-
-    interp = rbf_interpolate(points, values, mtps)
-    residual = float(np.abs(interp.at(points) - np.array(values)).max())
-    assert residual <= 1e-8
-
-    def mean_loo_error(count: int) -> float:
-        subset, subset_values = points[:count], values[:count]
-        errs = []
-        for i in range(count):
-            rest = subset[:i] + subset[i + 1 :]
-            rest_values = subset_values[:i] + subset_values[i + 1 :]
-            fit = rbf_interpolate(rest, rest_values, mtps)
-            errs.append(abs(float(fit.at([subset[i]])[0]) - subset_values[i]))
-        return float(np.mean(errs))
-
-    assert mean_loo_error(25) < mean_loo_error(9)

@@ -27,7 +27,6 @@ from bkm.drm import (
     RhoSpec,
     interp_matrix,
     particular_matrix,
-    rbf_interpolate,
     rho_matrix,
     solve_alpha,
 )
@@ -1256,11 +1255,6 @@ class TestOneFactorizationPerMatrix:
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
         assert lapack_calls == {"solve": [(9, 1)], "inv": 0}
-
-    def test_rbf_interpolate(self, lapack_calls):
-        knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
-        rbf_interpolate(knots, [p.x for p in knots], mq_pair(3.0).phi_hat)
-        assert lapack_calls == {"solve": [(10, 1)], "inv": 0}
 
     def test_condition_estimate(self, lapack_calls):
         cond_estimate_1norm(np.eye(4) + 0.1)

@@ -16,13 +16,12 @@ from bkm.drm import (
     interp_matrix,
     knot_distances,
     particular_matrix,
-    rbf_interpolate,
     rho_matrix,
     solve_alpha,
     u_p_at,
 )
 from bkm.geometry import Ellipse, Point, ellipse_knots
-from bkm.kernels import biharmonic_mfs_pair, gsr_kernel, mq_pair
+from bkm.kernels import mq_pair
 from bkm.linalg import SingularMatrixError, lu_solve
 from bkm.problems import burger_benchmark, helmholtz_benchmark, laplace_benchmark
 
@@ -122,8 +121,6 @@ class TestInterpMatrix:
         pts = [Point(bad, 0.0), Point(1.0, 0.0)]
         with pytest.raises(ValueError, match="finite"):
             interp_matrix(pts, mq_pair(1.0))
-        with pytest.raises(ValueError, match="finite"):
-            rbf_interpolate(pts, [0.0, 1.0], mq_pair(1.0).phi)
 
     def test_huge_knot_rejected(self):
         # Finite, but the squared distance overflows: this used to return a
@@ -141,8 +138,6 @@ class TestInterpMatrix:
         pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]
         with pytest.raises(ValueError, match=r"^duplicate knots at indices 0 and 2: "):
             interp_matrix(pts, mq_pair(1.0))
-        with pytest.raises(ValueError, match=r"^duplicate knots at indices 0 and 2: "):
-            rbf_interpolate(pts, [0.0, 1.0, 2.0, 3.0], mq_pair(1.0).phi)
 
     def test_entries_match_scalar_kernel_calls(self):
         pts = ring(6)
@@ -426,14 +421,6 @@ class TestEvaluationPointChecks:
         with pytest.raises(ValueError, match="finite"):
             u_p_at(expansion, [bad])
 
-    @pytest.mark.parametrize("bad", BAD, ids=["nan", "huge"])
-    def test_rbf_interpolant_at(self, bad):
-        pts = ring(6)
-        mtps = gsr_kernel(biharmonic_mfs_pair()[0], m=1)
-        itp = rbf_interpolate(pts, [p.x for p in pts], mtps)
-        with pytest.raises(ValueError, match="finite"):
-            itp.at(np.array([[0.1, 0.2], bad]))
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_low_precision_points_give_their_float64_values(self, dtype):
         """float32 and float16 coordinates pass the magnitude check with no
@@ -442,49 +429,13 @@ class TestEvaluationPointChecks:
         xy = np.array([[0.1, 0.2], [-1.3, 0.45], [1.7, -0.3]], dtype=dtype)
         exact = xy.astype(float)
         sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
-        pts = ring(6)
-        itp = rbf_interpolate(pts, [p.x for p in pts], gsr_kernel(biharmonic_mfs_pair()[0], m=1))
         for f in (
             lambda xy: evaluate(sol, xy),
             lambda xy: u_p_at(sol.expansion, xy),
             lambda xy: particular_matrix(xy, ring(5), mq_pair(1.0)),
-            itp.at,
             knot_distances,
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert np.array_equal(f(xy), f(exact))
 
-
-class TestRbfInterpolate:
-    def target(self, p: Point) -> float:
-        return math.sin(p.x) * math.cos(p.y)
-
-    def scatter(self, n: int) -> list[Point]:
-        rng = np.random.RandomState(42)
-        return [Point(float(x), float(y)) for x, y in rng.uniform(-1.0, 1.0, (n, 2))]
-
-    def mtps(self):
-        return gsr_kernel(biharmonic_mfs_pair()[0], m=1)
-
-    def test_reproduces_node_values_with_side_condition(self):
-        pts = self.scatter(12)
-        vals = [self.target(p) for p in pts]
-        itp = rbf_interpolate(pts, vals, self.mtps())
-        assert itp.at(pts) == pytest.approx(vals, abs=1e-10)
-
-    def test_side_condition_zeroes_coefficient_sum(self):
-        pts = self.scatter(10)
-        vals = [self.target(p) for p in pts]
-        itp = rbf_interpolate(pts, vals, self.mtps())
-        assert float(np.sum(itp.beta)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_interpolation_improves_with_more_points(self):
-        probe = [Point(0.05, -0.15)]
-        errs = []
-        for n in (9, 25):
-            pts = self.scatter(n)
-            vals = [self.target(p) for p in pts]
-            itp = rbf_interpolate(pts, vals, self.mtps())
-            errs.append(abs(float(itp.at(probe)[0]) - self.target(probe[0])))
-        assert errs[1] < errs[0]

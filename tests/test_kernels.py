@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 from bkm.drm import knot_distances
 from bkm.geometry import Ellipse, Point, ellipse_knots
 from bkm.kernels import (
-    RadialKernel,
     _dsinc,
     _dsinhc,
     _sinc,
     _sinhc,
     biharmonic2d,
     biharmonic3d,
-    biharmonic_mfs_pair,
     convection_diffusion2d,
-    gsr_kernel,
     helmholtz2d,
     helmholtz3d,
     modified_helmholtz2d,
@@ -336,93 +333,6 @@ class TestMqPair:
                 assert kern.deriv(r) == pytest.approx(fd, rel=1e-7, abs=1e-6)
 
 
-class TestGsrKernel:
-    def test_m0_plain_is_identity_on_g(self):
-        g = helmholtz2d(2.0)
-        assert gsr_kernel(g, m=0) is g
-
-    def test_m1_plain_over_log_is_modified_tps(self):
-        ln1 = biharmonic_mfs_pair()[0]
-        mtps = gsr_kernel(ln1, m=1)
-        r2ln1 = biharmonic_mfs_pair()[1]
-        for r in (0.3, 1.0, 2.5):
-            assert mtps.eval(r) == pytest.approx(r2ln1.eval(r), rel=1e-15)
-        # the r^2 factor crushes the log singularity
-        assert mtps.eval(0.0) == 0.0
-        assert mtps.deriv(0.0) == 0.0
-
-    def test_prewavelet_log_vanishes_at_origin(self):
-        g = RadialKernel(math.log, lambda r: 1.0 / r, "ln", {})
-        kern = gsr_kernel(g, m=1, prewavelet_c=1.0)
-        assert kern.eval(0.0) == 0.0
-
-    def test_prewavelet_regularizes_everywhere(self):
-        g = RadialKernel(math.log, lambda r: 1.0 / r, "ln", {})
-        kern = gsr_kernel(g, m=1, prewavelet_c=0.5)
-        # sqrt(r^2+c^2) never reaches zero, so no singularity anywhere
-        for r in (0.0, 1e-8, 0.1, 1.0):
-            assert math.isfinite(kern.eval(r))
-
-    @pytest.mark.parametrize("prewavelet_c", [None, 0.8])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_value_is_radius_power_times_g(self, m, prewavelet_c):
-        g = helmholtz2d(1.3)
-        kern = gsr_kernel(g, m=m, prewavelet_c=prewavelet_c)
-        for r in (0.3, 1.0, 2.5):
-            s = r if prewavelet_c is None else math.hypot(r, prewavelet_c)
-            assert kern.eval(r) == pytest.approx(s ** (2 * m) * g.eval(s), rel=1e-14)
-
-    def test_m0_prewavelet_shifts_the_radius(self):
-        g = modified_helmholtz2d(0.7)
-        kern = gsr_kernel(g, m=0, prewavelet_c=0.8)
-        for r in (0.0, 0.4, 1.7):
-            s = math.hypot(r, 0.8)
-            assert kern.eval(r) == pytest.approx(g.eval(s), rel=1e-14)
-            assert kern.deriv(r) == pytest.approx(g.deriv(s) * r / s, rel=1e-14, abs=1e-300)
-
-    def test_label_and_params(self):
-        g = helmholtz2d(1.3)
-        plain = gsr_kernel(g, m=2)
-        assert plain.label == f"gsr[m=2]({g.label})"
-        assert plain.params == {"m": 2.0, **g.params}
-        shifted = gsr_kernel(g, m=1, prewavelet_c=0.8)
-        assert shifted.label == f"gsr[m=1,prewavelet]({g.label})"
-        assert shifted.params == {"m": 1.0, "prewavelet_c": 0.8, **g.params}
-
-    def test_negative_smoothing_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            gsr_kernel(helmholtz2d(1.0), m=-1)
-
-    @pytest.mark.parametrize("prewavelet_c", [None, 0.8])
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("g", [biharmonic_mfs_pair()[0], helmholtz2d(1.3)], ids=["ln1", "j0"])
-    @given(st.floats(min_value=0.05, max_value=4.0))
-    @settings(max_examples=40)
-    def test_derivative_matches_finite_differences(self, g, m, prewavelet_c, r):
-        kern = gsr_kernel(g, m=m, prewavelet_c=prewavelet_c)
-        h = 1e-6
-        fd = (kern.eval(r + h) - kern.eval(r - h)) / (2.0 * h)
-        assert kern.deriv(r) == pytest.approx(fd, rel=1e-6, abs=1e-7)
-
-
-class TestBiharmonicMfsPair:
-    def test_values_at_one(self):
-        first, second = biharmonic_mfs_pair()
-        assert first.eval(1.0) == 1.0
-        assert second.eval(1.0) == 1.0
-
-    def test_value_at_e(self):
-        assert biharmonic_mfs_pair()[1].eval(math.e) == pytest.approx(
-            14.7781121978613, rel=1e-12
-        )
-
-    def test_singular_at_origin(self):
-        first, second = biharmonic_mfs_pair()
-        for kern in (first, second):
-            with pytest.raises(ValueError):
-                kern.eval(0.0)
-
-
 class TestNormalDerivative:
     def test_zero_at_coincident_points(self):
         k = helmholtz2d(1.0)
@@ -483,24 +393,16 @@ class TestNormalDerivative:
 def _catalog() -> dict:
     """Every RadialKernel the catalog builds, keyed by a readable id."""
     lam = 1.3
-    ln1, r2ln1 = biharmonic_mfs_pair()
-    g = helmholtz2d(lam)
     pair = mq_pair(3.0)
     split = mq_pair(3.0, 0.5)
     return {
-        "helmholtz2d": g,
+        "helmholtz2d": helmholtz2d(lam),
         "modified_helmholtz2d": modified_helmholtz2d(lam),
         "helmholtz3d": helmholtz3d(lam),
         "modified_helmholtz3d": modified_helmholtz3d(lam),
         "mq_phi_hat": pair.phi_hat,
         "mq_phi": pair.phi,
         "mq_phi_split": split.phi,
-        "gsr_plain_m1": gsr_kernel(g, m=1),
-        "gsr_prewavelet": gsr_kernel(g, m=1, prewavelet_c=0.8),
-        "mtps": gsr_kernel(ln1, m=1),
-        "mtps_prewavelet": gsr_kernel(ln1, m=1, prewavelet_c=0.8),
-        "mfs_ln": ln1,
-        "mfs_r2ln": r2ln1,
     }
 
 
@@ -525,9 +427,6 @@ class TestArrayContract:
     @settings(max_examples=25, deadline=None)
     def test_array_call_equals_elementwise_calls(self, name, radii):
         kern = CATALOG[name]
-        if name.startswith("mfs"):
-            # The singular pair is defined for r > 0 only.
-            radii = [r for r in radii if r > 0.0] or [1.0]
         r = np.array(radii).reshape(-1, 1)
         for fn in (kern.eval, kern.deriv):
             got = fn(r)
@@ -537,17 +436,7 @@ class TestArrayContract:
 
     def test_zero_limits_on_arrays(self):
         r = np.array([0.0, 0.5, 0.0])
-        for name in ("gsr_plain_m1", "mtps"):
-            for fn in (CATALOG[name].eval, CATALOG[name].deriv):
-                assert fn(r)[0] == 0.0 and fn(r)[2] == 0.0
         assert np.array_equal(CATALOG["helmholtz3d"].eval(r)[[0, 2]], [1.0, 1.0])
-
-    def test_singular_pair_rejects_any_zero_radius(self):
-        for kern in biharmonic_mfs_pair():
-            with pytest.raises(ValueError):
-                kern.eval(np.array([0.5, 0.0]))
-            with pytest.raises(ValueError):
-                kern.deriv(np.array([1.0, -0.1]))
 
     def test_normal_derivative_matrix_equals_pairwise_calls(self):
         k = helmholtz2d(1.0)
@@ -648,8 +537,7 @@ class TestSquaredRadius:
         """A kernel with no squared form takes t through eval(sqrt(t)), on
         arrays and on floats."""
         kern = CATALOG[name]
-        # The singular pair is defined for r > 0 only.
-        t = self.R[1:] ** 2 if name.startswith("mfs") else self.R * self.R
+        t = self.R * self.R
         assert np.array_equal(kern.eval_sq(t), kern.eval(np.sqrt(t)))
         assert kern.eval_sq(t[7]) == kern.eval(math.sqrt(t[7]))
 
@@ -706,16 +594,12 @@ class TestParameterRule:
             lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.nan),
             lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.inf),
             lambda: convection_diffusion2d(1e-300, (1.0, 0.0), 1.0),
-            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=math.nan),
-            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=math.inf),
-            lambda: gsr_kernel(helmholtz2d(1.0), m=1, prewavelet_c=0.0),
-            lambda: gsr_kernel(helmholtz2d(1.0), prewavelet_c=-0.8),
         ],
         ids=[
             "j0-nan", "j0-inf", "i0-inf", "sinc3d-nan", "sinh3d-inf", "biharmonic2d-nan",
             "biharmonic3d-inf", "mq-c-nan", "mq-k-inf", "mq-c-inf", "convection-D-inf",
             "convection-vx-nan", "convection-vy-inf", "convection-k-nan", "convection-k-inf",
-            "convection-mu-overflow", "gsr-c-nan", "gsr-c-inf", "gsr-c-zero", "gsr-c-negative",
+            "convection-mu-overflow",
         ],
     )
     def test_rejected_when_built(self, build):
