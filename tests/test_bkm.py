@@ -25,10 +25,12 @@ from bkm.bkm import (
 from bkm.drm import (
     DrmExpansion,
     RhoSpec,
+    bordered_matrix,
     interp_matrix,
     particular_matrix,
     rho_matrix,
     solve_alpha,
+    u_p_at,
 )
 from bkm.geometry import (
     BoundaryKnot,
@@ -1242,8 +1244,13 @@ class TestOneFactorizationPerMatrix:
 
     @pytest.mark.parametrize(
         "rho, columns",
-        [(RhoSpec.zero(), [(12, 1)]), (RhoSpec.burger(), [(18, 1)])],
-        ids=["zero", "burger"],
+        [
+            (RhoSpec.zero(), [(12, 1)]),
+            (RhoSpec.burger(), [(18, 1)]),
+            (RhoSpec.identity(), [(12, 1)]),
+            (RhoSpec.scaled_identity(-2.5), [(12, 1)]),
+        ],
+        ids=["zero", "burger", "identity", "scaled_identity"],
     )
     def test_solve_alpha(self, lapack_calls, rho, columns):
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
@@ -1255,6 +1262,31 @@ class TestOneFactorizationPerMatrix:
         knots = [k.position for k in ellipse_knots(ELLIPSE, 9)]
         rho_matrix(RhoSpec.burger(), knots, mq_pair(1.0), [1.0 + p.x for p in knots])
         assert lapack_calls == {"solve": [(9, 1)], "inv": 0}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda knots: interp_matrix(knots, mq_pair(3.0)),
+            lambda knots: bordered_matrix(interp_matrix(knots, mq_pair(3.0)), knots),
+            lambda knots: particular_matrix([Point(0.1, 0.2)], knots, mq_pair(3.0)),
+            lambda knots: u_p_at(
+                DrmExpansion(tuple(knots), mq_pair(3.0), np.ones(len(knots))), [Point(0.1, 0.2)]
+            ),
+            lambda knots: rho_matrix(RhoSpec.identity(), knots, mq_pair(3.0), np.ones(len(knots))),
+        ],
+        ids=["interp_matrix", "bordered_matrix", "particular_matrix", "u_p_at", "rho_identity"],
+    )
+    def test_matrix_builders_factor_nothing(self, lapack_calls, build):
+        """Building a matrix, summing u_p and a linear rho are products and
+        kernel calls alone: no factorization, no inverse."""
+        build([k.position for k in ellipse_knots(ELLIPSE, 9)])
+        assert lapack_calls == {"solve": [], "inv": 0}
+
+    def test_evaluate_factors_nothing(self, lapack_calls):
+        sol, _ = solve_boundary_only(helmholtz_benchmark(), 7)
+        lapack_calls["solve"].clear()
+        evaluate(sol, [Point(0.1, 0.2), Point(-0.5, 0.3)])
+        assert lapack_calls == {"solve": [], "inv": 0}
 
     def test_condition_estimate(self, lapack_calls):
         cond_estimate_1norm(np.eye(4) + 0.1)

@@ -438,6 +438,37 @@ class TestArrayContract:
         r = np.array([0.0, 0.5, 0.0])
         assert np.array_equal(CATALOG["helmholtz3d"].eval(r)[[0, 2]], [1.0, 1.0])
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_derivative_vanishes_at_origin(self, name):
+        """Every kernel is smooth at r = 0, so its radial derivative is 0
+        there, as a float and inside an array: the r -> 0 limit that
+        ``directional_derivative`` takes for coincident points."""
+        kern = CATALOG[name]
+        assert kern.deriv(0.0) == 0.0
+        got = kern.deriv(np.array([0.0, 0.5, 0.0]))
+        assert got[0] == 0.0 and got[2] == 0.0 and got[1] != 0.0
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_float_radius_gives_a_float(self, name):
+        kern = CATALOG[name]
+        for fn in (kern.eval, kern.deriv):
+            for r in (0.0, 0.7, 3.9):
+                got = fn(r)
+                assert isinstance(got, float) and np.ndim(got) == 0
+                assert got == fn(np.array([r]))[0]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @given(r=st.floats(min_value=0.05, max_value=8.0))
+    @settings(max_examples=30, deadline=None)
+    def test_derivative_matches_finite_differences(self, name, r):
+        # Step scaled to the kernel magnitude, as in TestMqPair: I0, sinh
+        # and the multiquadrics reach ~1e3 on [0, 8].
+        kern = CATALOG[name]
+        eps = np.finfo(float).eps
+        h = max(1e-6 * max(1.0, r), (eps * max(1.0, abs(kern.eval(r)))) ** (1.0 / 3.0))
+        fd = (kern.eval(r + h) - kern.eval(r - h)) / (2.0 * h)
+        assert kern.deriv(r) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
     def test_normal_derivative_matrix_equals_pairwise_calls(self):
         k = helmholtz2d(1.0)
         rng = np.random.RandomState(3)
@@ -550,8 +581,16 @@ class TestSquaredRadiusIntoOut:
 
     @pytest.mark.parametrize(
         "kern",
-        [helmholtz2d(1.0), helmholtz2d(1.3), helmholtz3d(1.0), modified_helmholtz2d(0.7)],
-        ids=["j0", "j0_lambda_1.3", "sinc3d", "i0"],
+        [
+            helmholtz2d(1.0),
+            helmholtz2d(1.3),
+            helmholtz3d(1.0),
+            modified_helmholtz2d(0.7),
+            modified_helmholtz3d(0.7),
+            mq_pair(3.0).phi,
+            mq_pair(3.0, 0.5).phi,
+        ],
+        ids=["j0", "j0_lambda_1.3", "sinc3d", "i0", "sinh3d", "mq_phi", "mq_phi_split"],
     )
     def test_kernel_leaves_t(self, kern):
         t = self.T.copy()
@@ -594,19 +633,44 @@ class TestParameterRule:
             lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.nan),
             lambda: convection_diffusion2d(1.0, (0.0, 0.0), math.inf),
             lambda: convection_diffusion2d(1e-300, (1.0, 0.0), 1.0),
+            lambda: modified_helmholtz2d(math.nan),
+            lambda: modified_helmholtz2d(0.0),
+            lambda: helmholtz3d(math.inf),
+            lambda: helmholtz3d(-1.0),
+            lambda: modified_helmholtz3d(math.nan),
+            lambda: modified_helmholtz3d(0.0),
+            lambda: biharmonic2d(math.inf),
+            lambda: biharmonic3d(math.nan),
+            lambda: mq_pair(-2.0, 1.0),
+            lambda: mq_pair(3.0, math.nan),
+            lambda: mq_pair(3.0, -0.5),
+            lambda: convection_diffusion2d(math.nan, (1.0, 0.0), 1.0),
         ],
         ids=[
             "j0-nan", "j0-inf", "i0-inf", "sinc3d-nan", "sinh3d-inf", "biharmonic2d-nan",
             "biharmonic3d-inf", "mq-c-nan", "mq-k-inf", "mq-c-inf", "convection-D-inf",
             "convection-vx-nan", "convection-vy-inf", "convection-k-nan", "convection-k-inf",
-            "convection-mu-overflow",
+            "convection-mu-overflow", "i0-nan", "i0-zero", "sinc3d-inf", "sinc3d-negative",
+            "sinh3d-nan", "sinh3d-zero", "biharmonic2d-inf", "biharmonic3d-nan",
+            "mq-c-negative", "mq-k-nan", "mq-k-negative", "convection-D-nan",
         ],
     )
     def test_rejected_when_built(self, build):
         with pytest.raises(ValueError, match="finite|overflows"):
             build()
 
-    @pytest.mark.parametrize("factory", [helmholtz2d, helmholtz3d, mq_pair])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            helmholtz2d,
+            helmholtz3d,
+            mq_pair,
+            modified_helmholtz2d,
+            modified_helmholtz3d,
+            biharmonic2d,
+            biharmonic3d,
+        ],
+    )
     def test_message_names_the_rule(self, factory):
         with pytest.raises(ValueError, match="must be finite and positive, got nan"):
             factory(math.nan)
