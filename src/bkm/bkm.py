@@ -315,7 +315,7 @@ def _solve(
     else:
         system = bordered_matrix(a_phi, xy)
         rep = np.concatenate([rep, system[:m, m:] / pair.wavenumber**2], axis=1)
-        rhs = np.concatenate([rhs + scale * known_u, np.zeros(3)])
+        rhs = np.concatenate([rhs + problem.rho(known_u), np.zeros(3)])
         if not coupled:
             c = lu_solve(system, rhs)
 

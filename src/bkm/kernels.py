@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .specfun import _check_range, bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
+from .specfun import _check_range, _split, bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
 
 __all__ = [
     "RadialKernel",
@@ -159,18 +159,6 @@ def modified_helmholtz2d(lam: float) -> RadialKernel:
     return _scaled(lam, bessel_i0, bessel_i1, "i0")
 
 
-def _near_zero(s, threshold: float, series, closed):
-    """``series(s)`` where |s| < threshold, ``closed(s)`` elsewhere, elementwise.
-
-    The closed form is evaluated with 1 in place of the small arguments, so
-    it never sees its removable singularity at 0, and the series with 0 in
-    place of the others, so it never overflows on them.
-    """
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < threshold
-    return np.where(small, series(np.where(small, s, 0.0)), closed(np.where(small, 1.0, s)))[()]
-
-
 def _sin_over(s, sign: float):
     """sin(s)/s for sign = -1, sinh(s)/s for sign = +1 (the sign of the s^2
     term of its series), with the removable singularity filled in; the sinh
@@ -183,7 +171,8 @@ def _sin_over(s, sign: float):
         s2 = s * s
         return 1.0 + sign * s2 / 6.0 + s2 * s2 / 120.0
 
-    return _near_zero(s, 1e-4, series, lambda s: sin(s) / s)
+    s = np.asarray(s, dtype=float)
+    return _split(np.abs(s) < 1e-4, series, lambda s: sin(s) / s, s)
 
 
 def _d_sin_over(s, sign: float):
@@ -197,7 +186,8 @@ def _d_sin_over(s, sign: float):
         s2 = s * s
         return s * (sign / 3.0 + s2 / 30.0 + sign * s2 * s2 / 840.0)
 
-    return _near_zero(s, 2e-2, series, lambda s: (cos(s) - sin(s) / s) / s)
+    s = np.asarray(s, dtype=float)
+    return _split(np.abs(s) < 2e-2, series, lambda s: (cos(s) - sin(s) / s) / s, s)
 
 
 # The inputs of the 3D kernels, by name, as the kernel tests import them.

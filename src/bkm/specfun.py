@@ -14,7 +14,9 @@ most 1.8e-15 for J0 and 1.3e-15 for J1 on |x| <= 5).  Beyond, they switch
 to the Hankel asymptotic form with the rational coefficient tables from
 the Cephes math library (S. L. Moshier, release 2.1, 1989).  The I
 functions are summed by their Taylor series.
-``bessel_j0_sq`` gives J0 from x^2, for kernels of r^2 alone.
+``bessel_j0_sq`` gives J0 from x^2, for kernels of r^2 alone.  J0, J1 and
+J0 from x^2 reach the polynomial and the Hankel form through one masked
+near/far split, ``_split``, which the 3D kernels share for their series.
 """
 
 from __future__ import annotations
@@ -204,41 +206,36 @@ def _hankel(ax, pp, pq, qp, qq, phase: float):
     return _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(ax)
 
 
-def _j_function(arr: np.ndarray, order: int, hankel: tuple):
-    """J0 or J1 of a finite array, by ``order``; ``hankel`` holds the tables and phase."""
-    ax = np.abs(arr)  # a numpy scalar for a 0-d argument
-    values = _j_split(
-        ax > _J_SERIES_MAX,
-        lambda x, ax: _j_near(x, ax * ax, order),
-        lambda x, ax: _j_far(x, ax, order, hankel),
-        arr,
-        ax,
-    )
-    return _result(values, arr)
-
-
-def _j_split(big, near, far, *args):
-    """``near(*args)`` where ``big`` is false, ``far(*args)`` where true, all args
-    masked alike; when every element falls on one side, no masks at all."""
-    if not big.any():
-        return near(*args)
-    if big.all():
-        return far(*args)
-    small = ~big
-    out = np.empty(big.shape)
-    out[small] = near(*(a[small] for a in args))
-    out[big] = far(*(a[big] for a in args))
+def _split(near, near_form, far_form, x):
+    """``near_form(x)`` where ``near`` is true, ``far_form(x)`` where it is
+    false, each form on its own elements only, so neither sees the other's
+    singularity or overflow; when every element falls on one side (a 0-d
+    ``x`` always does), that form takes the whole of ``x``, with no mask."""
+    if near.all():
+        return near_form(x)
+    if not near.any():
+        return far_form(x)
+    far = ~near
+    out = np.empty(near.shape)
+    out[near] = near_form(x[near])
+    out[far] = far_form(x[far])
     return out
 
 
-def _j_near(x, x_sq, order: int):
-    scaled = _polevl(x_sq, _J1_SMALL if order else _J0_SMALL)
-    return 0.5 * x * scaled if order else scaled
+def _j(x, order: int, hankel: tuple, squared: bool = False):
+    """J0 or J1 (by ``order``; ``hankel`` holds its tables and phase) of a
+    float array x, or J0 of sqrt(x) when ``squared``; a float for 0-d x."""
 
+    def near(x):
+        scaled = _polevl(x if squared else x * x, _J1_SMALL if order else _J0_SMALL)
+        return 0.5 * x * scaled if order else scaled
 
-def _j_far(x, ax, order: int, hankel: tuple):
-    far = _hankel(ax, *hankel)
-    return np.where(x < 0.0, -far, far) if order else far
+    def far(x):
+        value = _hankel(np.sqrt(x) if squared else np.abs(x), *hankel)
+        return np.where(x < 0.0, -value, value) if order else value
+
+    near_mask = x <= _J_SERIES_MAX * _J_SERIES_MAX if squared else np.abs(x) <= _J_SERIES_MAX
+    return _result(_split(near_mask, near, far, x), x)
 
 
 def bessel_j0_sq(x_sq, out=None):
@@ -251,17 +248,9 @@ def bessel_j0_sq(x_sq, out=None):
     float64 too) the values go there."""
     if out is not None and x_sq.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
         return _polevl(x_sq, _J0_SMALL, out)
-    arr = np.asarray(x_sq, dtype=float)
-    if arr.max(initial=0.0) <= _J_SERIES_MAX * _J_SERIES_MAX:
-        return _result(_polevl(arr, _J0_SMALL), arr)
-    values = _j_split(
-        arr > _J_SERIES_MAX * _J_SERIES_MAX,
-        lambda x_sq: _j_near(None, x_sq, 0),
-        lambda x_sq: _j_far(None, np.sqrt(x_sq), 0, _J0_HANKEL),
-        arr,
-    )
+    values = _j(np.asarray(x_sq, dtype=float), 0, _J0_HANKEL, squared=True)
     if out is None:
-        return _result(values, arr)
+        return values
     out[...] = values
     return out
 
@@ -285,7 +274,7 @@ def bessel_j0(x):
     ValueError
         If any element of ``x`` is NaN or infinite.
     """
-    return _j_function(_finite_array(x), 0, _J0_HANKEL)
+    return _j(_finite_array(x), 0, _J0_HANKEL)
 
 
 def bessel_j1(x):
@@ -307,7 +296,7 @@ def bessel_j1(x):
     ValueError
         If any element of ``x`` is NaN or infinite.
     """
-    return _j_function(_finite_array(x), 1, (_PP1, _PQ1, _QP1, _QQ1, _THPIO4))
+    return _j(_finite_array(x), 1, (_PP1, _PQ1, _QP1, _QQ1, _THPIO4))
 
 
 def _i_series(arr: np.ndarray, order: int):

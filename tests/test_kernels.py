@@ -183,6 +183,35 @@ class TestSincHelpersParity:
             want = float(mpmath.cos(s) / s - mpmath.sin(s) / (s * s))
         assert _dsinc(3.0) == want
 
+    # 0, -0, and each series threshold with one ulp either side, both signs.
+    EDGES = [0.0, -0.0] + [
+        sign * np.nextafter(t, t + side)
+        for t in (1e-4, 2e-2)
+        for side in (-1.0, 0.0, 1.0)
+        for sign in (1.0, -1.0)
+    ]
+
+    @pytest.mark.parametrize("side", ["near", "far", "mixed", "none"])
+    @pytest.mark.parametrize(
+        "helper,threshold",
+        [(_sinc, 1e-4), (_sinhc, 1e-4), (_dsinc, 2e-2), (_dsinhc, 2e-2)],
+        ids=["sinc", "sinhc", "dsinc", "dsinhc"],
+    )
+    def test_array_call_equals_elementwise_calls(self, helper, threshold, side):
+        """Arrays all on the series side, all on the closed side, mixed and
+        empty give each element its scalar call's bits."""
+        edges = np.array(self.EDGES + [3.0, -700.0])
+        near = np.abs(edges) < threshold
+        s = {"near": edges[near], "far": edges[~near], "mixed": edges, "none": edges[:0]}[side]
+        s = s.reshape(-1, 1) if side == "none" else s.reshape(2, -1)
+        got = helper(s)
+        assert got.shape == s.shape
+        want = np.array([helper(float(x)) for x in s.flat]).reshape(s.shape)
+        assert got.tobytes() == want.tobytes()
+        for x in s.flat:
+            assert type(helper(float(x))) is np.float64
+            assert type(helper(np.array(x))) is np.float64
+
     def test_arrays_mixing_signs(self):
         s = np.array([-3.0, -1e-2, -1e-5, 0.0, 1e-5, 1e-2, 3.0])
         for helper in (_sinc, _sinhc):

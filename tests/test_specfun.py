@@ -210,6 +210,13 @@ class TestSmallArgumentPolynomial:
         assert np.array_equal(bessel_j1(-self.GRID), -bessel_j1(self.GRID))
         assert np.array_equal(bessel_j0(-self.GRID), bessel_j0(self.GRID))
 
+    def test_j1_odd_bit_for_bit_at_the_switch(self):
+        x = np.array([np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 9.0)])
+        both = np.concatenate([x, -x])
+        assert bessel_j1(both).tobytes() == np.concatenate([bessel_j1(x), -bessel_j1(x)]).tobytes()
+        for v in x:
+            assert bessel_j1(-v) == -bessel_j1(v) and bessel_j1(-v) != 0.0
+
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1], ids=["j0", "j1"])
     def test_forms_agree_across_the_switch(self, fn):
         below = [5.0]
@@ -285,8 +292,12 @@ class TestSquaredArgument:
         t = (x * x).reshape(3, 7)
         assert t.max() == 25.0
         want = bessel_j0(np.sqrt(t))
-        # No mask or split: the polynomial covers every element.
-        monkeypatch.setattr(specfun, "_j_split", None)
+        # The polynomial covers every element: the Hankel form is never called.
+
+        def no_hankel(*args):
+            raise AssertionError("the Hankel form was called")
+
+        monkeypatch.setattr(specfun, "_hankel", no_hankel)
         assert np.array_equal(bessel_j0_sq(t), want)
 
     def test_each_form_alone_and_both_in_one_array(self):
