@@ -161,7 +161,8 @@ def assemble_bkm_matrix(
 ) -> np.ndarray:
     """Collocation matrix: row i is kernel values (Dirichlet) or normal
     derivatives (Neumann) of the kernel centered at each knot, admitted and
-    evaluated as ``_solve`` does, so that it is the solve's bit for bit.
+    evaluated from r^2 as ``_solve`` does, so that it is the solve's bit
+    for bit.
 
     Raises
     ------
@@ -172,32 +173,13 @@ def assemble_bkm_matrix(
     if len(bc) != len(knots):
         raise ValueError(f"expected {len(knots)} boundary conditions, got {len(bc)}")
     xy = as_xy([k.position for k in knots])
-    distances = knot_distances(xy)
+    sq_distances = np.square(knot_distances(xy))
     neumann = [i for i, cond in enumerate(bc) if cond.kind == "neumann"]
-    block = kernel, kernel.eval_sq(np.square(distances))
-    return _boundary_rows(knots, neumann, xy, distances, block)[0][0]
-
-
-def _boundary_rows(knots, neumann, xy, distances, *blocks):
-    """Each block's rows at the boundary knots, in knot order, and the
-    Neumann knots' unit normals (None without Neumann knots).
-
-    A block (kernel, values) holds the kernel centred at the first points
-    of ``xy`` (one column each; any further columns are the caller's),
-    evaluated at the points of ``xy`` (one row each; ``knots`` lead).  A
-    Dirichlet knot keeps its value row and a Neumann knot gets the
-    kernel's normal derivative instead, in a copy: ``values`` is not
-    written, and without Neumann knots the rows are views of it.
-    """
-    n = len(knots)
-    if not neumann:
-        return [values[:n] for _, values in blocks], None
-    projections, normals = normal_projections([knots[i] for i in neumann], xy)
-    out = [values[:n].copy() for _, values in blocks]
-    for rows, (kernel, values) in zip(out, blocks):
-        k = min(values.shape[1], len(xy))
-        rows[neumann, :k] = directional_derivative(kernel, distances[neumann, :k], projections[:, :k])
-    return out, normals
+    matrix = kernel.eval_sq(sq_distances)
+    if neumann:
+        projections, _ = normal_projections(knots, neumann, xy)
+        matrix[neumann] = directional_derivative(kernel, sq_distances[neumann], projections)
+    return matrix
 
 
 def _spans_plane(xy: np.ndarray) -> bool:
@@ -258,12 +240,17 @@ def _solve(
     where the unknown points' rows of system hold [A_phi | P] - s rep and
     J_unknown is zero outside those rows.  With s != 0 and u unknown
     somewhere, this whole (m + 3 + n) system is solved at once, one
-    factorization for c and lambda together.  Otherwise its top right
-    block is zero: c solves the DRM system on its own, and lambda then the
-    boundary rows, which is that block-triangular system's exact solve.
-    ``Diagnostics`` says which matrix each reading is of.
+    factorization for c and lambda together, and it is written in place
+    into one matrix (``drm.bordered_matrix`` of that order).  Otherwise
+    its top right block is zero: c solves the DRM system on its own, and
+    lambda then the boundary rows, which is that block-triangular system's
+    exact solve.  ``Diagnostics`` says which matrix each reading is of.
 
-    One all-points distance matrix feeds every matrix of the solve.
+    One all-points distance matrix is admitted (``drm.knot_distances``)
+    and squared, and every kernel block comes from that r^2 alone: A_phi
+    (phi), v's J0 and u_p's phi_hat values, and at Neumann knots the flux
+    rows of J0 and phi_hat (``kernels.directional_derivative``), none of
+    them with a division by r; Burger's D_x too (``drm.burger_alpha``).
     Interior pairs or array rows reach the forcing and u_p as ``Point``s.
     """
     knots = tuple(knots)
@@ -298,51 +285,64 @@ def _solve(
     if neumann:
         known_u[neumann] = 0.0
 
-    a_phi = pair.phi.eval(distances)
     rhs = np.array([problem.forcing(p) for p in points], dtype=float)
     # At every point v = j_values @ lam and u_p = rep @ c, both from r^2 (J0's
     # skips eval's checks; at wavenumber 1 its values are eval's, bit for bit).
     sq_distances = np.square(distances)
-    j_values = kernel.eval_sq(sq_distances[:, :n])
+    # J0's sources are the boundary knots: their columns, contiguous for the
+    # polynomial's passes.
+    knot_sq = np.ascontiguousarray(sq_distances[:, :n])
+    j_values = kernel.eval_sq(knot_sq)
     rep = pair.phi_hat.eval_sq(sq_distances)
-    system = a_phi
     # rho{u} = scale (v + u_p) at the unknown points puts lam in their DRM rows.
     coupled = bool(unknown) and bool(scale)
     if scale is None:
-        # Burger: u is known at every point, and one block system gives both
-        # its interpolant (for u_x) and c.
-        c = burger_alpha(pair, xy, distances, a_phi, rhs, known_u)
+        # Burger: u is known at every point (all Dirichlet knots), and one
+        # block system gives both its interpolant (for u_x) and c.
+        system = pair.phi.eval_sq(sq_distances)
+        c = burger_alpha(pair, xy, sq_distances, system, rhs, known_u)
+        matrix, target = j_values, values - rep @ c
     else:
-        system = bordered_matrix(a_phi, xy)
-        rep = np.concatenate([rep, system[:m, m:] / pair.wavenumber**2], axis=1)
-        rhs = np.concatenate([rhs + problem.rho(known_u), np.zeros(3)])
-        if not coupled:
-            c = lu_solve(system, rhs)
-
-    # One row per boundary knot, in knot order: u = v + u_p at a Dirichlet
-    # knot, its normal derivative at a Neumann knot.
-    blocks = (kernel, j_values), (pair.phi_hat, rep)
-    (bc_lam, bc_rep), normals = _boundary_rows(knots, neumann, xy, distances, *blocks)
-    if neumann:
-        # The tail's gradient is (beta_x, beta_y) / k^2.
-        bc_rep[neumann, m] = 0.0
-        bc_rep[neumann, m + 1 :] = normals / pair.wavenumber**2
-    if coupled:
-        # [[system, 0], [bc_rep, bc_lam]] (c, lam) = (rhs, values), with
-        # system - scale rep and -scale J in the unknown points' rows.
-        matrix = np.block([[system, np.zeros((m + 3, n))], [bc_rep, bc_lam]])
-        matrix[unknown] -= scale * np.concatenate([rep[unknown], j_values[unknown]], axis=1)
-        target = np.concatenate([rhs, values])
-    else:
-        matrix, target = bc_lam, values - bc_rep @ c
+        # [[system, 0], [bc_rep, bc_lam]] in one matrix when coupled: the
+        # bordered system, then one row per boundary knot, in knot order.
+        order = m + 3 + n if coupled else m + 3
+        system = bordered_matrix(pair.phi, sq_distances, xy, order)
+        tail_rows = system[:m, m : m + 3] / pair.wavenumber**2  # u_p's (1, x, y) / k^2
+        target = np.zeros(order)
+        target[:m] = rhs + problem.rho(known_u)
+        # u = v + u_p at a Dirichlet knot, its normal derivative at a Neumann knot.
+        bc = system[m + 3 :] if coupled else np.empty((n, m + 3 + n))
+        bc[:, :m] = rep[:n]
+        bc[:, m : m + 3] = tail_rows[:n]
+        bc[:, m + 3 :] = j_values[:n]
+        if neumann:
+            proj, normals = normal_projections(knots, neumann, xy)
+            bc[neumann, :m] = directional_derivative(pair.phi_hat, sq_distances[neumann], proj)
+            # The tail's gradient is (beta_x, beta_y) / k^2.
+            bc[neumann, m] = 0.0
+            bc[neumann, m + 1 : m + 3] = normals / pair.wavenumber**2
+            bc[neumann, m + 3 :] = directional_derivative(kernel, knot_sq[neumann], proj[:, :n])
+        if coupled:
+            # system - scale rep and -scale J in the unknown points' rows.
+            target[m + 3 :] = values
+            for rows in neumann, slice(n, m):
+                system[rows, :m] -= scale * rep[rows]
+                system[rows, m : m + 3] -= scale * tail_rows[rows]
+                system[rows, m + 3 :] = -scale * j_values[rows]
+            matrix = system
+        else:
+            c = lu_solve(system, target)
+            matrix, target = bc[:, m + 3 :], values - bc[:, : m + 3] @ c
     x = lu_solve(matrix, target)
     c, lam = (x[: m + 3], x[m + 3 :]) if coupled else (c, x)
     residual = float(np.maximum.reduce(np.abs(matrix @ x - target)))
-    diagnostics = Diagnostics(residual, matrix if coupled else system, matrix)
+    diagnostics = Diagnostics(residual, system, matrix)
 
     tail = c[m:] / pair.wavenumber**2 if scale is not None else None
     expansion = DrmExpansion(points, pair, c[:m], tail)
-    interior_u = j_values[n:] @ lam + rep[n:] @ c if m > n else None
+    interior_u = None
+    if m > n:  # only a linear rho kind takes interior knots
+        interior_u = j_values[n:] @ lam + rep[n:] @ c[:m] + tail_rows[n:] @ c[m:]
     return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
 
 

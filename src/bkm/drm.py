@@ -19,19 +19,23 @@ Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
 ``knot_distances`` (hence every interpolation), ``particular_matrix`` and
 ``u_p_at`` admit them through ``checked_xy``.
 A knot set's distance matrix (``knot_distances``) is computed once per
-solve and every matrix over the set is one kernel call on it:
-``bordered_matrix`` borders the caller's A_phi with the linear tail;
-``u_p_from_distances`` sums u_p from squared distances the caller already
-holds, and ``normal_projections`` with rows of a distance matrix gives a
-Neumann knot's flux row; it is where a Neumann knot's normal is checked
-to be a finite unit vector.
+solve, and every matrix over the set is one kernel call on its square,
+t = r^2: ``bordered_matrix`` writes A_phi = phi(t) and the linear tail
+straight into a zero matrix, which a coupled solve makes larger to fill
+the rest in place; ``u_p_from_distances`` sums u_p from squared distances
+the caller already holds; ``normal_projections`` gives the (x_i - s_j) . n_i
+that ``kernels.directional_derivative`` turns, with rows of t, into a
+Neumann knot's flux row, and it is where a Neumann knot's normal is
+checked to be a finite unit vector.
 
 The rho formulas live in ``RhoSpec``: s u for the linear kinds (a solve
 driver adds s u to its right-hand side) and Burger's u - u_x u, whose u_x
 at the knots is D_x w for u's interpolant coefficients w; one private
-helper builds D_x for ``rho_matrix`` and ``burger_alpha``.  With u known,
-Burger's rho{u} is affine in w, so ``burger_alpha`` solves for alpha and w
-together as one linear block system of order 2n: no solve forms A_phi^-1.
+helper builds D_x for ``rho_matrix`` and ``burger_alpha`` from r^2, as
+phi'(r)/r = 12/s - 3t/s^3 + 3k^2 s times (x_i - x_j), with no division by
+r.  With u known, Burger's rho{u} is affine in w, so ``burger_alpha``
+solves for alpha and w together as one linear block system of order 2n:
+no solve forms A_phi^-1.
 """
 
 from __future__ import annotations
@@ -168,20 +172,23 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
         As ``knot_distances``: no knots, a coordinate that is not finite
         or not below 1e150 in magnitude, or two (nearly) coincident knots.
     """
-    return pair.phi.eval(knot_distances(knots))
+    return pair.phi.eval_sq(np.square(knot_distances(knots)))
 
 
-def bordered_matrix(a_phi: np.ndarray, knots) -> np.ndarray:
-    """[[A_phi, P], [P^T, 0]] with rows P = (1, x, y) at the knots, from an
-    A_phi the caller already holds."""
+def bordered_matrix(
+    phi: RadialKernel, sq_distances: np.ndarray, knots, order: int | None = None
+) -> np.ndarray:
+    """[[A_phi, P], [P^T, 0]] with A_phi = phi at the knots' squared
+    distances and rows P = (1, x, y) at the knots, written in the top-left
+    corner of a zero matrix of ``order`` (default n + 3, the bordered
+    system itself)."""
     xy = as_xy(knots)
     n = len(xy)
-    p = np.ones((n, 3))
-    p[:, 1:] = xy
-    system = np.zeros((n + 3, n + 3))
-    system[:n, :n] = a_phi
-    system[:n, n:] = p
-    system[n:, :n] = p.T
+    system = np.zeros((order or n + 3,) * 2)
+    phi.eval_sq(sq_distances, system[:n, :n])
+    system[:n, n] = 1.0
+    system[:n, n + 1 : n + 3] = xy
+    system[n : n + 3, :n] = system[:n, n : n + 3].T
     return system
 
 
@@ -200,15 +207,15 @@ def _u_values(rho: RhoSpec, n: int, u_at_knots) -> np.ndarray:
     return u
 
 
-def _d_x(phi: RadialKernel, xy: np.ndarray, distances: np.ndarray) -> np.ndarray:
+def _d_x(phi: RadialKernel, xy: np.ndarray, sq_distances: np.ndarray) -> np.ndarray:
     """D_x with entries d/dx_i phi(||x_i - x_j||) = phi'(r) (x_i - x_j)_x / r,
-    diagonal 0, from the knots ``xy`` and their distance matrix: u_x at the
-    knots is D_x w for the phi-interpolant of u with coefficients w."""
-    return directional_derivative(phi, distances, xy[:, 0, None] - xy[None, :, 0])
+    diagonal 0, from the knots ``xy`` and their squared distances: u_x at
+    the knots is D_x w for the phi-interpolant of u with coefficients w."""
+    return directional_derivative(phi, sq_distances, xy[:, 0, None] - xy[None, :, 0])
 
 
 def burger_alpha(
-    pair: KernelPair, xy: np.ndarray, distances: np.ndarray, a_phi: np.ndarray, f, u
+    pair: KernelPair, xy: np.ndarray, sq_distances: np.ndarray, a_phi: np.ndarray, f, u
 ) -> np.ndarray:
     """alpha = A_phi^-1 (f + rho{u}) for Burger's rho, from one linear solve.
 
@@ -226,7 +233,7 @@ def burger_alpha(
     sigma = _BURGER(u, 1.0) - rho_0
     system = np.zeros((2 * n, 2 * n))
     system[:n, :n] = system[n:, n:] = a_phi
-    system[:n, n:] = -sigma[:, None] * _d_x(pair.phi, xy, distances)
+    system[:n, n:] = -sigma[:, None] * _d_x(pair.phi, xy, sq_distances)
     return lu_solve(system, np.concatenate([f + rho_0, u]))[:n]
 
 
@@ -258,8 +265,8 @@ def rho_matrix(
     if scale is not None:
         return rho(u)
     xy = as_xy(knots)
-    distances = knot_distances(xy)
-    return rho(u, _d_x(pair.phi, xy, distances) @ lu_solve(pair.phi.eval(distances), u))
+    sq_distances = np.square(knot_distances(xy))
+    return rho(u, _d_x(pair.phi, xy, sq_distances) @ lu_solve(pair.phi.eval_sq(sq_distances), u))
 
 
 def solve_alpha(
@@ -277,14 +284,15 @@ def solve_alpha(
     knots = tuple(knots)
     n = len(knots)
     xy = as_xy(knots)
-    distances = knot_distances(xy)
-    a_phi = pair.phi.eval(distances)
+    sq_distances = np.square(knot_distances(xy))
     f = np.asarray(f_at_knots, dtype=float)
     if rho.linear_scale is None:
         u = _u_values(rho, n, u_at_knots)
-        return DrmExpansion(knots, pair, burger_alpha(pair, xy, distances, a_phi, f, u))
+        a_phi = pair.phi.eval_sq(sq_distances)
+        return DrmExpansion(knots, pair, burger_alpha(pair, xy, sq_distances, a_phi, f, u))
     rhs = f + rho_matrix(rho, knots, pair, u_at_knots)
-    solution = lu_solve(bordered_matrix(a_phi, xy), np.concatenate([rhs, np.zeros(3)]))
+    system = bordered_matrix(pair.phi, sq_distances, xy)
+    solution = lu_solve(system, np.concatenate([rhs, np.zeros(3)]))
     return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
 
 
@@ -308,11 +316,15 @@ def u_p_from_distances(
     return u_p
 
 
-def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]:
-    """Entries (x_i - s_j) . n_i for boundary knots x_i with outward normals n_i
-    and sources s_j, and the normals n_i as an (n, 2) array.  With the
-    distances ||x_i - s_j||, ``kernels.directional_derivative`` turns the
-    entries into normal derivatives.
+def normal_projections(
+    knots, neumann: list[int], xy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (x_i - s_j) . n_i for the boundary knots ``knots[i]``, i in
+    ``neumann``, at x_i = xy[i] with outward normals n_i, and the sources
+    s_j = xy[j], all rows of ``xy``; and the normals n_i as an (n, 2) array.
+    With the squared distances ||x_i - s_j||^2,
+    ``kernels.directional_derivative`` turns the entries into normal
+    derivatives.
 
     Raises
     ------
@@ -320,8 +332,8 @@ def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]
         Naming the knot's position, if a normal is not finite or its length
         is not within 1e-9 of 1.
     """
-    positions = as_xy([knot.position for knot in boundary_knots])
-    normals = as_xy([knot.normal for knot in boundary_knots])
+    positions = xy[neumann]
+    normals = as_xy([knots[i].normal for i in neumann])
     # Negated so that a NaN length, which compares false, counts as bad.
     bad = ~(np.abs(np.hypot(normals[:, 0], normals[:, 1]) - 1.0) <= _UNIT_TOL)
     if bad.any():
@@ -330,8 +342,6 @@ def normal_projections(boundary_knots, sources) -> tuple[np.ndarray, np.ndarray]
             f"Neumann knot at ({positions[i, 0]:g}, {positions[i, 1]:g}) needs a finite "
             f"unit normal, got ({normals[i, 0]:g}, {normals[i, 1]:g})"
         )
-    sources = as_xy(sources)
-    dx = positions[:, 0, None] - sources[None, :, 0]
-    dy = positions[:, 1, None] - sources[None, :, 1]
+    dx = positions[:, 0, None] - xy[None, :, 0]
+    dy = positions[:, 1, None] - xy[None, :, 1]
     return dx * normals[:, 0, None] + dy * normals[:, 1, None], normals
-

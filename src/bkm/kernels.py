@@ -10,9 +10,12 @@ radius gives a float, an ndarray of radii (typically a whole distance
 matrix) gives an array of the same shape, and an element's value does not
 depend on the rest of its array.  Collocation matrices are therefore one
 kernel call on one distance matrix.  Every radial kernel also takes
-squared distances (``eval_sq``); J0 of ``helmholtz2d`` and phi_hat of
-``mq_pair`` do so with no sqrt, the others through eval(sqrt(t)).
-``eval_sq`` writes into a caller's array when given one (``out``).
+squared distances: its value (``eval_sq``) and deriv(r)/r
+(``deriv_sq``), from which ``directional_derivative`` makes flux rows.
+J0 of ``helmholtz2d`` and both kernels of ``mq_pair`` do so with no sqrt
+and no division by r, the others through eval(sqrt(t)) and
+deriv(sqrt(t))/sqrt(t).  ``eval_sq`` writes into a caller's array when
+given one (``out``).
 The convection-diffusion kernel, a function of the displacement rather
 than the distance, takes one displacement per call.
 
@@ -36,7 +39,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .specfun import _check_range, _split, bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
+from .specfun import (
+    _check_range,
+    _split,
+    bessel_i0,
+    bessel_i1,
+    bessel_j0,
+    bessel_j0_sq,
+    bessel_j1,
+    bessel_j1_over_x_sq,
+)
 
 __all__ = [
     "RadialKernel",
@@ -71,8 +83,11 @@ class RadialKernel:
         Named parameters (wavenumber, shape) for reporting.
     sq : callable or None
         Value at the squared radius t = r^2, elementwise on arrays, with no
-        square root (J0 and phi_hat); None for the others.  Called as
+        square root (J0, phi_hat and phi); None for the others.  Called as
         sq(t, out) by ``eval_sq``, whose ``out`` it takes, None included.
+    dsq : callable or None
+        deriv(r)/r at t = r^2, elementwise on arrays, with no square root
+        and no division by r (J0, phi_hat and phi); None for the others.
     """
 
     eval: Callable
@@ -80,6 +95,7 @@ class RadialKernel:
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
     sq: Callable | None = None
+    dsq: Callable | None = None
 
     def eval_sq(self, t, out=None):
         """Value at the squared radius t = r^2, elementwise on arrays: ``sq``
@@ -93,6 +109,17 @@ class RadialKernel:
             return self.eval(np.sqrt(t))
         out[...] = self.eval(np.sqrt(t, out=out))
         return out
+
+    def deriv_sq(self, t):
+        """deriv(r)/r at the squared radius t = r^2, elementwise on arrays:
+        ``dsq`` where the kernel has it, else deriv(sqrt(t))/sqrt(t) with 0
+        at t = 0, where a flux row multiplies it by a zero projection."""
+        if self.dsq is not None:
+            return self.dsq(t)
+        r = np.sqrt(t)
+        coincident = r == 0.0
+        safe_r = np.where(coincident, 1.0, r)
+        return np.where(coincident, 0.0, self.deriv(safe_r) / safe_r)[()]
 
 
 @dataclass(frozen=True)
@@ -126,11 +153,10 @@ def _require_positive(value: float, name: str) -> float:
     return value
 
 
-def _scaled(
-    lam: float, f: Callable, df: Callable, label: str, sq: Callable | None = None
-) -> RadialKernel:
+def _scaled(lam: float, f: Callable, df: Callable, label: str, *squared: Callable) -> RadialKernel:
     """The kernel f(lam*r) with derivative lam*f'(lam*r), for a finite positive
-    wavenumber lam; ``sq(lam)``, when given, builds its ``sq``."""
+    wavenumber lam; ``squared``, when given, holds the builders of its ``sq``
+    and ``dsq``, called with lam."""
     lam = _require_positive(lam, "wavenumber")
 
     def ev(r):
@@ -139,7 +165,7 @@ def _scaled(
     def dv(r):
         return lam * df(lam * r)
 
-    return RadialKernel(ev, dv, label, {"lambda": lam}, None if sq is None else sq(lam))
+    return RadialKernel(ev, dv, label, {"lambda": lam}, *(make(lam) for make in squared))
 
 
 def _j0_sq(lam: float) -> Callable:
@@ -149,9 +175,15 @@ def _j0_sq(lam: float) -> Callable:
     return bessel_j0_sq if lam_sq == 1.0 else lambda t, out=None: bessel_j0_sq(lam_sq * t, out)
 
 
+def _j0_dsq(lam: float) -> Callable:
+    """t -> -lam^2 J1(x)/x at x = lam*sqrt(t), J0(lam*r)'s deriv(r)/r."""
+    lam_sq = lam * lam
+    return lambda t: -lam_sq * bessel_j1_over_x_sq(lam_sq * t)
+
+
 def helmholtz2d(lam: float) -> RadialKernel:
     """Non-singular general solution J0(lam*r) of the 2D operator lap + lam^2."""
-    return _scaled(lam, bessel_j0, lambda s: -bessel_j1(s), "j0", _j0_sq)
+    return _scaled(lam, bessel_j0, lambda s: -bessel_j1(s), "j0", _j0_sq, _j0_dsq)
 
 
 def modified_helmholtz2d(lam: float) -> RadialKernel:
@@ -266,7 +298,10 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
 
     With s = sqrt(r^2+c^2), the 2D radial Laplacian of phi_hat is
     6s + 3r^2/s, so phi(r) = 6s + 3r^2/s + k^2 s^3 for the split
-    wavenumber k = ``wavenumber``.
+    wavenumber k = ``wavenumber``.  Both kernels are functions of t = r^2:
+    values and deriv(r)/r (3s for phi_hat, 12/s - 3t/s^3 + 3k^2 s for phi)
+    come from t with no square root of t and no division by r, and eval and
+    deriv are these at t = r * r (deriv times r).
 
     Raises
     ------
@@ -289,35 +324,41 @@ def mq_pair(c: float, wavenumber: float = 1.0) -> KernelPair:
         value *= s
         return value
 
-    def hat(r):
-        return hat_sq(r * r)
+    def hat_dsq(t):
+        return 3.0 * np.sqrt(t + c_sq)
 
-    def hat_d(r):
-        return 3.0 * r * np.sqrt(r * r + c_sq)
+    # 6s + 3t/s + k^2 s^3, summed in that order; only the last sum goes to
+    # ``out``, which may be a strided block of a larger matrix.
+    def phi_sq(t, out=None):
+        s = np.sqrt(t + c_sq)
+        value = 6.0 * s
+        term = 3.0 * t
+        term /= s
+        value += term
+        term = k_sq * s
+        term *= s
+        term *= s
+        return np.add(value, term, out=out)
 
-    def phi(r):
-        s = np.sqrt(r * r + c_sq)
-        return 6.0 * s + 3.0 * r * r / s + k_sq * s * s * s
+    # Powers are products: the ** operator of a numpy scalar can differ
+    # from the array's power in the last bit.
+    def phi_dsq(t):
+        s = np.sqrt(t + c_sq)
+        return 12.0 / s - 3.0 * t / (s * s * s) + 3.0 * k_sq * s
 
-    # Powers go through np.power, whose scalar and array results agree;
-    # the ** operator of a numpy scalar can differ from it in the last bit.
-    def phi_d(r):
-        s = np.sqrt(r * r + c_sq)
-        return 12.0 * r / s - 3.0 * np.power(r, 3) / np.power(s, 3) + 3.0 * k_sq * r * s
+    def radial(sq, dsq, label):
+        ev, dv = (lambda r: sq(r * r)), (lambda r: r * dsq(r * r))
+        return RadialKernel(ev, dv, label, {"c": c}, sq, dsq)
 
-    return KernelPair(
-        RadialKernel(hat, hat_d, "mq_phi_hat", {"c": c}, hat_sq),
-        RadialKernel(phi, phi_d, "mq_phi", {"c": c}),
-        k,
-    )
+    return KernelPair(radial(hat_sq, hat_dsq, "mq_phi_hat"), radial(phi_sq, phi_dsq, "mq_phi"), k)
 
 
 def normal_derivative(kernel: RadialKernel, source, response, normal):
     """Directional derivative of kernel(||x - source||) at x = response along ``normal``.
 
     Equal to kernel.deriv(r) * ((response - source) . normal) / r with
-    r the source-response distance; the r -> 0 limit is 0 for every kernel
-    whose deriv(r)/r stays bounded, so coincident points give 0.
+    r the source-response distance, taken as ``directional_derivative``
+    of t = dx*dx + dy*dy; coincident points give 0.
 
     ``source``, ``response`` and ``normal`` are points or arrays whose last
     axis holds (x, y); they broadcast against each other, so one call with
@@ -330,16 +371,14 @@ def normal_derivative(kernel: RadialKernel, source, response, normal):
     normal = np.asarray(normal, dtype=float)
     dx = response[..., 0] - source[..., 0]
     dy = response[..., 1] - source[..., 1]
-    return directional_derivative(kernel, np.hypot(dx, dy), dx * normal[..., 0] + dy * normal[..., 1])
+    return directional_derivative(kernel, dx * dx + dy * dy, dx * normal[..., 0] + dy * normal[..., 1])
 
 
-def directional_derivative(kernel: RadialKernel, r, proj):
-    """kernel.deriv(r) * proj / r elementwise, and 0 where r = 0.
+def directional_derivative(kernel: RadialKernel, t, proj):
+    """kernel.deriv(r) * proj / r elementwise, from t = r^2: ``deriv_sq(t) * proj``.
 
     With r = ||x - s|| and proj = (x - s) . d this is the derivative of
     kernel(||x - s||) at x along d, for callers that already hold the
-    distances (a distance matrix).
+    squared distances; where x = s, proj = 0 makes it 0.
     """
-    coincident = r == 0.0
-    safe_r = np.where(coincident, 1.0, r)
-    return np.where(coincident, 0.0, kernel.deriv(safe_r) * proj / safe_r)[()]
+    return kernel.deriv_sq(t) * proj

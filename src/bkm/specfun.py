@@ -14,16 +14,26 @@ most 1.8e-15 for J0 and 1.3e-15 for J1 on |x| <= 5).  Beyond, they switch
 to the Hankel asymptotic form with the rational coefficient tables from
 the Cephes math library (S. L. Moshier, release 2.1, 1989).  The I
 functions are summed by their Taylor series.
-``bessel_j0_sq`` gives J0 from x^2, for kernels of r^2 alone.  J0, J1 and
-J0 from x^2 reach the polynomial and the Hankel form through one masked
-near/far split, ``_split``, which the 3D kernels share for their series.
+``bessel_j0_sq`` gives J0 and ``bessel_j1_over_x_sq`` gives J1(x)/x from
+x^2, for kernels of r^2 alone: J0(k r) and its derivative over r,
+-k^2 J1(k r)/(k r), need no r, so no square root below |x| = 5 and no
+division by r.  All four reach the polynomial and the Hankel form through
+one masked near/far split, ``_split``, which the 3D kernels share for their
+series.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bessel_j0", "bessel_j0_sq", "bessel_j1", "bessel_i0", "bessel_i1"]
+__all__ = [
+    "bessel_j0",
+    "bessel_j0_sq",
+    "bessel_j1",
+    "bessel_j1_over_x_sq",
+    "bessel_i0",
+    "bessel_i1",
+]
 
 # Beyond this magnitude the I-function values exceed ~1e42 and callers are
 # better served by an explicit error than by a silent loss of meaning.
@@ -155,6 +165,7 @@ _QQ1 = (
     2.82619278517639096600e3,
     3.36093607810698293419e2,
 )
+_J1_HANKEL = (_PP1, _PQ1, _QP1, _QQ1, _THPIO4)
 
 
 # The series and polynomials below are written with arithmetic operators
@@ -224,14 +235,21 @@ def _split(near, near_form, far_form, x):
 
 def _j(x, order: int, hankel: tuple, squared: bool = False):
     """J0 or J1 (by ``order``; ``hankel`` holds its tables and phase) of a
-    float array x, or J0 of sqrt(x) when ``squared``; a float for 0-d x."""
+    float array x, or, when ``squared``, J0(sqrt(x)) or J1(sqrt(x))/sqrt(x);
+    a float for 0-d x."""
 
     def near(x):
         scaled = _polevl(x if squared else x * x, _J1_SMALL if order else _J0_SMALL)
-        return 0.5 * x * scaled if order else scaled
+        if not order:
+            return scaled
+        return 0.5 * scaled if squared else 0.5 * x * scaled
 
     def far(x):
-        value = _hankel(np.sqrt(x) if squared else np.abs(x), *hankel)
+        if squared:
+            ax = np.sqrt(x)
+            value = _hankel(ax, *hankel)
+            return value / ax if order else value
+        value = _hankel(np.abs(x), *hankel)
         return np.where(x < 0.0, -value, value) if order else value
 
     near_mask = x <= _J_SERIES_MAX * _J_SERIES_MAX if squared else np.abs(x) <= _J_SERIES_MAX
@@ -296,7 +314,14 @@ def bessel_j1(x):
     ValueError
         If any element of ``x`` is NaN or infinite.
     """
-    return _j(_finite_array(x), 1, (_PP1, _PQ1, _QP1, _QQ1, _THPIO4))
+    return _j(_finite_array(x), 1, _J1_HANKEL)
+
+
+def bessel_j1_over_x_sq(x_sq):
+    """J1(x)/x at x = sqrt(x_sq), elementwise, with no square root where
+    x_sq <= 25 and exactly 0.5 at 0; a float for a scalar argument.
+    Unchecked: x_sq must be finite and >= 0."""
+    return _j(np.asarray(x_sq, dtype=float), 1, _J1_HANKEL, squared=True)
 
 
 def _i_series(arr: np.ndarray, order: int):

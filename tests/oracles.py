@@ -30,6 +30,14 @@ def j1_ref(x: float) -> float:
     return float(mp.besselj(1, x))
 
 
+def j1_over_x_sq_ref(t: float) -> float:
+    """J1(x)/x at x = sqrt(t), and its limit 1/2 at t = 0."""
+    if t == 0.0:
+        return 0.5
+    x = mp.sqrt(mp.mpf(t))
+    return float(mp.besselj(1, x) / x)
+
+
 def i0_ref(x: float) -> float:
     return float(mp.besseli(0, x))
 

@@ -30,6 +30,7 @@ from bkm.drm import (
     RhoSpec,
     bordered_matrix,
     interp_matrix,
+    knot_distances,
     rho_matrix,
     solve_alpha,
 )
@@ -174,7 +175,7 @@ def test_rhs_interpolation_exact_and_feedback_paths():
         a_phi = interp_matrix(knots, pair)
         interpolant = a_phi @ expansion.alpha
         if expansion.tail is not None:
-            p_rows = bordered_matrix(a_phi, knots)[:n, n:]
+            p_rows = bordered_matrix(pair.phi, np.square(knot_distances(knots)), knots)[:n, n:]
             interpolant += p_rows @ (expansion.tail * pair.wavenumber**2)
         residual = np.abs(interpolant - target).max()
         assert residual <= 1e-9 * max(1.0, float(np.abs(target).max()))

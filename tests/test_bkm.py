@@ -27,6 +27,7 @@ from bkm.drm import (
     RhoSpec,
     bordered_matrix,
     interp_matrix,
+    knot_distances,
     particular_matrix,
     rho_matrix,
     solve_alpha,
@@ -1122,11 +1123,11 @@ class TestSharedDistanceMatrices:
         def counting_mq_pair(*args):
             pair = mq_pair(*args)
 
-            def phi_eval(r):
-                phi_evals.append(np.shape(r))
-                return pair.phi.eval(r)
+            def phi_sq(t, out=None):
+                phi_evals.append(np.shape(t))
+                return pair.phi.sq(t, out)
 
-            return dataclasses.replace(pair, phi=dataclasses.replace(pair.phi, eval=phi_eval))
+            return dataclasses.replace(pair, phi=dataclasses.replace(pair.phi, sq=phi_sq))
 
         monkeypatch.setattr(sys.modules["bkm.bkm"], "mq_pair", counting_mq_pair)
         solve_boundary_only(factory(), 7)
@@ -1170,6 +1171,33 @@ class TestSharedDistanceMatrices:
         assert distance_calls == [(10, 10)]
         assemble_bkm_matrix(knots, helmholtz2d(1.0), bc)
         assert normal_calls == []
+
+    def test_coupled_flux_rows_at_split_wavenumber_2_are_normal_derivatives(self):
+        """At k = 2, k^2 r^2 reaches 64 on the 2 x 1 ellipse, so J0's flux
+        rows take J1(x)/x past the switch at 25 too.  Each Neumann knot's row
+        of the coupled matrix is the normal derivative of phi_hat and of J0,
+        0 in the knot's own column, and deriv(r) proj / r of the r-route
+        elsewhere."""
+        problem = dataclasses.replace(laplace_benchmark(), split_wavenumber=2.0)
+        problem, knots, interior, bc = _half_neumann_solve(problem)
+        sol, diagnostics = solve_mixed_linear(problem, knots, interior, bc)
+        n, m = len(knots), len(knots) + len(interior)
+        matrix = diagnostics.bkm_matrix
+        assert matrix.shape == (m + 3 + n, m + 3 + n)
+        sources = np.array([k.position for k in knots] + interior)
+        reached = 0.0
+        for i in (i for i, cond in enumerate(bc) if cond.kind == "neumann"):
+            row, knot = matrix[m + 3 + i], knots[i]
+            for kernel, got in ((sol.expansion.pair.phi_hat, row[:m]), (sol.kernel, row[m + 3 :])):
+                want = normal_derivative(kernel, sources[: len(got)], knot.position, knot.normal)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+                assert got[i] == 0.0
+                offset = np.delete(knot.position - sources[: len(got)], i, axis=0)
+                r = np.hypot(offset[:, 0], offset[:, 1])
+                by_r = kernel.deriv(r) * (offset @ knot.normal) / r
+                np.testing.assert_allclose(np.delete(got, i), by_r, rtol=1e-12, atol=1e-15)
+            reached = max(reached, 4.0 * float(np.square(sources[:n] - knot.position).sum(1).max()))
+        assert reached > 25.0
 
     def test_evaluate_builds_one_matrix_per_block(self, distance_calls, squared_distance_calls):
         """One matrix of squared distances per block, and no distance matrix."""
@@ -1267,7 +1295,7 @@ class TestOneFactorizationPerMatrix:
         "build",
         [
             lambda knots: interp_matrix(knots, mq_pair(3.0)),
-            lambda knots: bordered_matrix(interp_matrix(knots, mq_pair(3.0)), knots),
+            lambda knots: bordered_matrix(mq_pair(3.0).phi, np.square(knot_distances(knots)), knots),
             lambda knots: particular_matrix([Point(0.1, 0.2)], knots, mq_pair(3.0)),
             lambda knots: u_p_at(
                 DrmExpansion(tuple(knots), mq_pair(3.0), np.ones(len(knots))), [Point(0.1, 0.2)]

@@ -231,7 +231,7 @@ class TestRhoMatrix:
 def bordered_residual(pts, pair, exp, f) -> tuple[np.ndarray, np.ndarray, float]:
     """The bordered DRM matrix, its solution (alpha, beta) read off the
     expansion (beta = k^2 tail) and the max-norm residual against (f, 0)."""
-    system = bordered_matrix(interp_matrix(pts, pair), pts)
+    system = bordered_matrix(pair.phi, np.square(knot_distances(pts)), pts)
     x = np.concatenate([exp.alpha, exp.tail * pair.wavenumber**2])
     return system, x, float(np.abs(system @ x - np.append(f, np.zeros(3))).max())
 
@@ -377,7 +377,7 @@ class TestLinearTail:
     def test_bordered_matrix_layout(self):
         pts = ring(5)
         pair = mq_pair(3.0)
-        bordered = bordered_matrix(interp_matrix(pts, pair), pts)
+        bordered = bordered_matrix(pair.phi, np.square(knot_distances(pts)), pts)
         assert bordered.shape == (8, 8)
         assert np.array_equal(bordered[:5, :5], interp_matrix(pts, pair))
         assert np.array_equal(bordered[:5, 5:], self.linear_rows(pts))

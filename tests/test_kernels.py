@@ -575,6 +575,55 @@ class TestSquaredRadius:
         assert np.array_equal(phi_hat.eval(self.R), phi_hat.eval_sq(self.R * self.R))
         assert phi_hat.eval_sq(np.array([0.0]))[0] == c**3
 
+    @pytest.mark.parametrize("c, k", [(1.0, 1.0), (3.0, 2.0)])
+    def test_phi_eval_is_its_squared_entry(self, c, k):
+        phi = mq_pair(c, k).phi
+        assert np.array_equal(phi.eval(self.R), phi.eval_sq(self.R * self.R))
+        assert phi.eval_sq(np.array([0.0]))[0] == 6.0 * c + k * k * c**3
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_deriv_sq_times_r_is_deriv(self, name):
+        """deriv_sq(r^2) is deriv(r)/r: its own squared form, or the
+        deriv(sqrt(t))/sqrt(t) fallback, to round-off."""
+        kern = CATALOG[name]
+        r = self.R[1:]
+        want = kern.deriv(r)
+        got = kern.deriv_sq(r * r) * r
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(n for n, k in CATALOG.items() if k.dsq is None))
+    def test_kernel_without_dsq_is_deriv_over_sqrt(self, name):
+        """A kernel with no squared-radius derivative divides deriv(sqrt(t))
+        by sqrt(t), bit for bit, and takes 0 at t = 0."""
+        kern = CATALOG[name]
+        t = self.R[1:] * self.R[1:]
+        assert np.array_equal(kern.deriv_sq(t), kern.deriv(np.sqrt(t)) / np.sqrt(t))
+        assert kern.deriv_sq(0.0) == 0.0
+        assert np.array_equal(kern.deriv_sq(np.array([0.0, 1.0]))[:1], [0.0])
+
+    @pytest.mark.parametrize(
+        "kern, limit",
+        [
+            (helmholtz2d(1.0), -0.5),
+            (helmholtz2d(2.0), -2.0),
+            (mq_pair(3.0).phi_hat, 9.0),
+            (mq_pair(2.0, 0.5).phi, 12.0 / 2.0 + 3.0 * 0.25 * 2.0),
+        ],
+        ids=["j0", "j0_lambda_2", "mq_phi_hat", "mq_phi_split"],
+    )
+    def test_own_squared_derivative_takes_the_limit_at_zero(self, kern, limit):
+        """Where the kernel has ``dsq`` it gives deriv(r)/r's r -> 0 limit,
+        with no division by r, as a float and inside an array."""
+        assert kern.deriv_sq(0.0) == limit
+        assert np.array_equal(kern.deriv_sq(np.array([0.0, 40.0, 0.0]))[[0, 2]], [limit, limit])
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_deriv_sq_float_equals_the_array_element(self, name):
+        kern = CATALOG[name]
+        t = np.array([0.0, 4.0, 30.0, 0.25])
+        got = kern.deriv_sq(t)
+        assert [kern.deriv_sq(float(v)) for v in t] == got.tolist()
+
     @pytest.mark.parametrize(
         "r",
         [

@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkm import specfun
-from bkm.specfun import bessel_i0, bessel_i1, bessel_j0, bessel_j0_sq, bessel_j1
+from bkm.specfun import (
+    bessel_i0,
+    bessel_i1,
+    bessel_j0,
+    bessel_j0_sq,
+    bessel_j1,
+    bessel_j1_over_x_sq,
+)
 
-from oracles import bisect_root, i0_ref, i1_ref, j0_ref, j1_ref
+from oracles import bisect_root, i0_ref, i1_ref, j0_ref, j1_over_x_sq_ref, j1_ref
 
 FINITE_X = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -320,3 +327,39 @@ class TestSquaredArgument:
         assert bessel_j0_sq(arg, out) is out
         assert np.array_equal(out, bessel_j0_sq(t))
         assert np.array_equal(arg, t)
+
+
+class TestJ1OverXSquared:
+    """bessel_j1_over_x_sq(t) is J1(x)/x at x = sqrt(t), from t alone."""
+
+    @staticmethod
+    def _max_error(t: np.ndarray) -> float:
+        want = np.array([j1_over_x_sq_ref(float(v)) for v in t])
+        return float(np.abs(bessel_j1_over_x_sq(t) - want).max())
+
+    def test_polynomial_side_matches_mpmath(self):
+        t = np.concatenate([np.linspace(0.0, 25.0, 2001), [np.nextafter(25.0, 0.0)]])
+        assert self._max_error(t) <= 2e-15
+
+    def test_hankel_side_matches_mpmath(self):
+        t = np.concatenate([[np.nextafter(25.0, 30.0)], np.linspace(25.5, 2500.0, 1001), [1e6]])
+        assert self._max_error(t) <= 2e-15
+
+    def test_one_half_at_zero(self):
+        assert bessel_j1_over_x_sq(0.0) == 0.5
+        assert np.array_equal(bessel_j1_over_x_sq(np.array([0.0, 30.0, 0.0]))[[0, 2]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("t", [0.0, 4.0, 25.0, 25.5, 64.0, 1e4])
+    def test_float_equals_the_array_element(self, t):
+        """A float gives a float, equal to its element of an array that
+        spans both sides of the switch at t = 25."""
+        got = bessel_j1_over_x_sq(t)
+        assert type(got) is float
+        assert got == bessel_j1_over_x_sq(np.array([3.0, t, 900.0]))[1]
+
+    def test_huge_argument_gives_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_j1_over_x_sq(np.array([1e300, 1.0]))
+        # |J1(x)| <= sqrt(2/(pi x)) far out, so |J1(x)/x| <= sqrt(2/pi) x^-1.5.
+        assert 0.0 < abs(got[0]) <= math.sqrt(2.0 / math.pi) * 1e-225
