@@ -223,22 +223,23 @@ def _solve(
     in ``neumann``.
 
     u_p = rep @ c sums phi_hat over the boundary and interior knots, plus
-    the tail beta . (1, x, y) / k^2 for a linear rho kind.  Burger keeps
-    the bare interpolant: with the tail its paper table error rises from
-    5.0e-2 to 7.2e-2.  Each point has a DRM row [A_phi | P] c = f + rho{u},
-    and the moment rows P^T alpha = 0 close the system.  Where u is known
-    (Dirichlet knots) rho{u} goes to the right-hand side: s u for a linear
-    kind.  Burger's u - u_x u reads u_x off the interpolant of u, whose
-    coefficients are solved together with c in one block system
-    (``drm.burger_alpha``).  Where u is not known (Neumann and interior
-    knots), u = v + u_p and rho{u} = s u turn the row into a PDE
-    collocation row, ([A_phi | P] - s rep) c - s J lambda = f.  The
-    boundary rows (value or flux of v + u_p) close the system:
+    the tail beta . (1, x, y) for a linear rho kind.  Burger keeps the
+    bare interpolant: with the tail its paper table error rises from 5.0e-2
+    to 7.2e-2.  Each point has a DRM row [A_phi | k^2 P] c = f + rho{u},
+    k^2 P being the image of the tail P = (1, x, y) under lap + k^2, and
+    the moment rows P^T alpha = 0, whose transpose is rep's tail, close
+    the system.  Where u is known (Dirichlet knots) rho{u} goes to the
+    right-hand side: s u for a linear kind.  Burger's u - u_x u reads u_x
+    off the interpolant of u, whose coefficients are solved together with c
+    in one block system (``drm.burger_alpha``).  Where u is not known
+    (Neumann and interior knots), u = v + u_p and rho{u} = s u turn the row
+    into a PDE collocation row, ([A_phi | k^2 P] - s rep) c - s J lambda = f.
+    The boundary rows (value or flux of v + u_p) close the system:
 
         [[system, -s J_unknown], [bc_rep, bc_lam]] (c, lambda) = (rhs, values),
 
-    where the unknown points' rows of system hold [A_phi | P] - s rep and
-    J_unknown is zero outside those rows.  With s != 0 and u unknown
+    where the unknown points' rows of system hold [A_phi | k^2 P] - s rep
+    and J_unknown is zero outside those rows.  With s != 0 and u unknown
     somewhere, this whole (m + 3 + n) system is solved at once, one
     factorization for c and lambda together, and it is written in place
     into one matrix (``drm.bordered_matrix`` of that order).  Otherwise
@@ -306,8 +307,8 @@ def _solve(
         # [[system, 0], [bc_rep, bc_lam]] in one matrix when coupled: the
         # bordered system, then one row per boundary knot, in knot order.
         order = m + 3 + n if coupled else m + 3
-        system = bordered_matrix(pair.phi, sq_distances, xy, order)
-        tail_rows = system[:m, m : m + 3] / pair.wavenumber**2  # u_p's (1, x, y) / k^2
+        system = bordered_matrix(pair, sq_distances, xy, order)
+        tail_rows = system[m : m + 3, :m].T  # u_p's tail (1, x, y): the moment rows
         target = np.zeros(order)
         target[:m] = rhs + problem.rho(known_u)
         # u = v + u_p at a Dirichlet knot, its normal derivative at a Neumann knot.
@@ -318,17 +319,16 @@ def _solve(
         if neumann:
             proj, normals = normal_projections(knots, neumann, xy)
             bc[neumann, :m] = directional_derivative(pair.phi_hat, sq_distances[neumann], proj)
-            # The tail's gradient is (beta_x, beta_y) / k^2.
+            # The tail's gradient is (beta_x, beta_y).
             bc[neumann, m] = 0.0
-            bc[neumann, m + 1 : m + 3] = normals / pair.wavenumber**2
+            bc[neumann, m + 1 : m + 3] = normals
             bc[neumann, m + 3 :] = directional_derivative(kernel, knot_sq[neumann], proj[:, :n])
         if coupled:
             # system - scale rep and -scale J in the unknown points' rows.
             target[m + 3 :] = values
-            for rows in neumann, slice(n, m):
-                system[rows, :m] -= scale * rep[rows]
-                system[rows, m : m + 3] -= scale * tail_rows[rows]
-                system[rows, m + 3 :] = -scale * j_values[rows]
+            system[unknown, :m] -= scale * rep[unknown]
+            system[unknown, m : m + 3] -= scale * tail_rows[unknown]
+            system[unknown, m + 3 :] = -scale * j_values[unknown]
             matrix = system
         else:
             c = lu_solve(system, target)
@@ -338,7 +338,7 @@ def _solve(
     residual = float(np.maximum.reduce(np.abs(matrix @ x - target)))
     diagnostics = Diagnostics(residual, system, matrix)
 
-    tail = c[m:] / pair.wavenumber**2 if scale is not None else None
+    tail = c[m:] if scale is not None else None
     expansion = DrmExpansion(points, pair, c[:m], tail)
     interior_u = None
     if m > n:  # only a linear rho kind takes interior knots

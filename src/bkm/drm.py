@@ -10,10 +10,11 @@ interpolant of u).
 The multiquadric image phi = s^3 + 9s - 3c^2/s (s = sqrt(r^2 + c^2)) is
 not positive definite: its leading part s^3 is conditionally positive
 definite of order 2, so its interpolant is well posed only with a linear
-tail p = beta . (1, x, y) and the moment conditions P^T alpha = 0: the
-bordered system of every linear-rho solve and of ``solve_alpha``.  For
-linear p, (lap + k^2){p / k^2} = p with k the pair's wavenumber, so p / k^2
-enters u_p.
+tail and the moment conditions P^T alpha = 0: the bordered system of
+every linear-rho solve and of ``solve_alpha``.  The tail is one more basis
+and image pair: for linear p = (1, x, y), (lap + k^2){p} = k^2 p with k the
+pair's wavenumber, so the border holds k^2 p, the image of u_p's tail p,
+and the solved tail coefficients are u_p's own.
 
 Point arguments are sequences of ``Point`` or (n, 2) coordinate arrays;
 ``knot_distances`` (hence every interpolation), ``particular_matrix`` and
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, checked_xy, coincident_pair, distance_matrix, squared_distances
+from .geometry import Point, as_xy, checked_xy, squared_distances
 from .kernels import KernelPair, RadialKernel, directional_derivative
 from .linalg import lu_solve
 
@@ -66,6 +67,7 @@ __all__ = [
 _RHO_KINDS = ("zero", "identity", "scaled_identity", "burger")
 # How far a Neumann knot's normal may be from unit length.
 _UNIT_TOL = 1e-9
+_COINCIDENT_TOL = 1e-12  # closer knots make radial kernel matrices rank-deficient
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,7 @@ class DrmExpansion:
     """Coefficients alpha over a knot set, summing phi_hat into u_p.
 
     ``tail`` holds the coefficients (beta_0, beta_x, beta_y) of the linear
-    term beta_0 + beta_x x + beta_y y added to u_p, or None for no tail;
-    these are the interpolant's tail coefficients divided by the pair's
-    wavenumber squared.
+    term beta_0 + beta_x x + beta_y y added to u_p, or None for no tail.
     """
 
     knots: tuple[Point, ...]
@@ -141,23 +141,27 @@ class DrmExpansion:
 
 
 def knot_distances(knots) -> np.ndarray:
-    """Distance matrix of a knot set with itself, entries ||x_i - x_j||, in float64.
+    """Distance matrix of a knot set with itself, entries ||x_i - x_j||, in
+    float64: the sqrt of ``squared_distances``.
 
     Raises
     ------
     ValueError
         If no knots are given, they fail ``checked_xy`` (not (n, 2), or a
-        coordinate not finite or not below 1e150 in magnitude), or two
-        knots (nearly) coincide.
+        coordinate not finite or not below 1e150 in magnitude), or two knots
+        are closer than 1e-12 (naming the first pair in row-major order).
     """
     if len(knots) == 0:
         raise ValueError("at least one knot is required")
     xy = np.asarray(checked_xy(knots, "knots"), dtype=float)
-    distances = distance_matrix(xy, xy)
-    pair = coincident_pair(distances)
-    if pair is not None:
+    distances = squared_distances(xy, xy)
+    np.sqrt(distances, out=distances)
+    close = distances < _COINCIDENT_TOL
+    # The zero diagonal is always close; anything beyond it is a pair.
+    if np.count_nonzero(close) != len(distances):
+        i, j = np.argwhere(np.triu(close, 1))[0]
         raise ValueError(
-            f"duplicate knots at indices {pair[0]} and {pair[1]}: radial interpolation "
+            f"duplicate knots at indices {i} and {j}: radial interpolation "
             f"matrix would be rank-deficient"
         )
     return distances
@@ -176,19 +180,20 @@ def interp_matrix(knots: Sequence[Point], pair: KernelPair) -> np.ndarray:
 
 
 def bordered_matrix(
-    phi: RadialKernel, sq_distances: np.ndarray, knots, order: int | None = None
+    pair: KernelPair, sq_distances: np.ndarray, knots, order: int | None = None
 ) -> np.ndarray:
-    """[[A_phi, P], [P^T, 0]] with A_phi = phi at the knots' squared
-    distances and rows P = (1, x, y) at the knots, written in the top-left
-    corner of a zero matrix of ``order`` (default n + 3, the bordered
-    system itself)."""
+    """[[A_phi, k^2 P], [P^T, 0]] with A_phi = phi at the knots' squared
+    distances, rows P = (1, x, y) at the knots and k the pair's wavenumber,
+    written in the top-left corner of a zero matrix of ``order`` (default
+    n + 3, the bordered system itself).  k^2 P is the image under lap + k^2
+    of u_p's tail P, so the solved tail coefficients are u_p's own."""
     xy = as_xy(knots)
     n = len(xy)
     system = np.zeros((order or n + 3,) * 2)
-    phi.eval_sq(sq_distances, system[:n, :n])
-    system[:n, n] = 1.0
-    system[:n, n + 1 : n + 3] = xy
-    system[n : n + 3, :n] = system[:n, n : n + 3].T
+    pair.phi.eval_sq(sq_distances, system[:n, :n])
+    system[n, :n] = 1.0
+    system[n + 1 : n + 3, :n] = xy.T
+    np.multiply(pair.wavenumber**2, system[n : n + 3, :n].T, out=system[:n, n : n + 3])
     return system
 
 
@@ -278,8 +283,8 @@ def solve_alpha(
 ) -> DrmExpansion:
     """The DRM step of a boundary-only solve on these knots, as ``bkm._solve``
     takes it: for a linear rho kind, the bordered system of ``bordered_matrix``
-    with right-hand side (f + s u, 0) and beta / k^2 as the tail; for Burger,
-    the bare interpolant from one block system (``burger_alpha``).
+    with right-hand side (f + s u, 0), solved for alpha and u_p's tail; for
+    Burger, the bare interpolant from one block system (``burger_alpha``).
     """
     knots = tuple(knots)
     n = len(knots)
@@ -291,9 +296,9 @@ def solve_alpha(
         a_phi = pair.phi.eval_sq(sq_distances)
         return DrmExpansion(knots, pair, burger_alpha(pair, xy, sq_distances, a_phi, f, u))
     rhs = f + rho_matrix(rho, knots, pair, u_at_knots)
-    system = bordered_matrix(pair.phi, sq_distances, xy)
+    system = bordered_matrix(pair, sq_distances, xy)
     solution = lu_solve(system, np.concatenate([rhs, np.zeros(3)]))
-    return DrmExpansion(knots, pair, solution[:n], solution[n:] / pair.wavenumber**2)
+    return DrmExpansion(knots, pair, solution[:n], solution[n:])
 
 
 def u_p_at(expansion: DrmExpansion, points) -> np.ndarray:

@@ -6,9 +6,8 @@ the knots treats the choice as opaque.
 
 Kernel matrices are built from point sets as (n, 2) coordinate arrays
 (``as_xy``) and one matrix of their squared distances, one exact BLAS
-product (``squared_distances``), or distances (``distance_matrix``).
-Knot sets and evaluation points from callers are admitted by one check,
-``checked_xy``.
+product (``squared_distances``).  Knot sets and evaluation points from
+callers are admitted by one check, ``checked_xy``.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ __all__ = [
     "as_xy",
     "checked_xy",
     "squared_distances",
-    "distance_matrix",
-    "coincident_pair",
 ]
 
 # Lattice points this close to the boundary (in level-function units) are
 # treated as boundary points and excluded from interior sets.
 _INTERIOR_MARGIN = 1e-9
 _COORD_LIMIT = 1e150  # squares of smaller coordinates do not overflow
-_COINCIDENT_TOL = 1e-12  # closer points make radial kernel matrices rank-deficient
 # ``squared_distances``' lifted rows and columns, but for the coordinates.
 _LIFT = np.array([[[0.0, -1.0, 0.0]], [[0.0, 0.0, -1.0]]])
 _ONE = np.array([[1.0], [0.0], [0.0]])
@@ -197,21 +193,3 @@ def squared_distances(rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None
     t = work[:m]
     t += work[m:]
     return t
-
-
-def distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the distance between rows[i] and cols[j]: the sqrt of
-    ``squared_distances``, which agrees with ``np.hypot`` to one ulp in half the time."""
-    t = squared_distances(rows, cols)
-    return np.sqrt(t, out=t)
-
-
-def coincident_pair(distances: np.ndarray) -> tuple[int, int] | None:
-    """First index pair i < j (row-major order) of a point set's own distance
-    matrix whose distance is below 1e-12, or None when there is none."""
-    close = distances < _COINCIDENT_TOL
-    # The zero diagonal is always close; anything beyond it is a pair.
-    if np.count_nonzero(close) == len(distances):
-        return None
-    i, j = np.argwhere(np.triu(close, 1))[0]
-    return int(i), int(j)

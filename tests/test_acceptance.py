@@ -156,10 +156,10 @@ def test_mq_pair_operator_consistency_across_shape_parameters():
 def test_rhs_interpolation_exact_and_feedback_paths():
     """Knot-collocation residual <= 1e-9 relative at the three benchmark
     configurations, of the DRM interpolant a solve uses: A_phi alpha plus
-    the linear tail P beta for Laplace and Helmholtz (the bordered system),
-    A_phi alpha alone for Burger; the identity feedback path returns u
-    bit-for-bit; the quadratic feedback evaluation error at least halves
-    from 8 to 32 knots.
+    the border columns k^2 P (the image of u_p's tail) times the tail for
+    Laplace and Helmholtz, A_phi alpha alone for Burger; the identity
+    feedback path returns u bit-for-bit; the quadratic feedback evaluation
+    error at least halves from 8 to 32 knots.
     """
     for problem, n in (
         (laplace_benchmark(), 5),
@@ -175,8 +175,8 @@ def test_rhs_interpolation_exact_and_feedback_paths():
         a_phi = interp_matrix(knots, pair)
         interpolant = a_phi @ expansion.alpha
         if expansion.tail is not None:
-            p_rows = bordered_matrix(pair.phi, np.square(knot_distances(knots)), knots)[:n, n:]
-            interpolant += p_rows @ (expansion.tail * pair.wavenumber**2)
+            border = bordered_matrix(pair, np.square(knot_distances(knots)), knots)[:n, n:]
+            interpolant += border @ expansion.tail
         residual = np.abs(interpolant - target).max()
         assert residual <= 1e-9 * max(1.0, float(np.abs(target).max()))
 

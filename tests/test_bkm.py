@@ -38,7 +38,6 @@ from bkm.geometry import (
     Ellipse,
     Point,
     as_xy,
-    distance_matrix,
     ellipse_knots,
     interior_grid,
     squared_distances,
@@ -521,6 +520,23 @@ class TestSolveMixedLinear:
         err_without = np.abs(evaluate(without, pts) - exact).max()
         assert err_with <= err_without
 
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    def test_interior_knots_resolve_a_non_polynomial_forcing(self, k):
+        """u = e^{x/3} cos(y/2) with rho = 0 and c = 3 at split wavenumber
+        k: a DRM on the 20 boundary knots alone leaves the forcing
+        unresolved, and the 93 interior knots of the 0.25 lattice resolve
+        it.  Max error over interior_grid(e, 0.1) falls from 5.0e-2 to
+        5.3e-7 at k = 1 and from 1.5 to 7.5e-6 at k = 2."""
+        problem = manufactured(_exp_cos, k, ellipse=ELLIPSE)
+        knots = ellipse_knots(ELLIPSE, 20)
+        probes = interior_grid(ELLIPSE, 0.1)
+        want = np.array([_exp_cos(p) for p in probes])
+        errors = []
+        for interior in ((), interior_grid(ELLIPSE, 0.25)):
+            sol, _ = solve_mixed_linear(problem, knots, interior)
+            errors.append(np.abs(evaluate(sol, probes) - want).max())
+        assert errors[1] * 1e4 <= errors[0]
+
     @pytest.mark.parametrize(
         "problem",
         [helmholtz_benchmark(), manufactured(lambda p: p.x, 2.0, RhoSpec.identity())],
@@ -688,6 +704,27 @@ class TestCoupledSolveIsOneSystem:
         want = np.array([_exp_cos(p) for p in probes])
         assert np.abs(evaluate(sol, probes) - want).max() < bound
 
+    @pytest.mark.parametrize("k", [2.0, 3.0])
+    def test_linear_solution_is_the_tail_at_split_wavenumber(self, k):
+        """u = 1 + x - 2y with rho = identity at split wavenumber k, every
+        other one of 12 knots Neumann and the 0.5 lattice inside.  u_p's
+        tail alone solves the coupled system: its image less s times
+        itself, (k^2 - 1) u, is the forcing, and its value and flux are
+        u's.  Max error over interior_grid(e, 0.1) reads 1.7e-8 (k = 2) and
+        1.9e-8 (k = 3), the FD forcing's noise; a tail gradient, or a tail
+        in the unknown rows, divided by k^2 read 5.6e-2 and 2.9e-2 at k = 2."""
+
+        def exact(p: Point) -> float:
+            return 1.0 + p.x - 2.0 * p.y
+
+        problem = manufactured(exact, k, RhoSpec.identity(), ellipse=ELLIPSE)
+        knots = ellipse_knots(ELLIPSE, 12)
+        bc = _exact_bcs(knots, set(range(1, 12, 2)), exact, lambda p: (1.0, -2.0))
+        sol, _ = solve_mixed_linear(problem, knots, interior_grid(ELLIPSE, 0.5), bc)
+        probes = interior_grid(ELLIPSE, 0.1)
+        want = np.array([exact(p) for p in probes])
+        assert np.abs(evaluate(sol, probes) - want).max() < 1e-6
+
     def test_diagnostics_report_the_joint_matrix(self):
         """Both condition numbers are kappa_1 of the one (m + 3 + n) matrix
         [[system - s rep, -s J], [rep, J]] (unknown rows modified), here
@@ -702,7 +739,7 @@ class TestCoupledSolveIsOneSystem:
         p = np.array([[1.0, q.x, q.y] for q in points])
         system = np.block([[interp_matrix(points, pair), p], [p.T, np.zeros((3, 3))]])
         rep = np.hstack([particular_matrix(points, points, pair), p])
-        j = helmholtz2d(1.0).eval(distance_matrix(np.array(points), np.array(points[:8])))
+        j = helmholtz2d(1.0).eval(np.sqrt(squared_distances(np.array(points), np.array(points[:8]))))
         joint = np.block([[system, np.zeros((13, 8))], [rep[:8], j[:8]]])
         joint[8:10] -= np.hstack([rep[8:], j[8:]])
         want = cond_estimate_1norm(joint)
@@ -1092,9 +1129,9 @@ class TestSharedDistanceMatrices:
     kernel matrix over the pair is evaluated from it."""
 
     @staticmethod
-    def _shapes_of_calls(monkeypatch, fn):
-        """Shapes of the matrices ``fn`` builds through every module of the
-        package that binds it."""
+    def _shapes_of_calls(monkeypatch, fn, package="bkm."):
+        """Shapes of the matrices ``fn`` builds through every module of
+        ``package`` (a module name or prefix) that binds it."""
         calls = []
 
         def counted(rows, cols, *work):
@@ -1102,13 +1139,15 @@ class TestSharedDistanceMatrices:
             return fn(rows, cols, *work)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("bkm.") and getattr(module, fn.__name__, None) is fn:
+            if name.startswith(package) and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
         return calls
 
     @pytest.fixture
     def distance_calls(self, monkeypatch):
-        return self._shapes_of_calls(monkeypatch, distance_matrix)
+        """Knot sets' distance matrices: ``drm.knot_distances`` takes the
+        sqrt of ``squared_distances`` of the set with itself."""
+        return self._shapes_of_calls(monkeypatch, squared_distances, "bkm.drm")
 
     @pytest.fixture
     def squared_distance_calls(self, monkeypatch):
@@ -1295,7 +1334,7 @@ class TestOneFactorizationPerMatrix:
         "build",
         [
             lambda knots: interp_matrix(knots, mq_pair(3.0)),
-            lambda knots: bordered_matrix(mq_pair(3.0).phi, np.square(knot_distances(knots)), knots),
+            lambda knots: bordered_matrix(mq_pair(3.0), np.square(knot_distances(knots)), knots),
             lambda knots: particular_matrix([Point(0.1, 0.2)], knots, mq_pair(3.0)),
             lambda knots: u_p_at(
                 DrmExpansion(tuple(knots), mq_pair(3.0), np.ones(len(knots))), [Point(0.1, 0.2)]

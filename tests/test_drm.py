@@ -140,12 +140,15 @@ class TestInterpMatrix:
             interp_matrix(pts, mq_pair(1.0))
 
     def test_entries_match_scalar_kernel_calls(self):
+        """phi of each admitted distance, bit for bit (``math.dist`` can
+        differ from it by one ulp; test_geometry checks the distances)."""
         pts = ring(6)
         pair = mq_pair(3.0)
         a = interp_matrix(pts, pair)
-        for i, p in enumerate(pts):
-            for j, q in enumerate(pts):
-                assert a[i, j] == pair.phi.eval(math.dist(p, q))
+        distances = knot_distances(pts)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                assert a[i, j] == pair.phi.eval(float(distances[i, j]))
 
 
 class TestParticularMatrix:
@@ -229,10 +232,10 @@ class TestRhoMatrix:
 
 
 def bordered_residual(pts, pair, exp, f) -> tuple[np.ndarray, np.ndarray, float]:
-    """The bordered DRM matrix, its solution (alpha, beta) read off the
-    expansion (beta = k^2 tail) and the max-norm residual against (f, 0)."""
-    system = bordered_matrix(pair.phi, np.square(knot_distances(pts)), pts)
-    x = np.concatenate([exp.alpha, exp.tail * pair.wavenumber**2])
+    """The bordered DRM matrix, its solution (alpha, tail) read off the
+    expansion and the max-norm residual against (f, 0)."""
+    system = bordered_matrix(pair, np.square(knot_distances(pts)), pts)
+    x = np.concatenate([exp.alpha, exp.tail])
     return system, x, float(np.abs(system @ x - np.append(f, np.zeros(3))).max())
 
 
@@ -254,12 +257,15 @@ class TestSolveAlpha:
         with pytest.raises(SingularMatrixError):
             solve_alpha([Point(0.0, 0.0)], mq_pair(3.0), [45.0], RhoSpec.zero())
 
+    # Both residual tests run at k = 1 and k = 3, where k^2 = 9 is not a
+    # power of two, so the border k^2 P rounds.
     def test_linear_forcing_residual(self):
         pts = ring(5)
-        pair = mq_pair(3.0)
         f = [p.x for p in pts]
-        exp = solve_alpha(pts, pair, f, RhoSpec.zero())
-        assert bordered_residual(pts, pair, exp, f)[2] <= 1e-10
+        for k in (1.0, 3.0):
+            pair = mq_pair(3.0, k)
+            exp = solve_alpha(pts, pair, f, RhoSpec.zero())
+            assert bordered_residual(pts, pair, exp, f)[2] <= 1e-10
 
     @pytest.mark.parametrize("c", [1.0, 3.0, 25.0])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -272,13 +278,14 @@ class TestSolveAlpha:
         rng = np.random.RandomState(seed)
         n = int(rng.randint(3, 12))
         pts = ring(n)
-        pair = mq_pair(c)
         f = rng.uniform(-2.0, 2.0, n)
-        exp = solve_alpha(pts, pair, f, RhoSpec.zero())
-        system, x, resid = bordered_residual(pts, pair, exp, f)
         eps = np.finfo(float).eps
-        backward = np.abs(system).sum(axis=1).max() * np.abs(x).max()
-        assert resid <= max(1e-9 * np.abs(f).max(), 100.0 * n * eps * backward)
+        for k in (1.0, 3.0):
+            pair = mq_pair(c, k)
+            exp = solve_alpha(pts, pair, f, RhoSpec.zero())
+            system, x, resid = bordered_residual(pts, pair, exp, f)
+            backward = np.abs(system).sum(axis=1).max() * np.abs(x).max()
+            assert resid <= max(1e-9 * np.abs(f).max(), 100.0 * n * eps * backward)
 
     @pytest.mark.parametrize("n, c", [(9, 3.0), (24, 1.0)])
     def test_burger_alpha_satisfies_drm_equations(self, n, c):
@@ -375,12 +382,13 @@ class TestLinearTail:
         assert moments <= 1e-12 * np.abs(p_rows).max() * np.abs(exp.alpha).sum()
 
     def test_bordered_matrix_layout(self):
+        """[[A_phi, k^2 P], [P^T, 0]]: the tail's image k^2 P, here k = 3."""
         pts = ring(5)
-        pair = mq_pair(3.0)
-        bordered = bordered_matrix(pair.phi, np.square(knot_distances(pts)), pts)
+        pair = mq_pair(3.0, 3.0)
+        bordered = bordered_matrix(pair, np.square(knot_distances(pts)), pts)
         assert bordered.shape == (8, 8)
         assert np.array_equal(bordered[:5, :5], interp_matrix(pts, pair))
-        assert np.array_equal(bordered[:5, 5:], self.linear_rows(pts))
+        assert np.array_equal(bordered[:5, 5:], 9.0 * self.linear_rows(pts))
         assert np.array_equal(bordered[5:, :5], self.linear_rows(pts).T)
         assert np.array_equal(bordered[5:, 5:], np.zeros((3, 3)))
 

@@ -13,12 +13,12 @@ from bkm.geometry import (
     Point,
     as_xy,
     checked_xy,
-    coincident_pair,
-    distance_matrix,
     ellipse_knots,
     interior_grid,
     squared_distances,
 )
+
+from bkm.drm import knot_distances
 
 from oracles import count_lattice_in_ellipse, squared_distances_broadcast
 
@@ -206,23 +206,27 @@ class TestArrayHelpers:
             checked_xy([(3.0, 0.1, 9.0), (3.2, 0.2, 9.0)], "probes")
 
     def test_distance_matrix_matches_dist(self):
-        rows = [Point(0.1 * i, 0.3 - 0.2 * i) for i in range(4)]
-        cols = [Point(-0.5, 0.25), Point(1.0, 1.0), Point(0.0, 0.0)]
-        d = distance_matrix(as_xy(rows), as_xy(cols))
-        assert d.shape == (4, 3)
-        for i, p in enumerate(rows):
-            for j, q in enumerate(cols):
+        """The distances ``drm.knot_distances`` admits a knot set with."""
+        pts = [Point(0.1 * i, 0.3 - 0.2 * i) for i in range(4)]
+        pts += [Point(-0.5, 0.25), Point(1.0, 1.0), Point(0.0, 0.0)]
+        d = knot_distances(as_xy(pts))
+        assert d.shape == (7, 7)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
                 assert d[i, j] == pytest.approx(math.dist(p, q), rel=1e-15)
 
     def test_coincident_pair_first_in_row_major_order(self):
+        """``drm.knot_distances`` names the first pair i < j closer than 1e-12."""
         pts = as_xy([Point(x, 0.0) for x in (0.0, 1.0, 2.0, 1.0, 0.0)])
-        d = distance_matrix(pts, pts)
-        assert coincident_pair(d) == (0, 4)
-        assert coincident_pair(d[1:, 1:]) == (0, 2)
-        assert coincident_pair(d[:3, :3]) is None
+        with pytest.raises(ValueError, match="^duplicate knots at indices 0 and 4: "):
+            knot_distances(pts)
+        with pytest.raises(ValueError, match="^duplicate knots at indices 0 and 2: "):
+            knot_distances(pts[1:])
+        assert knot_distances(pts[:3]).shape == (3, 3)
         near = as_xy([Point(0.0, 0.0), Point(1e-13, 0.0), Point(1e-11, 0.0)])
-        assert coincident_pair(distance_matrix(near, near)) == (0, 1)
-        assert coincident_pair(distance_matrix(near[::2], near[::2])) is None
+        with pytest.raises(ValueError, match="^duplicate knots at indices 0 and 1: "):
+            knot_distances(near)
+        assert knot_distances(near[::2]).shape == (2, 2)
 
 
 class TestSquaredDistances:
