@@ -91,13 +91,13 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class BkmSolution:
-    """Collocation coefficients plus the particular-solution expansion."""
+    """Collocation coefficients plus the particular-solution expansion;
+    ``evaluate`` reads u = v + u_p back from them, at the knots too."""
 
     lam: np.ndarray
     expansion: DrmExpansion
     kernel: RadialKernel
     knots: tuple[BoundaryKnot, ...]
-    interior_u: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,10 @@ def _solve(
     off the interpolant of u, whose coefficients are solved together with c
     in one block system (``drm.burger_alpha``).  Where u is not known
     (Neumann and interior knots), u = v + u_p and rho{u} = s u turn the row
-    into a PDE collocation row, ([A_phi | k^2 P] - s rep) c - s J lambda = f.
-    The boundary rows (value or flux of v + u_p) close the system:
+    into a PDE collocation row, ([A_phi | k^2 P] - s rep) c - s J lambda = f,
+    [rep | J] being u's rows, written once with one column per entry of
+    (c, lambda).  The boundary rows (those rows, or their flux at Neumann
+    knots) close the system:
 
         [[system, -s J_unknown], [bc_rep, bc_lam]] (c, lambda) = (rhs, values),
 
@@ -308,14 +310,13 @@ def _solve(
         # bordered system, then one row per boundary knot, in knot order.
         order = m + 3 + n if coupled else m + 3
         system = bordered_matrix(pair, sq_distances, xy, order)
-        tail_rows = system[m : m + 3, :m].T  # u_p's tail (1, x, y): the moment rows
+        # u = v + u_p at every point; u_p's tail (1, x, y) is the moment rows.
+        rows = np.concatenate((rep, system[m : m + 3, :m].T, j_values), axis=1)
         target = np.zeros(order)
         target[:m] = rhs + problem.rho(known_u)
-        # u = v + u_p at a Dirichlet knot, its normal derivative at a Neumann knot.
+        # u at a Dirichlet knot, its normal derivative at a Neumann knot.
         bc = system[m + 3 :] if coupled else np.empty((n, m + 3 + n))
-        bc[:, :m] = rep[:n]
-        bc[:, m : m + 3] = tail_rows[:n]
-        bc[:, m + 3 :] = j_values[:n]
+        bc[...] = rows[:n]
         if neumann:
             proj, normals = normal_projections(knots, neumann, xy)
             bc[neumann, :m] = directional_derivative(pair.phi_hat, sq_distances[neumann], proj)
@@ -324,11 +325,9 @@ def _solve(
             bc[neumann, m + 1 : m + 3] = normals
             bc[neumann, m + 3 :] = directional_derivative(kernel, knot_sq[neumann], proj[:, :n])
         if coupled:
-            # system - scale rep and -scale J in the unknown points' rows.
+            # rho{u} = scale rows @ x moves into the unknown points' rows.
             target[m + 3 :] = values
-            system[unknown, :m] -= scale * rep[unknown]
-            system[unknown, m : m + 3] -= scale * tail_rows[unknown]
-            system[unknown, m + 3 :] = -scale * j_values[unknown]
+            system[unknown] -= scale * rows[unknown]
             matrix = system
         else:
             c = lu_solve(system, target)
@@ -340,10 +339,7 @@ def _solve(
 
     tail = c[m:] if scale is not None else None
     expansion = DrmExpansion(points, pair, c[:m], tail)
-    interior_u = None
-    if m > n:  # only a linear rho kind takes interior knots
-        interior_u = j_values[n:] @ lam + rep[n:] @ c[:m] + tail_rows[n:] @ c[m:]
-    return BkmSolution(lam, expansion, kernel, knots, interior_u), diagnostics
+    return BkmSolution(lam, expansion, kernel, knots), diagnostics
 
 
 def solve_boundary_only(
@@ -381,8 +377,8 @@ def solve_mixed_linear(
     flux row.  u at the Neumann and interior knots is not an unknown of
     its own: it is substituted by its representation v + u_p, which the
     linear rho term folds into the particular solution's system, so there
-    is no iteration.  ``interior_u`` of the solution holds that
-    representation at the interior knots.
+    is no iteration.  ``evaluate(sol, interior_points)`` reads that
+    representation back at the interior knots.
 
     With such knots and rho{u} = s u, s != 0, lambda and the particular
     solution come from one (m + 3 + n) block system, m counting boundary

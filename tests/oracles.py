@@ -200,3 +200,94 @@ def evaluate_broadcast(sol, xy: np.ndarray) -> np.ndarray:
         u += sol.lam @ sol.kernel.eval_sq(t[:n])
         out[start : start + len(block)] = u
     return out
+
+
+# --------------------------------------------------------------------------
+# the discrete method in extended precision
+
+
+def bkm_oracle(problem, n: int, dps: int = 60) -> Callable[[Sequence], np.ndarray]:
+    """The boundary-only BKM solve of ``problem`` on n knots, in ``dps`` digits.
+
+    The knots come from ``bkm.geometry.ellipse_knots``, and the boundary data
+    and forcing from the problem's callbacks; each float64 value is read as the
+    exact binary number it is.  Nothing else of the library is called.  u_p
+    sums phi_hat = (r^2 + c^2)^(3/2) over the knots, plus the tail
+    beta . (1, x, y) for a linear rho kind, whose DRM system is the bordered
+    [[A_phi, k^2 P], [P^T, 0]] with phi = (lap + k^2){phi_hat} =
+    9s - 3c^2/s + k^2 s^3, s = sqrt(r^2 + c^2), and right-hand side
+    (f + s_rho u, 0).  Burger's rho = u - u_x u is u + sigma u_x with
+    sigma = -u, u_x = D_x w from the phi-interpolant w of u, and alpha comes
+    from the 2n block system [[A_phi, -sigma D_x], [0, A_phi]] (alpha, w) =
+    (f + u, u).  lambda solves J0(k r_ij) lambda = u - u_p at the knots.
+
+    Returns the field u = v + u_p as a function of points (``Point``s or
+    pairs), evaluated in the same precision and rounded to float64.
+    """
+    from bkm.geometry import ellipse_knots
+
+    with mp.workdps(dps):
+        k = mp.mpf(problem.split_wavenumber)
+        c_sq = mp.mpf(problem.mq_shape_c) ** 2
+        positions = [knot.position for knot in ellipse_knots(problem.ellipse, n)]
+        xs = [(mp.mpf(p[0]), mp.mpf(p[1])) for p in positions]
+        g = [mp.mpf(problem.dirichlet(p)) for p in positions]
+        f = [mp.mpf(problem.forcing(p)) for p in positions]
+
+        def sq(a, b):
+            return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+        def phi_hat(t):
+            return (t + c_sq) ** mp.mpf(1.5)
+
+        def phi(t):
+            s = mp.sqrt(t + c_sq)
+            return 9 * s - 3 * c_sq / s + k**2 * s**3
+
+        def phi_x(a, b):
+            """d/da_x phi(|a - b|)."""
+            s = mp.sqrt(sq(a, b) + c_sq)
+            return (9 / s + 3 * c_sq / s**3 + 3 * k**2 * s) * (a[0] - b[0])
+
+        def j0(a, b):
+            return mp.besselj(0, k * mp.sqrt(sq(a, b)))
+
+        a_phi = [[phi(sq(a, b)) for b in xs] for a in xs]
+        kind = problem.rho.kind
+        if kind == "burger":
+            system = mp.zeros(2 * n, 2 * n)
+            for i in range(n):
+                for j in range(n):
+                    system[i, j] = system[n + i, n + j] = a_phi[i][j]
+                    system[i, n + j] = g[i] * phi_x(xs[i], xs[j])  # -sigma D_x
+            rhs = mp.matrix([f[i] + g[i] for i in range(n)] + g)
+            alpha, beta = list(mp.lu_solve(system, rhs))[:n], [0, 0, 0]
+        else:
+            scale = {"zero": 0, "identity": 1}.get(kind, problem.rho.scale)
+            system = mp.zeros(n + 3, n + 3)
+            for i, a in enumerate(xs):
+                for j in range(n):
+                    system[i, j] = a_phi[i][j]
+                for j, p in enumerate((1, a[0], a[1])):
+                    system[i, n + j] = k**2 * p
+                    system[n + j, i] = p
+            rhs = mp.matrix([f[i] + scale * g[i] for i in range(n)] + [0, 0, 0])
+            solution = list(mp.lu_solve(system, rhs))
+            alpha, beta = solution[:n], solution[n:]
+
+        def u_p(a):
+            value = mp.fsum(al * phi_hat(sq(a, b)) for al, b in zip(alpha, xs))
+            return value + beta[0] + beta[1] * a[0] + beta[2] * a[1]
+
+        j_matrix = mp.matrix([[j0(a, b) for b in xs] for a in xs])
+        lam = list(mp.lu_solve(j_matrix, mp.matrix([g[i] - u_p(a) for i, a in enumerate(xs)])))
+
+    def field(points) -> np.ndarray:
+        with mp.workdps(dps):
+            out = []
+            for p in points:
+                a = (mp.mpf(p[0]), mp.mpf(p[1]))
+                out.append(float(mp.fsum(l * j0(a, b) for l, b in zip(lam, xs)) + u_p(a)))
+        return np.array(out)
+
+    return field

@@ -218,7 +218,7 @@ class TestInteriorPointsInsideEllipse:
         )
         assert e.level(p) == pytest.approx(1.0 - 1e-9, abs=1e-15)
         sol, _ = solve_mixed_linear(problem, knots, [p])
-        assert np.isfinite(sol.interior_u).all()
+        assert np.isfinite(evaluate(sol, [p])).all()
 
 
 class TestNeumannNormals:
@@ -562,7 +562,7 @@ class TestSolveMixedLinear:
         sol, _ = solve_mixed_linear(problem, knots, interior)
         plain, _ = solve_mixed_linear(problem, knots, [tuple(p) for p in interior])
         assert np.array_equal(plain.lam, sol.lam)
-        assert np.array_equal(plain.interior_u, sol.interior_u)
+        assert np.array_equal(evaluate(plain, interior), evaluate(sol, interior))
 
     @pytest.mark.parametrize("form", ["tuples", "array"])
     def test_helmholtz_interior_as_pairs_or_array_matches_points(self, form):
@@ -574,7 +574,7 @@ class TestSolveMixedLinear:
         supplied = [tuple(p) for p in interior] if form == "tuples" else np.array(interior)
         sol, diag = solve_mixed_linear(problem, knots, interior)
         got, got_diag = solve_mixed_linear(problem, knots, supplied)
-        assert np.array_equal(got.interior_u, sol.interior_u)
+        assert np.array_equal(evaluate(got, interior), evaluate(sol, interior))
         assert got_diag == diag
         assert got.expansion.knots == sol.expansion.knots
         assert all(type(p) is Point for p in got.expansion.knots)
@@ -586,8 +586,7 @@ class TestSolveMixedLinear:
         knots = ellipse_knots(problem.ellipse, 8)
         interior = [Point(0.0, 0.0), Point(0.5, 0.25)]
         sol, _ = solve_mixed_linear(problem, knots, interior)
-        assert sol.interior_u is not None
-        assert sol.interior_u == pytest.approx([0.0, 0.75], abs=1e-2)
+        assert evaluate(sol, interior) == pytest.approx([0.0, 0.75], abs=1e-2)
 
     def test_half_dirichlet_half_neumann_recovers_linear_field(self):
         problem = laplace_benchmark()
@@ -746,6 +745,78 @@ class TestCoupledSolveIsOneSystem:
         assert want < 1e8
         assert diag.cond_interp == diag.cond_bkm
         assert diag.cond_bkm == pytest.approx(want, rel=1e-10)
+
+
+# Gradients of the benchmarks' exact solutions, for Neumann data.
+_GRADIENTS = {
+    "laplace": lambda p: (1.0, 1.0),
+    "helmholtz": lambda p: (math.cos(p.x) + 1.0, 0.0),
+}
+
+
+class TestBoundaryReproduction:
+    """``evaluate`` reproduces the data at every Dirichlet knot to round-off
+    in units of eps S_i, S_i being the sum of the magnitudes of u's terms
+    there: sum |lam_j J0| + sum |alpha_j phi_hat| + |beta_0| + |beta_x x_i|
+    + |beta_y y_i|.  A dot product of N terms rounds by at most about
+    N eps S_i, so the bound is (m + 3 + n) eps S_i, m counting the DRM
+    knots.  The solves read at most 1.07 eps S_i (Burger, n = 5).  The
+    solve's rows of u with the tail's x column scaled by 1 + 1e-9, or J0's
+    columns by 1 + 1e-12, fail it."""
+
+    @staticmethod
+    def _ratio(sol, values, dirichlet):
+        expansion = sol.expansion
+        n, m = len(sol.knots), len(expansion.knots)
+        xy = as_xy([knot.position for knot in sol.knots])
+        j0 = sol.kernel.eval_sq(squared_distances(xy, xy))
+        phi_hat = expansion.pair.phi_hat.eval_sq(squared_distances(xy, as_xy(expansion.knots)))
+        terms = np.abs(j0 * sol.lam).sum(axis=1) + np.abs(phi_hat * expansion.alpha).sum(axis=1)
+        if expansion.tail is not None:
+            b0, bx, by = expansion.tail
+            terms += abs(b0) + np.abs(bx * xy[:, 0]) + np.abs(by * xy[:, 1])
+        error = np.abs(evaluate(sol, xy) - values)
+        ratio = error / (np.finfo(float).eps * terms)
+        return float(ratio[dirichlet].max()), m + 3 + n
+
+    @pytest.mark.parametrize(
+        "factory, n",
+        [
+            (laplace_benchmark, 5),
+            (helmholtz_benchmark, 7),
+            (burger_benchmark, 5),
+            (laplace_benchmark, 20),
+            (helmholtz_benchmark, 20),
+            (burger_benchmark, 20),
+            (helmholtz_benchmark, 100),
+        ],
+    )
+    def test_boundary_only(self, factory, n):
+        problem = factory()
+        sol, _ = solve_boundary_only(problem, n)
+        values = np.array([problem.dirichlet(knot.position) for knot in sol.knots])
+        ratio, bound = self._ratio(sol, values, slice(None))
+        assert ratio <= bound
+
+    @pytest.mark.parametrize("half_neumann", [False, True], ids=["dirichlet", "half_neumann"])
+    @pytest.mark.parametrize(
+        "factory", [laplace_benchmark, helmholtz_benchmark], ids=["coupled", "decoupled"]
+    )
+    def test_with_interior_knots(self, factory, half_neumann):
+        problem = factory()
+        knots = ellipse_knots(problem.ellipse, 20)
+        bc = []
+        for i, knot in enumerate(knots):
+            if half_neumann and i % 2:
+                gx, gy = _GRADIENTS[problem.name](knot.position)
+                bc.append(BoundaryCondition("neumann", gx * knot.normal[0] + gy * knot.normal[1]))
+            else:
+                bc.append(BoundaryCondition("dirichlet", problem.dirichlet(knot.position)))
+        sol, _ = solve_mixed_linear(problem, knots, interior_grid(problem.ellipse, 0.25), bc)
+        values = np.array([cond.value for cond in bc])
+        dirichlet = np.array([cond.kind == "dirichlet" for cond in bc])
+        ratio, bound = self._ratio(sol, values, dirichlet)
+        assert ratio <= bound
 
 
 class TestLinearTailNeedsThreePointsOffOneLine:
